@@ -11,21 +11,68 @@ reference implementation) at a realistic deployment size and asserts:
 * both paths produce identical accept/reject decisions, with
   credibility/confidence equal to floating-point tolerance.
 
+The ``kernel_stages`` section times the batch engine's four stages —
+neighbour selection, label binning, p-values (all experts) and the
+committee vote — at the deployment size (12k calibration rows x 48
+features x 32 classes, batch 256, chunked exactly like ``evaluate()``),
+once through the live kernels and once through the frozen pre-rewrite
+copies in ``tests/core/legacy_kernels.py``, alternating, and requires
+the two to agree bitwise.
+
 Results are appended to ``out/BENCH_batch_eval.json`` so later PRs can
-track the perf trajectory.
+track the perf trajectory.  ``--smoke`` runs the bitwise-oracle grid
+plus a small-scale stage timing, with no perf assertion and nothing
+written.
 """
 
+import argparse
+import json
+import os
+import sys
 import time
 
 import numpy as np
 
-from repro.core import PromClassifier, PromRegressor
+from repro.core import AdaptiveWeighting, PromClassifier, PromRegressor
+from repro.core import assess_batch, bin_subset_by_label, pvalues_from_binning
+from repro.core.prom import _evaluation_chunk
 
 from conftest import update_bench_json
+
+# the frozen kernel oracle lives with the tests, one level up
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.core.legacy_kernels import (  # noqa: E402
+    check_bit_identity,
+    legacy_bin_subset_by_label,
+    legacy_pvalues_from_binning,
+    legacy_select_batch,
+    oracle_grid,
+)
 
 #: acceptance floor for the batch-vs-serial speedup (classifier,
 #: n_test=500 vs n_calibration=2000)
 SPEEDUP_FLOOR = 10.0
+
+#: acceptance floor: live vs frozen select + bin + p-value stages at
+#: the deployment size (same process, alternating, median of rounds)
+KERNEL_SPEEDUP_FLOOR = 1.2
+
+KERNEL_SCALE = dict(
+    n_calibration=12_000, n_features=48, n_classes=32, batch=256, rounds=7
+)
+KERNEL_SMOKE_SCALE = dict(
+    n_calibration=2_400, n_features=16, n_classes=8, batch=64, rounds=2
+)
+
+STAGES = ("select", "bin", "pvalues", "vote")
+
+#: (select, bin, p-values) kernel triples under comparison
+LIVE_KERNELS = (AdaptiveWeighting.select_batch, bin_subset_by_label, pvalues_from_binning)
+LEGACY_KERNELS = (
+    legacy_select_batch,
+    legacy_bin_subset_by_label,
+    legacy_pvalues_from_binning,
+)
 
 
 def _classification_setup(n_calibration, n_classes, n_features, seed=0):
@@ -152,3 +199,153 @@ def test_weight_modes_identical_under_batching():
             prom.evaluate(test_features, test_probabilities),
             prom.evaluate_serial(test_features, test_probabilities),
         )
+
+
+def _kernel_state(scale, seed=0):
+    """A calibrated committee plus a deployment-sized test batch."""
+    rng = np.random.default_rng(seed)
+    n, d, n_classes = scale["n_calibration"], scale["n_features"], scale["n_classes"]
+    centres = rng.normal(size=(n_classes, d)) * 2.0
+    labels = rng.integers(0, n_classes, n)
+    features = centres[labels] + rng.normal(size=(n, d))
+
+    def softmax(true_labels):
+        logits = 2.0 * rng.normal(size=(len(true_labels), n_classes))
+        logits[np.arange(len(true_labels)), true_labels] += 3.0
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return exp / exp.sum(axis=1, keepdims=True)
+
+    prom = PromClassifier()
+    prom.calibrate(features, softmax(labels), labels)
+    test_labels = rng.integers(0, n_classes, scale["batch"])
+    test_features = centres[test_labels] + rng.normal(size=(scale["batch"], d))
+    return prom, test_features, softmax(test_labels)
+
+
+def _stage_pass(prom, features, probabilities, kernels):
+    """One evaluate-shaped pass: per-stage seconds and every p-value."""
+    select, binning_of, pvalues_of = kernels
+    state = prom._evaluation_state()
+    predicted = probabilities.argmax(axis=1)
+    chunk = _evaluation_chunk(len(state.features), None, prom._n_classes)
+    seconds = dict.fromkeys(STAGES, 0.0)
+    all_pvalues = []
+    for start in range(0, len(features), chunk):
+        rows = slice(start, start + chunk)
+        test_scores = [f.score_all_labels(probabilities[rows]) for f in prom.functions]
+        t0 = time.perf_counter()
+        subset = select(prom.weighting, state.features, features[rows])
+        t1 = time.perf_counter()
+        binning = binning_of(subset, state.labels, prom._n_classes)
+        t2 = time.perf_counter()
+        pvalues = [
+            pvalues_of(
+                layout, binning, scores, weight_mode=prom.weight_mode, tail=f.tail
+            )
+            for f, layout, scores in zip(prom.functions, state.layouts, test_scores)
+        ]
+        t3 = time.perf_counter()
+        prom.committee.decide_batch(
+            [
+                assess_batch(
+                    p,
+                    predicted[rows],
+                    epsilon=prom.epsilon,
+                    gaussian_scale=prom.gaussian_scale,
+                    credibility_threshold=prom.credibility_threshold,
+                    confidence_threshold=prom.confidence_threshold,
+                    function_name=f.name,
+                )
+                for f, p in zip(prom.functions, pvalues)
+            ]
+        )
+        t4 = time.perf_counter()
+        for stage, (a, b) in zip(STAGES, ((t0, t1), (t1, t2), (t2, t3), (t3, t4))):
+            seconds[stage] += b - a
+        all_pvalues.extend(pvalues)
+    return seconds, all_pvalues
+
+
+def measure_kernel_stages(scale, seed=0) -> dict:
+    """Per-stage ms, live vs frozen kernels, alternating rounds (medians).
+
+    The two kernel sets run on the same state in the same process, one
+    after the other within each round, so a phase of the box's speed
+    hits both alike.  Every round also checks that the two produce
+    bitwise-equal p-values for every expert.
+    """
+    prom, features, probabilities = _kernel_state(scale, seed=seed)
+    _stage_pass(prom, features, probabilities, LIVE_KERNELS)  # warm caches
+    timings = {"live": [], "legacy": []}
+    for _ in range(scale["rounds"]):
+        live, live_p = _stage_pass(prom, features, probabilities, LIVE_KERNELS)
+        legacy, legacy_p = _stage_pass(prom, features, probabilities, LEGACY_KERNELS)
+        assert all(np.array_equal(a, b) for a, b in zip(live_p, legacy_p))
+        timings["live"].append(live)
+        timings["legacy"].append(legacy)
+
+    def medians(runs):
+        ms = {s: round(1e3 * float(np.median([r[s] for r in runs])), 3) for s in STAGES}
+        ms["kernels"] = round(ms["select"] + ms["bin"] + ms["pvalues"], 3)
+        return ms
+
+    live_ms, legacy_ms = medians(timings["live"]), medians(timings["legacy"])
+    return {
+        "n_calibration": scale["n_calibration"],
+        "n_features": scale["n_features"],
+        "n_classes": scale["n_classes"],
+        "batch": scale["batch"],
+        "chunk_rows": _evaluation_chunk(scale["n_calibration"], None, scale["n_classes"]),
+        "rounds": scale["rounds"],
+        "live_ms": live_ms,
+        "legacy_ms": legacy_ms,
+        "speedup": {
+            key: round(legacy_ms[key] / live_ms[key], 2) for key in live_ms
+        },
+        "bit_identical": True,
+    }
+
+
+def run_oracle_grid() -> int:
+    """The bitwise-oracle grid of ``tests/core/test_kernel_oracle.py``."""
+    cases = oracle_grid()
+    for case in cases:
+        check_bit_identity(*case)
+    return len(cases)
+
+
+def test_kernel_stages_at_deployment_size():
+    """Live kernels bit-identical to the frozen ones, and faster."""
+    outcome = measure_kernel_stages(KERNEL_SCALE)
+    update_bench_json("BENCH_batch_eval.json", {"kernel_stages": outcome})
+    assert outcome["speedup"]["kernels"] >= KERNEL_SPEEDUP_FLOOR, (
+        f"select + bin + p-value stages only {outcome['speedup']['kernels']}x "
+        f"faster than the frozen kernels (floor {KERNEL_SPEEDUP_FLOOR}x)"
+    )
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="oracle grid + tiny stage timing, no perf assertions, nothing written",
+    )
+    args = parser.parse_args()
+    if args.smoke:
+        summary = {
+            "smoke": True,
+            "oracle_cases": run_oracle_grid(),
+            "kernel_stages": measure_kernel_stages(KERNEL_SMOKE_SCALE),
+        }
+        print(json.dumps(summary, indent=2, sort_keys=True))
+        return
+    test_classifier_batch_speedup()
+    test_regressor_batch_speedup()
+    test_weight_modes_identical_under_batching()
+    test_kernel_stages_at_deployment_size()
+    print("BENCH_batch_eval.json updated")
+
+
+if __name__ == "__main__":
+    main()

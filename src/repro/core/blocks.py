@@ -182,10 +182,14 @@ class BlockColumn:
         The feature column never takes this path: its ``O(n x d)``
         concat is exactly the deferred cost the segment-direct kernels
         exist to avoid, and it is consumed through :meth:`panels`, not
-        through gathers.
+        through gathers.  A one-block column is its own gather base.
         """
         if self._gather_flat is None:
-            self._gather_flat = np.concatenate(self.segments)
+            self._gather_flat = (
+                self.segments[0]
+                if len(self.segments) == 1
+                else np.concatenate(self.segments)
+            )
         return self._gather_flat
 
     def __getitem__(self, rows) -> np.ndarray:

@@ -260,11 +260,28 @@ def merge_group_counts(layouts, n_labels: int) -> np.ndarray:
     return counts
 
 
-def _label_binned_sums(flat_bins, values, n_test, n_labels) -> np.ndarray:
-    """Per-(test sample, label) sums via one scatter-add (bincount)."""
-    return np.bincount(
-        flat_bins, weights=values.ravel(), minlength=n_test * n_labels
-    ).reshape(n_test, n_labels)
+def _label_binned_sums(flat_bins, values, n_bins) -> np.ndarray:
+    """Per-bin sums via one scatter-add (bincount).
+
+    ``bincount`` accumulates each bin's terms in input order, so a term
+    of ``+0.0`` never changes a sum: dropping such terms, or routing
+    them to a bin nobody reads, leaves every result bitwise unchanged.
+    The one-pass two-sided kernels below rest on exactly that.
+    """
+    return np.bincount(flat_bins, weights=values, minlength=n_bins)
+
+
+def _gather(column, indices) -> np.ndarray:
+    """``column[indices]`` as one flat ``np.take``.
+
+    ``column`` is a flat scalar array or a scalar
+    :class:`~repro.core.blocks.BlockColumn`, read through its cached
+    :meth:`~repro.core.blocks.BlockColumn.gather_base` — the same bytes,
+    and a gather does no arithmetic, so both give identical results.
+    """
+    if isinstance(column, BlockColumn):
+        column = column.gather_base()
+    return np.take(column, indices)
 
 
 @dataclass(frozen=True)
@@ -274,29 +291,28 @@ class SubsetBinning:
     Every expert of a committee shares the same calibration selection,
     distance weights and true labels; only the score values differ.
     This structure is computed once per batch and reused across experts:
-    the selected labels, the flattened (test sample, label) bin index of
-    every selected calibration sample, and both denominators (weighted
-    and unweighted per-bin totals, for the two weight modes).
+    the flattened (test sample, label) bin index of every selected
+    calibration sample and the ``"count"``-mode denominator.  The
+    ``"multiply"``-mode denominator (selected samples per bin) is not
+    built here: :func:`pvalues_from_binning` gets it for free from the
+    same integer scatter-add that counts that mode's tails.
 
     Attributes:
         indices / weights: the selection, as in
             :class:`~repro.core.weighting.CalibrationSubsetBatch`.
-        selected_labels: true label of each selected sample.
         flat_bins: flattened scatter-add target bin of each selected
-            sample (``row * n_labels + label``).
+            sample (``row * n_labels + label``), which is also the
+            position of its comparison threshold in the C-order
+            ``(n_test, n_labels)`` test-score matrix.
         weight_sums: ``(n_test, n_labels)`` sum of selected weights per
             bin — the ``"count"``-mode denominator before its ``+1``.
-        counts: ``(n_test, n_labels)`` selected samples per bin — the
-            ``"multiply"``-mode denominator before its ``+1``.
         n_labels: number of candidate labels.
     """
 
     indices: np.ndarray
     weights: np.ndarray
-    selected_labels: np.ndarray
     flat_bins: np.ndarray
     weight_sums: np.ndarray
-    counts: np.ndarray
     n_labels: int
 
 
@@ -309,29 +325,64 @@ def bin_subset_by_label(
 
     ``calibration_labels`` may be a
     :class:`~repro.core.blocks.BlockColumn` of per-shard label blocks;
-    the selection gather then iterates the blocks directly (a gather is
+    the selection gather then reads its flat gather base (a gather is
     exact, so the binning is bit-identical to the flat path).
     """
     indices = np.asarray(subset_batch.indices)
     weights = np.asarray(subset_batch.weights)
-    if isinstance(calibration_labels, BlockColumn):
-        selected_labels = np.asarray(calibration_labels[indices], dtype=int)
-    else:
-        selected_labels = np.asarray(calibration_labels, dtype=int)[indices]
     n_test = len(indices)
-    rows = np.arange(n_test)[:, None]
-    flat_bins = (rows * n_labels + selected_labels).ravel()
+    flat_bins = _gather(calibration_labels, indices).astype(int, copy=False)
+    flat_bins += (np.arange(n_test) * n_labels)[:, None]
+    flat_bins = flat_bins.ravel()
     return SubsetBinning(
         indices=indices,
         weights=weights,
-        selected_labels=selected_labels,
         flat_bins=flat_bins,
-        weight_sums=_label_binned_sums(flat_bins, weights, n_test, n_labels),
-        counts=np.bincount(flat_bins, minlength=n_test * n_labels)
-        .reshape(n_test, n_labels)
-        .astype(float),
+        weight_sums=_label_binned_sums(
+            flat_bins, weights.ravel(), n_test * n_labels
+        ).reshape(n_test, n_labels),
         n_labels=n_labels,
     )
+
+
+def _two_sided_weighted_sums(flat_bins, weights, selected, thresholds, n_labels, k):
+    """The ``"count"``-mode right (``>=``) and left (``<=``) tail sums.
+
+    One scatter-add over two bands yields both tails: band 0
+    (``[0, n_bins)``) takes the terms with ``score >= threshold``, band
+    1 the rest.  Band 0 holds exactly the nonzero terms of the masked
+    right sum, in the same order, and the terms it leaves out were
+    ``+0.0`` — so it *is* the two-pass right sum, bitwise.  Band 1 is
+    the left sum in every bin without a term where the two tails agree
+    (``score == threshold``, in both; NaN, in neither).  Such terms are
+    few (ties at the score extremes), so the test rows holding one —
+    row ``r`` owns terms ``[r k, (r + 1) k)`` and bins
+    ``[r L, (r + 1) L)`` — get their left sums again from their own
+    terms, in order, with the two-pass mask.
+    """
+    n_test = len(flat_bins) // k
+    n_bins = n_test * n_labels
+    at_least = selected >= thresholds
+    at_most = selected <= thresholds
+    bins = (~at_least).astype(np.intp)
+    bins *= n_bins
+    bins += flat_bins
+    sums = _label_binned_sums(bins, weights, 2 * n_bins)
+    right, left = sums[:n_bins], sums[n_bins:]
+    odd = np.flatnonzero(at_least == at_most)
+    if len(odd):
+        tied_rows = np.zeros(n_test, dtype=bool)
+        tied_rows[odd // k] = True
+        rows = np.flatnonzero(tied_rows)
+        span = (
+            slice(None)  # every row (small batches): no gather needed
+            if len(rows) == n_test
+            else (rows[:, None] * k + np.arange(k)).ravel()
+        )
+        terms = weights[span] * at_most[span].astype(float)
+        redone = _label_binned_sums(flat_bins[span], terms, n_bins)
+        left.reshape(n_test, n_labels)[rows] = redone.reshape(n_test, n_labels)[rows]
+    return right, left
 
 
 def pvalues_from_binning(
@@ -344,15 +395,23 @@ def pvalues_from_binning(
     """One expert's ``(n_test, n_labels)`` p-values from shared binning.
 
     The hot path of the batch engine: gathers the expert's calibration
-    scores at the selected positions, compares them against each
-    sample's candidate-label threshold in one elementwise pass, and
-    reduces the weighted tail sums with one label-binned scatter-add
-    per tail.  Everything is ``O(n_test * k)`` time and memory — never
-    the dense ``n_test * n_labels * k`` of per-label boolean masks.
+    scores at the selected positions and each one's candidate-label
+    threshold (two flat ``np.take`` calls), compares them in one
+    elementwise pass, and reduces the tail sums with one label-binned
+    scatter-add — one for both tails of a two-sided expert too (see
+    :func:`_two_sided_weighted_sums`).  Everything is ``O(n_test * k)``
+    time and memory — never the dense ``n_test * n_labels * k`` of
+    per-label boolean masks.
+
+    ``"multiply"`` mode counts instead of summing weights: one integer
+    scatter-add over four bands (neither, greater, less, equal) gives
+    both tails and the per-bin sample count.  Integer counts are exact
+    in any order, so they equal the float sums of ``0.0``/``1.0`` terms
+    of the two-pass form bitwise.
 
     ``layout.scores`` may be a
     :class:`~repro.core.blocks.BlockColumn` (the segment-direct
-    evaluation view); the score gather then iterates per-shard blocks
+    evaluation view); the score gather then reads its flat gather base
     with bit-identical results.
     """
     if weight_mode not in WEIGHT_MODES:
@@ -365,43 +424,48 @@ def pvalues_from_binning(
         raise ValidationError(
             f"test_scores must be (n_test, {n_labels}), got {test_scores.shape}"
         )
-    n_test = test_scores.shape[0]
-    selected_scores = layout.scores[binning.indices]
+    n_test, k = binning.indices.shape
+    if test_scores.shape[0] != n_test:
+        raise ValidationError(
+            f"test_scores has {test_scores.shape[0]} rows, the binning {n_test}"
+        )
+    n_bins = n_test * n_labels
+    flat_bins = binning.flat_bins
+    weights = binning.weights.ravel()
+    selected = _gather(layout.scores, binning.indices).ravel()
     # Each selected sample competes for its own true label: its
-    # comparison threshold is the test sample's score at that label.
-    rows = np.arange(n_test)[:, None]
-    thresholds = test_scores[rows, binning.selected_labels]
+    # comparison threshold is the test sample's score at that label,
+    # which sits at the sample's own flat bin.
+    thresholds = np.take(test_scores.ravel(), flat_bins)
 
     if weight_mode == "count":
-        compared = selected_scores >= thresholds
-        compared = binning.weights * compared
-        right = _label_binned_sums(binning.flat_bins, compared, n_test, n_labels)
-        if tail == "both":
-            compared_left = binning.weights * (selected_scores <= thresholds)
-            left = _label_binned_sums(
-                binning.flat_bins, compared_left, n_test, n_labels
+        if tail == "right":
+            # a float mask multiplies about twice as fast as a bool one,
+            # with the same products
+            terms = weights * (selected >= thresholds).astype(float)
+            numerators = _label_binned_sums(flat_bins, terms, n_bins)
+        else:
+            right, left = _two_sided_weighted_sums(
+                flat_bins, weights, selected, thresholds, n_labels, k
             )
             numerators = 2.0 * np.minimum(right, left)
-        else:
-            numerators = right
-        denominators = binning.weight_sums
+        denominators = binning.weight_sums.ravel()
     else:
-        adjusted = binning.weights * selected_scores
-        right = _label_binned_sums(
-            binning.flat_bins, (adjusted >= thresholds).astype(float), n_test, n_labels
-        )
-        if tail == "both":
-            left = _label_binned_sums(
-                binning.flat_bins,
-                (adjusted <= thresholds).astype(float),
-                n_test,
-                n_labels,
-            )
-            numerators = 2.0 * np.minimum(right, left)
-        else:
+        adjusted = weights * selected
+        bands = (adjusted >= thresholds).astype(np.intp)
+        bands += 2 * (adjusted <= thresholds)
+        bands *= n_bins
+        bands += flat_bins
+        counts = np.bincount(bands, minlength=4 * n_bins).reshape(4, n_bins)
+        right = counts[1] + counts[3]
+        if tail == "right":
             numerators = right
-        denominators = binning.counts
-    return np.minimum(1.0, numerators / (denominators + 1.0))
+        else:
+            numerators = 2.0 * np.minimum(right, counts[2] + counts[3])
+        # Eq. 2 counts the test sample itself in the denominator (n + 1).
+        denominators = counts.sum(axis=0)
+    pvalues = np.minimum(1.0, numerators / (denominators + 1.0))
+    return pvalues.reshape(n_test, n_labels)
 
 
 def pvalues_all_labels_batch(

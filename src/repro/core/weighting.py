@@ -342,15 +342,18 @@ class AdaptiveWeighting:
         for start, stop, block in iter_squared_distance_chunks(
             test, features, chunk_size
         ):
-            rows = np.arange(stop - start)[:, None]
             if keep == n:
-                block_indices = np.broadcast_to(np.arange(n), block.shape)
-                block_squared = block
-            else:
-                block_indices = np.argpartition(block, keep - 1, axis=1)[:, :keep]
-                block_squared = block[rows, block_indices]
+                indices[start:stop] = np.arange(n)
+                squared[start:stop] = block
+                continue
+            block_indices = np.argpartition(block, keep - 1, axis=1)[:, :keep]
             indices[start:stop] = block_indices
-            squared[start:stop] = block_squared
+            # the block is C-contiguous, so row r's column c sits at flat
+            # position r * n + c: one 1-D take instead of a 2-D fancy
+            # index.  The positions are in range by construction; a
+            # non-"raise" mode lets take write straight into ``out``.
+            block_indices = block_indices + np.arange(0, block.size, n)[:, None]
+            np.take(block.ravel(), block_indices, out=squared[start:stop], mode="clip")
         weights = squared / -tau
         np.exp(weights, out=weights)
         np.maximum(weights, self.weight_floor, out=weights)

@@ -178,15 +178,24 @@ class TestSelectBatch:
 class TestPvalueBatchKernel:
     @pytest.mark.parametrize("weight_mode", ["count", "multiply"])
     @pytest.mark.parametrize("tail", ["right", "both"])
-    def test_matches_scalar_pvalues(self, weight_mode, tail):
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_matches_scalar_pvalues(self, weight_mode, tail, discrete):
         rng = np.random.default_rng(5)
         n_cal, n_labels, d = 90, 5, 4
         features = rng.normal(size=(n_cal, d))
-        scores = rng.random(n_cal)
+        # integer ranks with thresholds from the same set make
+        # score == threshold occur (the tie branch of the two-sided kernel)
+        scores = rng.integers(0, 5, n_cal).astype(float) if discrete else rng.random(n_cal)
         labels = rng.integers(0, n_labels, n_cal)
         weighting = AdaptiveWeighting(fraction=0.5, min_samples=20, tau=3.0)
         test_features = rng.normal(size=(15, d))
-        test_scores = rng.random((15, n_labels))
+        test_scores = (
+            rng.integers(0, 5, (15, n_labels)).astype(float)
+            if discrete
+            else rng.random((15, n_labels))
+        )
+        if discrete:
+            assert np.isin(test_scores, scores).all()
 
         layout = group_scores_by_label(scores, labels, n_labels)
         subset_batch = weighting.select_batch(features, test_features)
