@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core import AdaptiveWeighting, PromClassifier, PromRegressor
 from repro.core import assess_batch, bin_subset_by_label, pvalues_from_binning
-from repro.core.prom import _evaluation_chunk
+from repro.core.prom import _evaluation_chunk, _evaluation_view
 
 from conftest import update_bench_json
 
@@ -225,7 +225,7 @@ def _kernel_state(scale, seed=0):
 def _stage_pass(prom, features, probabilities, kernels):
     """One evaluate-shaped pass: per-stage seconds and every p-value."""
     select, binning_of, pvalues_of = kernels
-    state = prom._evaluation_state()
+    state = _evaluation_view(prom)
     predicted = probabilities.argmax(axis=1)
     chunk = _evaluation_chunk(len(state.features), None, prom._n_classes)
     seconds = dict.fromkeys(STAGES, 0.0)

@@ -23,7 +23,13 @@ calibration rows x 16 shards, 48 features, 32 classes):
   companion ``coverage_vs_spill`` study quantifies what the speedup
   costs: decision agreement with the unpruned path per router as the
   spill fraction sweeps 0 -> 1 (``spill=1.0`` must be bit-identical,
-  asserted).
+  asserted); and
+* **distance_stage** — the distance GEMM alone over a 16-shard
+  ``BlockColumn``: the live ``panel_product`` (one ``NN`` GEMM per
+  pre-transposed ``(d, rows)`` panel) against a frozen copy of the
+  earlier ``test_rows @ panel.T`` loop over row-major panels, at batch
+  2 and 256, alternating, with a bitwise comparison of the two outputs.
+  Asserts the batch-2 block is at least **1.5x** faster.
 
 Results go to ``out/BENCH_segment_eval.json``; ``--smoke`` runs a
 seconds-long, perf-assertion-free pass for CI (the ``spill=1.0``
@@ -42,8 +48,9 @@ from repro.core import (
     ModelInterface,
     StreamingPromClassifier,
 )
-from repro.core.blocks import SEGMENT_DIRECT_MIN_ROWS, segment_direct_supported
+from repro.core.blocks import SEGMENT_DIRECT_MIN_ROWS, BlockColumn
 from repro.core.prom import _pending_bundle
+from repro.core.weighting import panel_product
 
 from conftest import update_bench_json
 
@@ -85,6 +92,16 @@ SMOKE_SCALE = dict(
 
 #: the coverage study's spill sweep (1.0 last: asserted bit-identical)
 SPILL_SWEEP = (0.0, 0.25, 0.5, 1.0)
+
+#: acceptance floor: live vs frozen distance GEMM at batch 2, 12k x 48
+DISTANCE_SPEEDUP_FLOOR = 1.5
+
+DISTANCE_FULL_SCALE = dict(
+    n_calibration=12_000, n_features=48, n_shards=16, batches=(2, 256), rounds=9
+)
+DISTANCE_SMOKE_SCALE = dict(
+    n_calibration=3_000, n_features=16, n_shards=4, batches=(2, 64), rounds=3
+)
 
 
 class _ProjectionModel:
@@ -163,9 +180,11 @@ def measure_first_decision(scale, seed=0) -> dict:
     * *segment-direct* — evaluate with the compose bundle pending; the
       kernels iterate the canonical GEMM panels over the blocks, and
       the bundle **stays pending afterwards** (verified each round);
-    * *flat* — the pre-ISSUE-8 behaviour, reproduced by firing the
-      snapshot's compose hook inside the timed region (the ``O(n)``
-      concat of every column) before the same evaluate.
+    * *flat* — the cost before segment-direct evaluation, reproduced
+      by firing the snapshot's compose hook inside the timed region
+      (the ``O(n)`` concat of every column) before the same evaluate.
+      Evaluation reads the bundle's view either way, so this world
+      adds exactly the concat tax to the decision.
 
     Decision traffic keeps flowing against the *previous* snapshot
     while each publish drains — the steady-serving regime, so the
@@ -231,7 +250,6 @@ def measure_first_decision(scale, seed=0) -> dict:
         "n_shards": scale["n_shards"],
         "n_features": scale["n_features"],
         "decision_batch": scale["decision_batch"],
-        "segment_direct_supported": segment_direct_supported(),
         "first_decision_segment_ms": round(med_segment, 4),
         "first_decision_flat_ms": round(med_flat, 4),
         "warm_decision_ms": round(med_warm, 4),
@@ -371,6 +389,63 @@ def measure_coverage_vs_spill(n_test=200, seed=0) -> dict:
     return outcome
 
 
+def _frozen_panel_product(test_rows, panels, n_columns):
+    """The distance GEMM before panels were pre-transposed (frozen copy).
+
+    ``panels`` are ``(start, rows)`` row-major panels; each product
+    passes the transposed view ``panel.T``, so BLAS packs a transposed
+    operand on every call.
+    """
+    out = np.empty((len(test_rows), n_columns))
+    for c0, panel in panels:
+        out[:, c0 : c0 + len(panel)] = test_rows @ panel.T
+    return out
+
+
+def measure_distance_stage(scale, seed=0) -> dict:
+    """Live vs frozen distance GEMM over one prewarmed ``BlockColumn``.
+
+    Both sides read cached panels with equal values — the live side the
+    column's ``(d, rows)`` transposes, the frozen side row-major copies
+    of them, as the earlier cache held — so only the operand layout
+    differs.  Per batch size the two alternate within each round;
+    medians over rounds, and ``bitwise_equal`` compares the outputs.
+    """
+    generator = np.random.default_rng(seed)
+    n, d = scale["n_calibration"], scale["n_features"]
+    cuts = np.linspace(0, n, scale["n_shards"] + 1).astype(int)
+    column = BlockColumn(
+        [generator.normal(size=(b - a, d)) for a, b in zip(cuts[:-1], cuts[1:])]
+    )
+    live_panels = column.panels()
+    frozen_panels = [(c0, np.ascontiguousarray(p.T)) for c0, p in live_panels]
+    outcome = {"n_calibration": n, "n_features": d, "n_shards": scale["n_shards"]}
+    for batch in scale["batches"]:
+        test = generator.normal(size=(batch, d))
+        # repeat small batches so one timed call is well above timer noise
+        reps = max(1, 256 // batch)
+        live_us, frozen_us = [], []
+        for _ in range(scale["rounds"]):
+            started = time.perf_counter()
+            for _ in range(reps):
+                live = panel_product(test, live_panels, n)
+            live_us.append((time.perf_counter() - started) * 1e6 / reps)
+            started = time.perf_counter()
+            for _ in range(reps):
+                frozen = _frozen_panel_product(test, frozen_panels, n)
+            frozen_us.append((time.perf_counter() - started) * 1e6 / reps)
+        med_live = float(np.median(live_us))
+        med_frozen = float(np.median(frozen_us))
+        outcome[f"batch_{batch}"] = {
+            "live_us": round(med_live, 1),
+            "frozen_us": round(med_frozen, 1),
+            "speedup": round(med_frozen / med_live, 2),
+            "bitwise_equal": bool(np.array_equal(live, frozen)),
+            "rounds": scale["rounds"],
+        }
+    return outcome
+
+
 def _assert_exact_at_full_spill(coverage: dict) -> None:
     """``spill=1.0`` is the exact mode: agreement must be 1.0."""
     for router, study in coverage.items():
@@ -420,6 +495,17 @@ def test_coverage_vs_spill():
     _assert_exact_at_full_spill(outcome)
 
 
+def test_distance_stage():
+    """Pre-transposed panels: the batch-2 distance GEMM >= 1.5x faster."""
+    outcome = measure_distance_stage(DISTANCE_FULL_SCALE)
+    update_bench_json("BENCH_segment_eval.json", {"distance_stage": outcome})
+    speedup = outcome["batch_2"]["speedup"]
+    assert speedup >= DISTANCE_SPEEDUP_FLOOR, (
+        f"pre-transposed panels only {speedup:.2f}x faster than the "
+        f"transposed-operand GEMM at batch 2 (floor {DISTANCE_SPEEDUP_FLOOR}x)"
+    )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -435,6 +521,7 @@ def main():
             "first_decision": measure_first_decision(SMOKE_SCALE),
             "pruned_evaluate": measure_pruned_evaluate(SMOKE_SCALE),
             "coverage_vs_spill": coverage,
+            "distance_stage": measure_distance_stage(DISTANCE_SMOKE_SCALE),
         }
         # exact-mode bit-identity is deterministic, not a perf figure:
         # it holds at any scale, so the smoke pass keeps the tripwire
@@ -444,6 +531,7 @@ def main():
     test_first_decision_after_publish()
     test_pruned_evaluate_speedup()
     test_coverage_vs_spill()
+    test_distance_stage()
     print("BENCH_segment_eval.json updated")
 
 

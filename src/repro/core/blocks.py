@@ -2,47 +2,37 @@
 
 The segment compose layer (:mod:`repro.core.segments`) holds detector
 state as per-shard blocks and defers the ``O(n)`` flat concatenation
-until a consumer asks for it.  Before this module, the *evaluate* path
-was always such a consumer: one ``evaluate()`` after a mutation forced
-the concat of every state column.  The kernels here remove that last
-consumer — the distance GEMM, the row norms and every score/label
-gather iterate the per-shard blocks directly, with results **bitwise
-identical** to the flat single-array path.
+until a consumer asks for it.  The kernels here never ask: the distance
+GEMM, the row norms and every score/label gather read a
+:class:`BlockColumn` — a virtual concatenation of blocks — and a plain
+detector's flat arrays are simply a one-block column.  There is one
+evaluation path, and its results do not depend on how the calibration
+rows are cut into blocks.
 
 Gathers and row norms are easy: a gather moves bytes without
 arithmetic, and a squared row norm reduces each row independently, so
 per-block results concatenated equal the flat results bitwise.  The
 GEMM is not: BLAS picks different micro-kernels and reduction
-associations depending on the operand shapes (measured on the container
-OpenBLAS: splitting ``test @ cal.T`` along the calibration axis changes
-low bits in shape-dependent, non-monotonic ways — e.g. 256- and
-512-row column chunks reproduce the single GEMM while 448-row chunks
-do not).  Chasing those heuristics is hopeless, so the kernel pins the
+associations depending on the operand shapes and layouts (measured on
+OpenBLAS 0.3.31: splitting ``test @ cal.T`` along the calibration axis
+changes low bits in shape-dependent, non-monotonic ways).  Chasing those heuristics is hopeless, so the kernel pins the
 call sequence instead:
 
 * the calibration axis is partitioned into **fixed panels** of
   :data:`PANEL_ROWS` rows by *global row index only* — the partition is
   a function of ``n``, never of the segmentation;
-* both backends issue one GEMM per panel: the flat backend on
-  contiguous view slices of the flat array, the segmented backend on
-  contiguous view slices of a block when the panel lies inside one
-  block, and on a gathered copy when it straddles a boundary;
-* identical call sequences over value-identical contiguous operands
-  produce identical bits — the same determinism the rest of the test
-  suite already relies on when it compares detectors holding equal
-  arrays in different buffers.
+* every panel is a freshly built, C-contiguous ``(d, rows)`` transpose
+  of its rows, gathered across block boundaries where it straddles
+  them, and each panel is one ``NN`` GEMM written straight into its
+  slice of the output;
+* identical call sequences over value-identical operands of identical
+  layout produce identical bits, whatever the segmentation.
 
 Below :data:`SEGMENT_DIRECT_MIN_ROWS` total rows the partition is a
-single panel, i.e. exactly the historical one-GEMM call — small
-calibration sets (most tier-1 tests) keep their old arithmetic and
-speed bitwise.
-
-Panels that straddle a block boundary are the only copies the
-segmented backend ever makes, and :class:`BlockColumn` caches them —
-keyed by the identity of the blocks they were gathered from — so a
-publish that touches one shard re-gathers only the panels overlapping
-that shard (`inherit_cache`), and a bundle whose flat array already
-exists seeds every panel as a zero-copy view (`seed_flat`).
+single panel.  :class:`BlockColumn` builds each panel once and caches
+it keyed by the identity of the block slices it was gathered from, so a
+publish rebuilds only the panels whose rows moved or changed
+(:meth:`BlockColumn.inherit_cache`).
 """
 
 from __future__ import annotations
@@ -58,21 +48,16 @@ from .exceptions import ValidationError
 PANEL_ROWS = 1024
 
 #: below this many total calibration rows the canonical partition is a
-#: single panel — the historical one-GEMM call — so small sets keep
-#: their exact arithmetic and the segmented backend falls back to flat
-#: materialization instead of panel iteration.
+#: single panel, and the candidate pruner stays off (it would split a
+#: GEMM that is already one call).
 SEGMENT_DIRECT_MIN_ROWS = 2048
-
-#: memoized result of the one-time runtime probe (None = not probed).
-_PROBE_RESULT: bool | None = None
 
 
 def panel_bounds(n: int) -> tuple:
     """The canonical ``(start, stop)`` panel partition of ``n`` rows.
 
-    A function of ``n`` alone — both the flat and the segmented GEMM
-    backends must issue exactly one GEMM per entry for their results to
-    be interchangeable bitwise.
+    A function of ``n`` alone, so every segmentation of the same rows
+    issues exactly one GEMM per entry.
     """
     if n <= 0:
         return ()
@@ -83,34 +68,42 @@ def panel_bounds(n: int) -> tuple:
     )
 
 
-def flat_panels(array: np.ndarray) -> list:
-    """``(start, panel_view)`` pairs of a flat calibration array."""
-    return [(c0, array[c0:c1]) for c0, c1 in panel_bounds(len(array))]
-
-
 def panel_product(test_rows: np.ndarray, panels, n_columns: int) -> np.ndarray:
-    """``test_rows @ concat(panels).T`` as one GEMM per canonical panel.
+    """``test_rows @ concat(panels)`` as one GEMM per canonical panel.
 
-    ``panels`` is the ``(start, rows)`` list from :func:`flat_panels`
-    or :meth:`BlockColumn.panels`; results are bitwise interchangeable
-    between the two backends because the call sequence is identical and
-    panel values are equal.
+    ``panels`` is the ``(start, panel_t)`` list of
+    :meth:`BlockColumn.panels`: each ``panel_t`` is a C-contiguous
+    ``(d, rows)`` transpose, so every call is a plain ``NN`` product
+    written straight into its output columns — BLAS never packs a
+    transposed operand, which dominates at small batches.
     """
     out = np.empty((len(test_rows), n_columns))
     for c0, panel in panels:
-        out[:, c0 : c0 + len(panel)] = test_rows @ panel.T
+        np.matmul(test_rows, panel, out=out[:, c0 : c0 + panel.shape[1]])
     return out
+
+
+def as_column(values, dtype=None) -> "BlockColumn":
+    """``values`` as a :class:`BlockColumn`.
+
+    A column is returned as is; an array-like becomes a one-block
+    column over ``np.asarray(values, dtype)`` — the form every kernel
+    consumes.
+    """
+    if isinstance(values, BlockColumn):
+        return values
+    return BlockColumn((np.asarray(values, dtype=dtype),))
 
 
 class BlockColumn:
     """Virtual concatenation of per-shard blocks for one state column.
 
-    The evaluate kernels' view of a segmented calibration column: it
-    answers ``len``, ``shape``, integer-array indexing (a gather, which
-    is exact — no floating-point arithmetic), canonical GEMM panels and
-    cached row norms without ever materializing the flat concatenation.
-    Blocks follow the compose layer's copy-on-write contract and are
-    never mutated.
+    The evaluate kernels' view of a calibration column: it answers
+    ``len``, ``shape``, integer-array indexing (a gather, which is
+    exact — no floating-point arithmetic), canonical GEMM panels and
+    cached row norms without ever materializing the flat concatenation
+    of a multi-block column.  Blocks follow the compose layer's
+    copy-on-write contract and are never mutated.
 
     The panel and norm caches only ever hold entries whose blocks are
     segments of this column (``inherit_cache`` filters by block
@@ -242,26 +235,33 @@ class BlockColumn:
         )
 
     def panels(self) -> list:
-        """``(start, rows)`` pairs of the canonical GEMM partition.
+        """``(start, panel_t)`` pairs of the canonical GEMM partition.
 
-        Panels inside one block are zero-copy views; panels straddling
-        a boundary are gathered once and cached by block identity, so
-        repeated evaluates — and, via :meth:`inherit_cache`, bundles
-        that share blocks with a predecessor — never re-gather them.
+        ``panel_t`` is a new C-contiguous ``(d, rows)`` float64 array
+        holding the transpose of the panel's rows, gathered across
+        block boundaries where the panel straddles them.  Each panel is
+        built once and cached by block identity, so repeated evaluates
+        — and, via :meth:`inherit_cache`, bundles that share blocks
+        with a predecessor — never rebuild it.  The cache then keeps
+        only the panels in use: an inherited panel whose block slices
+        moved off the partition grid is dropped, not carried forward.
         """
         if self._panels is None:
             panels = []
+            panel_map = {}
             for c0, c1 in panel_bounds(self._length):
                 key = self._panel_key(c0, c1)
                 panel = self._panel_map.get(key)
                 if panel is None:
-                    parts = [
-                        self.segments[index][a:b]
-                        for index, a, b in self._panel_parts(c0, c1)
-                    ]
-                    panel = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                    self._panel_map[key] = panel
+                    panel = np.empty(self.trailing_shape + (c1 - c0,))
+                    offset = 0
+                    for index, a, b in self._panel_parts(c0, c1):
+                        rows = self.segments[index][a:b]
+                        panel[:, offset : offset + len(rows)] = rows.T
+                        offset += len(rows)
+                panel_map[key] = panel
                 panels.append((c0, panel))
+            self._panel_map = panel_map
             self._panels = panels
         return self._panels
 
@@ -269,8 +269,7 @@ class BlockColumn:
         """Concatenated per-block squared row norms, bit-identical to flat.
 
         ``np.einsum("ij,ij->i", ...)`` reduces each row independently,
-        so per-block norms concatenated equal the flat einsum bitwise
-        (verified by the runtime probe alongside the GEMM partition).
+        so per-block norms concatenated equal the flat einsum bitwise.
         Cached per block, inheritable across bundles.
         """
         if self._norms is None:
@@ -283,18 +282,6 @@ class BlockColumn:
                 parts.append(norms)
             self._norms = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return self._norms
-
-    def seed_flat(self, flat: np.ndarray | None) -> None:
-        """Seed the panel cache with zero-copy views of the flat array.
-
-        Used when the column's flat concatenation already exists (a
-        fresh full calibration): every canonical panel is then a view
-        slice, so the first segment-direct evaluate copies nothing.
-        """
-        if flat is None or len(flat) != self._length:
-            return
-        for c0, c1 in panel_bounds(self._length):
-            self._panel_map.setdefault(self._panel_key(c0, c1), flat[c0:c1])
 
     def inherit_cache(self, previous: "BlockColumn | None") -> None:
         """Adopt a predecessor column's caches for blocks still present.
@@ -344,45 +331,3 @@ def attach_block(buffer, shape, dtype) -> np.ndarray:
     array = np.ndarray(shape, dtype=dtype, buffer=buffer)
     array.flags.writeable = False
     return array
-
-
-def _probe() -> bool:
-    """Validate panel-kernel interchangeability on the local BLAS."""
-    rng = np.random.default_rng(1234)
-    for n, d, m, n_segments in ((2051, 7, 3, 5), (3072, 48, 17, 4), (2048, 33, 2, 9)):
-        calibration = rng.standard_normal((n, d))
-        test = rng.standard_normal((m, d))
-        cuts = np.sort(
-            rng.choice(np.arange(1, n), size=n_segments - 1, replace=False)
-        )
-        bounds = np.concatenate([[0], cuts, [n]])
-        column = BlockColumn(
-            [
-                calibration[int(a) : int(b)].copy()
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-        )
-        flat = panel_product(test, flat_panels(calibration), n)
-        if not np.array_equal(flat, panel_product(test, column.panels(), n)):
-            return False
-        if not np.array_equal(
-            np.einsum("ij,ij->i", calibration, calibration), column.row_norms()
-        ):
-            return False
-    return True
-
-
-def segment_direct_supported() -> bool:
-    """Whether the local BLAS keeps the two panel backends bit-identical.
-
-    By construction they issue identical GEMM call sequences on
-    value-identical contiguous operands, so this should hold on any
-    deterministic BLAS; the probe (a few small GEMMs, run once per
-    process and memoized) is the safety net for an exotic one —
-    ``False`` makes every segment-direct consumer fall back to flat
-    materialization, which is trivially bit-identical.
-    """
-    global _PROBE_RESULT
-    if _PROBE_RESULT is None:
-        _PROBE_RESULT = _probe()
-    return _PROBE_RESULT

@@ -19,7 +19,7 @@ notice the new version before their next request, re-attach only the
 blocks that changed, and fall back to their last good table on a torn
 read.  Decisions are bit-identical to the in-process path: the mapped
 blocks hold the same bytes, the rebuilt bundle routes evaluation
-through the same segment-direct (or flat) kernels, and the model
+through the same block-column kernels, and the model
 weights travel in the pickled interface spec.
 
 Crash containment: a worker that dies mid-request (detected by a

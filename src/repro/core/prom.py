@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .blocks import SEGMENT_DIRECT_MIN_ROWS
 from .clustering import CalibrationClusterer
 from .committee import Decision, DecisionBatch, ExpertCommittee
 from .exceptions import (
@@ -48,7 +49,7 @@ from .pvalue import (
     pvalues_from_binning,
 )
 from .scores import assess, assess_batch
-from .segments import ComposedStateAttr, EvaluationView, state_is_set
+from .segments import FLAT_VIEW_SLOT, ComposedStateAttr, EvaluationView, state_is_set
 from .weighting import AdaptiveWeighting, iter_squared_distance_chunks, squared_distance_matrix
 
 #: soft bound on the number of float64 cells one evaluation chunk's
@@ -83,10 +84,39 @@ def _pending_bundle(prom):
     return pending() if pending is not None else None
 
 
-def _segment_view(prom):
-    """The segment-direct :class:`EvaluationView`, or ``None`` (flat path)."""
-    bundle = _pending_bundle(prom)
-    return bundle.evaluation_view() if bundle is not None else None
+def _evaluation_view(prom) -> EvaluationView:
+    """The evaluation state every kernel reads (DESIGN.md §9).
+
+    A detector composed from per-shard blocks evaluates through its
+    compose bundle's view, pending or materialized, so each live block
+    set has exactly one panel cache and evaluating never fires the
+    deferred flat concat.  A plain detector evaluates through a
+    one-block view of its flat arrays, built on first use after a
+    calibration and retired by any write to its state slots
+    (:class:`~repro.core.segments.ComposedStateAttr`).
+    """
+    hook = prom.__dict__.get("_compose_hook")
+    bundle = hook.bundle() if hook is not None else None
+    if bundle is not None:
+        return bundle.evaluation_view()
+    view = prom.__dict__.get(FLAT_VIEW_SLOT)
+    if view is None:
+        view = prom._flat_view()
+        prom.__dict__[FLAT_VIEW_SLOT] = view
+    return view
+
+
+def _active_pruner(prom, view):
+    """The installed ``_pruner`` when it applies to ``view``, else ``None``.
+
+    A :class:`~repro.core.pruning.CandidatePruner` engages only over a
+    pending compose bundle of at least
+    :data:`~repro.core.blocks.SEGMENT_DIRECT_MIN_ROWS` rows.
+    """
+    pruner = prom.__dict__.get("_pruner")
+    if pruner is None or len(view.features) < SEGMENT_DIRECT_MIN_ROWS:
+        return None
+    return pruner if _pending_bundle(prom) is not None else None
 
 
 def _check_calibration_inputs(features, outputs, targets):
@@ -221,13 +251,13 @@ class PromClassifier:
         if not self.is_calibrated:
             raise NotCalibratedError("call calibrate() before evaluating samples")
 
-    def _evaluation_state(self) -> EvaluationView:
-        """The flat-state evaluation view (materializes composed state)."""
-        return EvaluationView(
-            features=self._features,
-            labels=self._labels,
-            layouts=tuple(self._layouts),
-            n_labels=self._n_classes,
+    def _flat_view(self) -> EvaluationView:
+        """One-block evaluation view over the flat calibration state."""
+        return EvaluationView.over(
+            [self._features],
+            [self._labels],
+            [[layout.scores] for layout in self._layouts],
+            self._n_classes,
         )
 
     def _check_evaluate_inputs(self, features, probabilities, predicted_labels):
@@ -242,9 +272,25 @@ class PromClassifier:
                 f"probability vector has {probabilities.shape[1]} entries, "
                 f"calibration used {self._n_classes} classes"
             )
+        if len(probabilities) != len(features):
+            raise ValidationError(
+                f"{len(probabilities)} probability rows for "
+                f"{len(features)} feature rows"
+            )
         if predicted_labels is None:
             predicted_labels = np.argmax(probabilities, axis=1)
         predicted_labels = np.asarray(predicted_labels, dtype=int).ravel()
+        if len(predicted_labels) != len(features):
+            raise ValidationError(
+                f"{len(predicted_labels)} predicted labels for "
+                f"{len(features)} feature rows"
+            )
+        if len(predicted_labels) and (
+            predicted_labels.min() < 0 or predicted_labels.max() >= self._n_classes
+        ):
+            raise ValidationError(
+                f"predicted label out of range for {self._n_classes} classes"
+            )
         return features, probabilities, predicted_labels
 
     # -- deployment --------------------------------------------------------------
@@ -274,15 +320,15 @@ class PromClassifier:
         distance matrix, one p-value kernel per expert, and one
         committee vote, independent of the number of samples.
 
-        When the detector's state sits behind an un-materialized
-        compose bundle (a streaming snapshot), the kernels iterate the
-        per-shard blocks directly — bit-identical to the flat path, and
-        the ``O(n)`` flat concatenation never happens (DESIGN.md §9).
-        A :class:`~repro.core.pruning.CandidatePruner` installed as
-        ``_pruner`` additionally restricts each test sample to its
-        router-affine candidate shards.  ``chunk_size=None`` falls back
-        to the instance default ``_chunk_size`` (when set) before the
-        automatic memory-bounded choice.
+        When the detector's state is composed from per-shard blocks (a
+        streaming detector or snapshot), the kernels read the blocks
+        directly and the ``O(n)`` flat concatenation never happens
+        (DESIGN.md §9).  A :class:`~repro.core.pruning.CandidatePruner`
+        installed as ``_pruner`` additionally restricts each test
+        sample to its router-affine candidate shards while the bundle
+        is pending.  ``chunk_size=None`` falls back to the instance
+        default ``_chunk_size`` (when set) before the automatic
+        memory-bounded choice.
         """
         self._require_calibrated()
         features, probabilities, predicted_labels = self._check_evaluate_inputs(
@@ -290,9 +336,9 @@ class PromClassifier:
         )
         if chunk_size is None:
             chunk_size = getattr(self, "_chunk_size", None)
-        view = _segment_view(self)
-        pruner = self.__dict__.get("_pruner")
-        if view is not None and pruner is not None:
+        view = _evaluation_view(self)
+        pruner = _active_pruner(self, view)
+        if pruner is not None:
             pruned = pruner.evaluate(
                 self,
                 view,
@@ -303,9 +349,8 @@ class PromClassifier:
             )
             if pruned is not None:
                 return pruned
-        state = view if view is not None else self._evaluation_state()
         return self._evaluate_rows(
-            state, features, (probabilities, predicted_labels), chunk_size
+            view, features, (probabilities, predicted_labels), chunk_size
         )
 
     def _evaluate_rows(self, state, features, payload, chunk_size) -> DecisionBatch:
@@ -426,8 +471,7 @@ class PromClassifier:
         features, probabilities, _ = self._check_evaluate_inputs(
             features, probabilities, None
         )
-        view = _segment_view(self)
-        state = view if view is not None else self._evaluation_state()
+        state = _evaluation_view(self)
         chunk = _evaluation_chunk(
             len(state.features), chunk_size, self._n_classes
         )
@@ -575,15 +619,26 @@ class PromRegressor:
         if not self.is_calibrated:
             raise NotCalibratedError("call calibrate() before evaluating samples")
 
-    def _evaluation_state(self) -> EvaluationView:
-        """The flat-state evaluation view (materializes composed state)."""
-        return EvaluationView(
-            features=self._features,
-            labels=self._clusters,
-            layouts=tuple(self._layouts),
-            n_labels=self.clusterer_.k_,
-            targets=self._targets,
+    def _flat_view(self) -> EvaluationView:
+        """One-block evaluation view over the flat calibration state."""
+        return EvaluationView.over(
+            [self._features],
+            [self._clusters],
+            [[layout.scores] for layout in self._layouts],
+            self.clusterer_.k_,
+            targets=[self._targets],
         )
+
+    def _check_evaluate_inputs(self, features, predictions):
+        features = np.asarray(features, dtype=float)
+        predictions = np.asarray(predictions, dtype=float).ravel()
+        if features.ndim == 1:
+            features = features.reshape(1, -1)
+        if len(predictions) != len(features):
+            raise ValidationError(
+                f"{len(predictions)} predictions for {len(features)} feature rows"
+            )
+        return features, predictions
 
     def _loo_targets(self, features: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Leave-one-out k-NN approximation of each calibration target."""
@@ -608,17 +663,16 @@ class PromRegressor:
 
         The test-vs-calibration distance matrix is built in
         memory-bounded chunks; each chunk needs one ``argpartition``
-        and one gather-mean.  Runs segment-direct (bit-identical, no
-        flat concat) when the state sits behind a pending compose
-        bundle.
+        and one gather-mean, read from the detector's evaluation view
+        (no flat concat of composed state).
         """
         self._require_calibrated()
         features = np.asarray(features, dtype=float)
         if features.ndim == 1:
             features = features.reshape(1, -1)
-        view = _segment_view(self)
-        state = view if view is not None else self._evaluation_state()
-        return self._approximate_targets(features, state, chunk_size)
+        return self._approximate_targets(
+            features, _evaluation_view(self), chunk_size
+        )
 
     def _approximate_targets(self, features, state, chunk_size=None) -> np.ndarray:
         """k-NN target estimates against one evaluation state."""
@@ -648,26 +702,22 @@ class PromRegressor:
         """Assess a batch of regression predictions with the batch engine.
 
         Mirrors :meth:`PromClassifier.evaluate`, including the
-        segment-direct path over a pending compose bundle, the optional
-        ``_pruner`` shard restriction, and the ``_chunk_size`` default.
+        block-direct evaluation view, the optional ``_pruner`` shard
+        restriction, and the ``_chunk_size`` default.
         """
         self._require_calibrated()
-        features = np.asarray(features, dtype=float)
-        predictions = np.asarray(predictions, dtype=float).ravel()
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
+        features, predictions = self._check_evaluate_inputs(features, predictions)
         if chunk_size is None:
             chunk_size = getattr(self, "_chunk_size", None)
-        view = _segment_view(self)
-        pruner = self.__dict__.get("_pruner")
-        if view is not None and pruner is not None:
+        view = _evaluation_view(self)
+        pruner = _active_pruner(self, view)
+        if pruner is not None:
             pruned = pruner.evaluate(
                 self, view, features, (predictions,), chunk_size
             )
             if pruned is not None:
                 return pruned
-        state = view if view is not None else self._evaluation_state()
-        return self._evaluate_rows(state, features, (predictions,), chunk_size)
+        return self._evaluate_rows(view, features, (predictions,), chunk_size)
 
     def _evaluate_rows(self, state, features, payload, chunk_size) -> DecisionBatch:
         """Chunked committee evaluation against one evaluation state."""
@@ -729,10 +779,7 @@ class PromRegressor:
         benchmarks; production callers should use :meth:`evaluate`.
         """
         self._require_calibrated()
-        features = np.asarray(features, dtype=float)
-        predictions = np.asarray(predictions, dtype=float).ravel()
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
+        features, predictions = self._check_evaluate_inputs(features, predictions)
         return [
             self._evaluate_one_serial(features[i], float(predictions[i]))
             for i in range(len(features))

@@ -18,8 +18,8 @@ plus a configurable spill fraction of the nearest sibling shards:
   restricted block view preserves the global layout order.
 
 ``spill=1.0`` keeps every shard for every sample, which short-circuits
-to the unpruned segment-direct path — **bit-identical** to the flat
-GEMM by the §9 contract.  ``spill < 1.0`` trades decision fidelity for
+to the unpruned segment-direct path — **bit-identical** to evaluating
+the same rows as one flat block, by the §9 contract.  ``spill < 1.0`` trades decision fidelity for
 a ``~1/spill`` smaller GEMM and gather per sample; the coverage delta
 is measured per router in ``benchmarks/bench_segment_eval.py``.
 
@@ -55,7 +55,7 @@ class CandidatePruner:
         spill: fraction of the remaining (non-primary) active shards
             each sample additionally scores, in ``[0, 1]``.  ``1.0``
             (the default) scores every shard — exactly the unpruned
-            segment-direct evaluation, bit-identical to the flat path.
+            segment-direct evaluation.
 
     The pruner is installed on a detector as ``prom._pruner``; it holds
     per-bundle caches (centroids, candidate lists) keyed on the current
@@ -179,7 +179,7 @@ class CandidatePruner:
         count = self.candidate_shard_count(len(active))
         if count >= len(active):
             # every shard is a candidate: the unpruned segment-direct
-            # path, bit-identical to the flat GEMM
+            # path
             batch = prom._evaluate_rows(view, features, payload, chunk_size)
             return replace(
                 batch,

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockColumn
+from .blocks import as_column
 from .weighting import CalibrationSubset, CalibrationSubsetBatch
 from .exceptions import ConfigurationError, ValidationError
 
@@ -274,14 +274,12 @@ def _label_binned_sums(flat_bins, values, n_bins) -> np.ndarray:
 def _gather(column, indices) -> np.ndarray:
     """``column[indices]`` as one flat ``np.take``.
 
-    ``column`` is a flat scalar array or a scalar
-    :class:`~repro.core.blocks.BlockColumn`, read through its cached
-    :meth:`~repro.core.blocks.BlockColumn.gather_base` — the same bytes,
-    and a gather does no arithmetic, so both give identical results.
+    ``column`` is a scalar :class:`~repro.core.blocks.BlockColumn` (or
+    an array, read as a one-block column), gathered through its cached
+    :meth:`~repro.core.blocks.BlockColumn.gather_base` — a gather does
+    no arithmetic, so the blocks' cut points never show in the result.
     """
-    if isinstance(column, BlockColumn):
-        column = column.gather_base()
-    return np.take(column, indices)
+    return np.take(as_column(column).gather_base(), indices)
 
 
 @dataclass(frozen=True)
@@ -323,10 +321,9 @@ def bin_subset_by_label(
 ) -> SubsetBinning:
     """Build the shared :class:`SubsetBinning` for one evaluation batch.
 
-    ``calibration_labels`` may be a
-    :class:`~repro.core.blocks.BlockColumn` of per-shard label blocks;
-    the selection gather then reads its flat gather base (a gather is
-    exact, so the binning is bit-identical to the flat path).
+    ``calibration_labels`` is a
+    :class:`~repro.core.blocks.BlockColumn` of label blocks (or an
+    array); the selection gather reads its flat gather base.
     """
     indices = np.asarray(subset_batch.indices)
     weights = np.asarray(subset_batch.weights)
@@ -409,10 +406,9 @@ def pvalues_from_binning(
     in any order, so they equal the float sums of ``0.0``/``1.0`` terms
     of the two-pass form bitwise.
 
-    ``layout.scores`` may be a
-    :class:`~repro.core.blocks.BlockColumn` (the segment-direct
-    evaluation view); the score gather then reads its flat gather base
-    with bit-identical results.
+    ``layout.scores`` is a :class:`~repro.core.blocks.BlockColumn`
+    (the evaluation view's) or an array; the score gather reads its
+    flat gather base.
     """
     if weight_mode not in WEIGHT_MODES:
         raise ConfigurationError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")

@@ -48,18 +48,21 @@ completed apply, never a torn one.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    SEGMENT_DIRECT_MIN_ROWS,
-    BlockColumn,
-    segment_direct_supported,
-)
+from .blocks import BlockColumn
 from .pvalue import LabelGroupedScores, merge_group_counts
 from .weighting import TAU_MAX_ROWS, TAU_SEED
 from .exceptions import ValidationError
+
+
+#: instance slot of a plain detector's cached one-block
+#: :class:`EvaluationView`.  The ``_composed`` prefix keeps it with the
+#: other derived state slots, which snapshot pickling strips.
+FLAT_VIEW_SLOT = "_composed_view"
 
 
 class ComposedStateAttr:
@@ -89,9 +92,13 @@ class ComposedStateAttr:
 
     def __set__(self, instance, value):
         instance.__dict__[self._slot] = value
+        # the detector's cached one-block evaluation view is derived
+        # from these slots: any write retires it
+        instance.__dict__.pop(FLAT_VIEW_SLOT, None)
 
     def __delete__(self, instance):
         instance.__dict__.pop(self._slot, None)
+        instance.__dict__.pop(FLAT_VIEW_SLOT, None)
 
 
 def state_is_set(instance, name: str) -> bool:
@@ -255,13 +262,13 @@ class SegmentLayout:
 class EvaluationView:
     """Calibration state the evaluate kernels consume, block-direct.
 
-    Built by :meth:`SegmentBundle.evaluation_view` over the bundle's
-    per-shard blocks (and duck-typed by the detectors' flat state, so
-    one evaluation code path serves both).  ``labels`` is the p-value
-    grouping column (class labels or cluster pseudo-labels);
-    ``targets`` is present for regression only.  ``shard_ids`` maps
-    each block position to its shard id — the contract the candidate
-    pruner (:mod:`repro.core.pruning`) keys on.
+    The one evaluation state of both detectors (DESIGN.md §9): built by
+    :meth:`SegmentBundle.evaluation_view` over a bundle's per-shard
+    blocks, or by the detector over its flat arrays as one-block
+    columns.  ``labels`` is the p-value grouping column (class labels
+    or cluster pseudo-labels); ``targets`` is present for regression
+    only.  ``shard_ids`` maps each block position to its shard id — the
+    contract the candidate pruner (:mod:`repro.core.pruning`) keys on.
     """
 
     features: BlockColumn
@@ -271,6 +278,26 @@ class EvaluationView:
     targets: BlockColumn | None = None
     shard_ids: tuple = ()
 
+    @classmethod
+    def over(cls, features, labels, scores, n_labels, targets=None) -> "EvaluationView":
+        """A view over block sequences, one block per shard.
+
+        ``features``, ``labels`` and ``targets`` are block sequences;
+        ``scores`` holds one block sequence per expert.  A plain
+        detector passes one-block sequences of its flat arrays.
+        """
+        return cls(
+            features=BlockColumn(features),
+            labels=BlockColumn(labels),
+            layouts=tuple(
+                SegmentLayout(scores=BlockColumn(blocks), n_labels=n_labels)
+                for blocks in scores
+            ),
+            n_labels=n_labels,
+            targets=None if targets is None else BlockColumn(targets),
+            shard_ids=tuple(range(len(features))),
+        )
+
     def prewarm(self) -> None:
         """Build every cache a first evaluate would otherwise pay for.
 
@@ -278,8 +305,8 @@ class EvaluationView:
         gather bases of the scalar columns.  Called from the serving
         maintenance plane right after a snapshot is built
         (:meth:`~repro.core.serving.AsyncServingLoop._build_snapshot`),
-        so the repair work a publish leaves behind — re-gathering the
-        panels that overlap the touched shard — runs on the worker
+        so the repair work a publish leaves behind — rebuilding the
+        panels whose rows moved or changed — runs on the worker
         thread and the first decision after the publish lands on a hot
         view.  Idempotent; every cache build is also safe (and merely
         redundant) if a decision thread races it.
@@ -342,7 +369,6 @@ class SegmentBundle:
         "label_key",
         "n_labels",
         "_view",
-        "_view_ready",
         "_inherit_view",
     )
 
@@ -353,7 +379,6 @@ class SegmentBundle:
         self.label_key = label_key
         self.n_labels = int(n_labels)
         self._view = None
-        self._view_ready = False
         self._inherit_view = None
 
     @property
@@ -390,61 +415,35 @@ class SegmentBundle:
             for expert_scores, counts in zip(scores, self.group_counts)
         ]
 
-    def evaluation_view(self) -> EvaluationView | None:
-        """The segment-direct :class:`EvaluationView`, or ``None``.
+    def evaluation_view(self) -> EvaluationView:
+        """The :class:`EvaluationView` over this bundle's blocks.
 
-        ``None`` means segment-direct evaluation cannot be
-        bit-identical here — the local BLAS failed the runtime probe,
-        the composed set is below
-        :data:`~repro.core.blocks.SEGMENT_DIRECT_MIN_ROWS` (where the
-        canonical GEMM partition is the historical single panel), or
-        the bundle misses a feature field — and the caller must fall
-        back to flat materialization.  Computed once and cached on the
-        (immutable) bundle, so repeated evaluates against one snapshot
-        pay nothing.
-
-        The feature column's GEMM-panel cache is seeded from the
-        field's materialized flat array when one exists (zero-copy
-        views) and inherited from the predecessor bundle's view
-        (``_inherit_view``, wired by the streaming compose) for panels
-        whose blocks survived the mutation — so a publish touching one
-        shard re-gathers only the panels overlapping that shard.
+        Built once and cached on the (immutable) bundle, whether or not
+        its flat arrays were ever materialized, so every evaluate
+        against one block set reads one panel cache.  The feature
+        column inherits the predecessor bundle's panels and norms
+        (``_inherit_view``, wired by the streaming compose) wherever
+        their block slices survived the mutation, so a publish rebuilds
+        only the panels whose rows moved or changed.
         """
-        if self._view_ready:
-            return self._view
-        view = None
-        feature_field = self.fields.get("_features")
-        if (
-            feature_field is not None
-            and feature_field.segments
-            and len(feature_field) >= SEGMENT_DIRECT_MIN_ROWS
-            and len(feature_field.trailing_shape) == 1
-            and segment_direct_supported()
-        ):
-            view = EvaluationView(
-                features=BlockColumn(feature_field.segments),
-                labels=BlockColumn(self.fields[self.label_key].segments),
-                layouts=tuple(
-                    SegmentLayout(
-                        scores=BlockColumn(field.segments),
-                        n_labels=self.n_labels,
-                    )
-                    for field in self.score_fields
-                ),
-                n_labels=self.n_labels,
+        view = self._view
+        if view is None:
+            view = EvaluationView.over(
+                self.fields["_features"].segments,
+                self.fields[self.label_key].segments,
+                [field.segments for field in self.score_fields],
+                self.n_labels,
                 targets=(
-                    BlockColumn(self.fields["_targets"].segments)
+                    self.fields["_targets"].segments
                     if "_targets" in self.fields
                     else None
                 ),
-                shard_ids=tuple(range(len(feature_field.segments))),
             )
-            view.features.seed_flat(feature_field.cached_flat)
-            if self._inherit_view is not None:
-                view.features.inherit_cache(self._inherit_view.features)
-        self._inherit_view = None
-        self._view = view
-        self._view_ready = True
+            inherit = self._inherit_view
+            if inherit is not None:
+                view.features.inherit_cache(inherit.features)
+            self._inherit_view = None
+            self._view = view
         return view
 
     def shared_shards_with(self, previous: "SegmentBundle | None") -> int:
@@ -486,30 +485,38 @@ class BundleComposeHook:
     same blocks), later reads are a flag check.  ``done=True`` marks a
     snapshot frozen while the live detector's flat state already
     matched the bundle, so nothing needs rebuilding at all.
+
+    The hook refers to its detector weakly: a strong reference would
+    make detector and hook a cycle, and a retired snapshot — with its
+    bundle's panel cache — would then outlive its last user until the
+    cyclic collector happened to run.
     """
 
     __slots__ = ("_prom", "_bundle", "_done")
 
     def __init__(self, prom, bundle: SegmentBundle, done: bool = False):
-        self._prom = prom
+        self._prom = weakref.ref(prom)
         self._bundle = bundle
         self._done = done
 
     def __call__(self) -> None:
         if self._done:
             return
-        self._bundle.apply(self._prom)
+        self._bundle.apply(self._prom())
         self._done = True
+
+    def bundle(self) -> SegmentBundle:
+        """The captured bundle, materialized or not."""
+        return self._bundle
 
     def pending_bundle(self) -> SegmentBundle | None:
         """The captured bundle while flat state is *not* materialized.
 
-        Segment-direct evaluation keys on this: a pending bundle means
-        an attribute read would trigger the ``O(n)`` flat concat, so
-        the evaluate kernels take the block-direct path instead (and
-        the hook stays pending — the concat never happens).  ``None``
-        once materialized (or frozen already-fresh): the flat arrays
-        exist, so reading them is free.
+        Evaluation always reads the bundle's view and never fires the
+        hook; this accessor answers whether the ``O(n)`` flat concat
+        is still deferred — what ``calibration_size`` and the
+        candidate pruner key on.  ``None`` once materialized (or
+        frozen already-fresh).
         """
         return None if self._done else self._bundle
 

@@ -868,16 +868,14 @@ class AsyncServingLoop:
         self.stats.last_publish_seconds = elapsed
         self.stats.total_publish_seconds += elapsed
         if bundle is not None:
-            # prewarm the segment-direct view here, on the maintenance
-            # thread: the panel re-gathers and norm rebuilds a mutation
+            # prewarm the evaluation view here, on the maintenance
+            # thread: the panel rebuilds and norm rebuilds a mutation
             # leaves behind must not tax the first decision after the
             # publish (DESIGN.md §9).  Timed apart from the publish —
             # it is repair work moved off the decision path, not part
             # of the structural-sharing pointer swap.
             started = time.perf_counter()
-            view = bundle.evaluation_view()
-            if view is not None:
-                view.prewarm()
+            bundle.evaluation_view().prewarm()
             prewarm = time.perf_counter() - started
             self.stats.last_prewarm_seconds = prewarm
             self.stats.total_prewarm_seconds += prewarm

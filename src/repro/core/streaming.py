@@ -145,9 +145,9 @@ class _LiveComposeHook:
     Calling it materializes the current bundle's flat arrays (the
     descriptor protocol of
     :class:`~repro.core.segments.ComposedStateAttr`); the extra
-    :meth:`pending_bundle` accessor lets the evaluate kernels see the
-    un-materialized bundle and run segment-direct *without* triggering
-    the flat concatenation — the same protocol
+    :meth:`bundle` and :meth:`pending_bundle` accessors let the
+    evaluate kernels read the bundle's blocks *without* triggering the
+    flat concatenation — the same protocol
     :class:`~repro.core.segments.BundleComposeHook` gives frozen
     snapshots.
     """
@@ -159,6 +159,10 @@ class _LiveComposeHook:
 
     def __call__(self) -> None:
         self._wrapper._materialize_composed()
+
+    def bundle(self):
+        """The current compose bundle (``None`` in single-store mode)."""
+        return self._wrapper._bundle
 
     def pending_bundle(self):
         """The bundle whose flat arrays are not materialized yet, or ``None``."""
@@ -201,10 +205,10 @@ class _ShardMixin:
         self._bundle_fresh = True
         self._tau_sketch = TauSketch()
         # Installed as the detector's compose hook: any state read
-        # (evaluate, or a direct prom._features access) materializes
-        # the current bundle first, so laziness is never observable.
-        # The hook object additionally exposes the pending bundle, so
-        # evaluate can run segment-direct without firing it.
+        # (e.g. a direct prom._features access) materializes the
+        # current bundle first, so laziness is never observable.  The
+        # hook object additionally exposes the bundle, so evaluate
+        # reads its blocks without firing it.
         self.prom._compose_hook = _LiveComposeHook(self)
 
     def _materialize_composed(self) -> None:

@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from .blocks import BlockColumn, flat_panels, panel_product
+from .blocks import as_column, panel_product
 from .exceptions import ConfigurationError, ValidationError
 
 #: soft bound on the number of float64 cells a distance block may hold
@@ -47,20 +47,14 @@ def iter_squared_distance_chunks(test_features, calibration_features, chunk_size
     identity: one GEMM per block instead of an ``(n, m, d)`` broadcast,
     with temporary memory bounded by ``chunk * n_calibration`` cells.
 
-    The GEMM follows the canonical fixed-panel partition of the
-    calibration axis (:func:`~repro.core.blocks.panel_bounds`), so
-    ``calibration_features`` may equivalently be a flat array or a
-    :class:`~repro.core.blocks.BlockColumn` of per-shard segments —
-    the segmented backend iterates the blocks directly (no flat
-    concatenation) with bit-identical results; see DESIGN.md §9.
+    The GEMM runs over the canonical fixed-panel partition of a
+    :class:`~repro.core.blocks.BlockColumn` (a flat array is read as a
+    one-block column), with the column's cached panels and row norms,
+    so the result does not depend on how the calibration rows are cut
+    into blocks; see DESIGN.md §9.
     """
     test = np.asarray(test_features, dtype=float)
-    segmented = isinstance(calibration_features, BlockColumn)
-    calibration = (
-        calibration_features
-        if segmented
-        else np.asarray(calibration_features, dtype=float)
-    )
+    calibration = as_column(calibration_features, float)
     if test.ndim == 1:
         test = test.reshape(1, -1)
     if calibration.ndim != 2 or test.ndim != 2:
@@ -70,12 +64,8 @@ def iter_squared_distance_chunks(test_features, calibration_features, chunk_size
             f"feature dimensionality mismatch: calibration has "
             f"{calibration.shape[1]}, test has {test.shape[1]}"
         )
-    if segmented:
-        calibration_sq = calibration.row_norms()
-        panels = calibration.panels()
-    else:
-        calibration_sq = np.einsum("ij,ij->i", calibration, calibration)
-        panels = flat_panels(calibration)
+    calibration_sq = calibration.row_norms()
+    panels = calibration.panels()
     chunk = _auto_chunk(len(calibration), chunk_size)
     for start in range(0, len(test), chunk):
         stop = min(len(test), start + chunk)
@@ -98,10 +88,7 @@ def squared_distance_matrix(A, B=None, chunk_size=None) -> np.ndarray:
     ``A`` against itself.
     """
     A = np.asarray(A, dtype=float)
-    if B is None:
-        B = A
-    elif not isinstance(B, BlockColumn):
-        B = np.asarray(B, dtype=float)
+    B = as_column(A if B is None else B, float)
     out = np.empty((len(A), len(B)))
     for start, stop, block in iter_squared_distance_chunks(A, B, chunk_size):
         out[start:stop] = block
@@ -312,14 +299,11 @@ class AdaptiveWeighting:
         kernels instead of ``n_test`` Python iterations of
         :meth:`select`.
 
-        ``calibration_features`` may be a
-        :class:`~repro.core.blocks.BlockColumn`; selection then runs
-        segment-direct (bit-identical — DESIGN.md §9).
+        ``calibration_features`` is a
+        :class:`~repro.core.blocks.BlockColumn` or an array (read as a
+        one-block column); see DESIGN.md §9.
         """
-        if isinstance(calibration_features, BlockColumn):
-            features = calibration_features
-        else:
-            features = np.asarray(calibration_features, dtype=float)
+        features = as_column(calibration_features, float)
         test = np.asarray(test_features, dtype=float)
         if test.ndim == 1:
             test = test.reshape(1, -1)
@@ -335,7 +319,7 @@ class AdaptiveWeighting:
         keep = n if n < self.min_samples else max(1, int(round(n * self.fraction)))
         tau = self._resolved_tau
         if tau is None:
-            tau = self.resolve_tau(features)
+            tau = self.resolve_tau(calibration_features)
 
         indices = np.empty((n_test, keep), dtype=int)
         squared = np.empty((n_test, keep))
@@ -399,10 +383,7 @@ class UniformWeighting(AdaptiveWeighting):
     def select_batch(
         self, calibration_features, test_features, chunk_size=None
     ) -> CalibrationSubsetBatch:
-        if isinstance(calibration_features, BlockColumn):
-            features = calibration_features
-        else:
-            features = np.asarray(calibration_features, dtype=float)
+        features = as_column(calibration_features, float)
         test = np.asarray(test_features, dtype=float)
         if test.ndim == 1:
             test = test.reshape(1, -1)

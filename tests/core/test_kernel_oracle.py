@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import PromClassifier, bin_subset_by_label, pvalues_from_binning
+from repro.core.prom import _evaluation_view
 
 from .legacy_kernels import (
     check_bit_identity,
@@ -64,7 +65,7 @@ def test_committee_pvalues_bit_identical(weight_mode):
     raw_t = rng.random((40, n_classes)) + 0.05
     test_probabilities = raw_t / raw_t.sum(axis=1, keepdims=True)
 
-    state = prom._evaluation_state()
+    state = _evaluation_view(prom)
     subset = prom.weighting.select_batch(state.features, test_features)
     old_subset = legacy_select_batch(prom.weighting, state.features, test_features)
     assert np.array_equal(subset.indices, old_subset.indices)

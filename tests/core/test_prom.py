@@ -8,6 +8,7 @@ from repro.core import (
     CalibrationError,
     LAC,
     NotCalibratedError,
+    ValidationError,
     accepted_indices,
     detection_metrics,
     drifting_indices,
@@ -54,6 +55,60 @@ class TestPromClassifierLifecycle:
     def test_is_calibrated_flag(self, calibrated_prom):
         assert calibrated_prom.is_calibrated
         assert not PromClassifier().is_calibrated
+
+
+def _assert_same_decisions(a, b):
+    assert np.array_equal(a.accepted, b.accepted)
+    assert np.array_equal(a.credibility, b.credibility)
+    assert np.array_equal(a.confidence, b.confidence)
+
+
+class TestEvaluateBoundaryValidation:
+    """Malformed evaluate inputs raise ValidationError and change nothing."""
+
+    @pytest.fixture()
+    def four_class(self):
+        rng = np.random.default_rng(0)
+        raw = rng.random((120, 4)) + 0.05
+        prom = PromClassifier().calibrate(
+            rng.normal(size=(120, 3)),
+            raw / raw.sum(axis=1, keepdims=True),
+            rng.integers(0, 4, 120),
+        )
+        raw_test = rng.random((5, 4)) + 0.05
+        features = rng.normal(size=(5, 3))
+        probabilities = raw_test / raw_test.sum(axis=1, keepdims=True)
+        return prom, features, probabilities, prom.evaluate(features, probabilities)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[-1] * 5, [4] * 5, [0, 1]],
+        ids=["negative_label", "label_past_last_class", "short_label_list"],
+    )
+    def test_bad_predicted_labels_raise(self, four_class, labels):
+        prom, features, probabilities, before = four_class
+        with pytest.raises(ValidationError):
+            prom.evaluate(features, probabilities, predicted_labels=labels)
+        _assert_same_decisions(before, prom.evaluate(features, probabilities))
+
+    def test_probability_row_count_mismatch_raises(self, four_class):
+        prom, features, probabilities, before = four_class
+        with pytest.raises(ValidationError):
+            prom.evaluate(features, probabilities[:4])
+        _assert_same_decisions(before, prom.evaluate(features, probabilities))
+
+    def test_regressor_prediction_count_mismatch_raises(self):
+        rng = np.random.default_rng(1)
+        features = rng.normal(size=(80, 3))
+        targets = features[:, 0]
+        prom = PromRegressor(n_clusters=3, seed=0).calibrate(
+            features, targets + 0.1, targets
+        )
+        test = rng.normal(size=(5, 3))
+        before = prom.evaluate(test, test[:, 0])
+        with pytest.raises(ValidationError):
+            prom.evaluate(test, np.zeros(9))
+        _assert_same_decisions(before, prom.evaluate(test, test[:, 0]))
 
 
 class TestPromClassifierDetection:

@@ -3,10 +3,11 @@
 
 Four properties:
 
-1. **Canonical panel kernel** — the fixed-panel GEMM partition gives
-   bitwise-interchangeable results between the flat and the
-   block-column backends, gathers/norms are exact, and the panel
-   caches (``seed_flat`` / ``inherit_cache``) never change values.
+1. **Canonical panel kernel** — every panel is a C-contiguous
+   ``(d, rows)`` transpose built once, so a one-block and a
+   multi-segment column give bitwise-equal products at any batch size,
+   gathers/norms are exact, and the panel caches (``inherit_cache``)
+   never change values.
 2. **Segment-direct equivalence** — for every router x eviction-policy
    combination (classifier and regressor), evaluating against a
    pending compose bundle is bit-identical to a fresh flat
@@ -22,6 +23,8 @@ Four properties:
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -38,15 +41,13 @@ from repro.core import (
     TauSketch,
     ValidationError,
     panel_bounds,
-    segment_direct_supported,
 )
 from repro.core.blocks import (
     PANEL_ROWS,
     SEGMENT_DIRECT_MIN_ROWS,
-    flat_panels,
     panel_product,
 )
-from repro.core.prom import _pending_bundle
+from repro.core.prom import _evaluation_view, _pending_bundle
 from repro.core.weighting import AdaptiveWeighting
 
 ROUTERS = ("hash", "label", "cluster")
@@ -148,19 +149,13 @@ class TestPanelPartition:
         # partition depends on n only, never on any segmentation
         assert panel_bounds(n) == bounds
 
-    def test_flat_panels_are_views(self):
-        array = np.arange(float(N_LARGE * 3)).reshape(N_LARGE, 3)
-        for c0, panel in flat_panels(array):
-            assert np.shares_memory(panel, array)
-            assert np.array_equal(panel, array[c0 : c0 + len(panel)])
-
     def test_single_panel_product_is_the_plain_gemm(self):
         g = np.random.default_rng(0)
         calibration = g.normal(size=(500, 12))
         test = g.normal(size=(9, 12))
         assert np.array_equal(
-            panel_product(test, flat_panels(calibration), 500),
-            test @ calibration.T,
+            panel_product(test, BlockColumn([calibration]).panels(), 500),
+            test @ np.ascontiguousarray(calibration.T),
         )
 
 
@@ -199,16 +194,31 @@ class TestBlockColumn:
         assert restricted.segments == (column.segments[0], column.segments[3])
         assert len(restricted) == len(column.segments[0]) + len(column.segments[3])
 
-    def test_panels_and_norms_bitwise_match_flat(self):
+    @pytest.mark.parametrize("n_test", [1, 2, 11, 166])
+    def test_panels_and_norms_bitwise_match_flat(self, n_test):
         column, flat = self._column(seed=2, d=16)
-        test = np.random.default_rng(3).normal(size=(11, 16))
+        test = np.random.default_rng(3).normal(size=(n_test, 16))
         assert np.array_equal(
             panel_product(test, column.panels(), len(flat)),
-            panel_product(test, flat_panels(flat), len(flat)),
+            panel_product(test, BlockColumn([flat]).panels(), len(flat)),
         )
         assert np.array_equal(
             column.row_norms(), np.einsum("ij,ij->i", flat, flat)
         )
+
+    def test_panels_are_contiguous_transposes_built_once(self):
+        column, flat = self._column()
+        panels = column.panels()
+        assert [c0 for c0, _ in panels] == [c0 for c0, _ in panel_bounds(len(flat))]
+        for (c0, c1), (_, panel) in zip(panel_bounds(len(flat)), panels):
+            assert panel.flags.c_contiguous
+            assert panel.dtype == np.float64
+            assert panel.shape == (flat.shape[1], c1 - c0)
+            assert np.array_equal(panel, flat[c0:c1].T)
+            assert not any(np.shares_memory(panel, block) for block in column.segments)
+        again = column.panels()
+        assert again is panels
+        assert all(a is b for (_, a), (_, b) in zip(again, panels))
 
     def test_straddling_panels_are_cached(self):
         column, _ = self._column()
@@ -218,16 +228,6 @@ class TestBlockColumn:
         rebuilt.inherit_cache(column)
         for (_, a), (_, b) in zip(rebuilt.panels(), first):
             assert a is b  # every block survived: every panel carried
-
-    def test_seed_flat_makes_panels_views(self):
-        column, flat = self._column()
-        column.seed_flat(flat)
-        for _, panel in column.panels():
-            assert np.shares_memory(panel, flat)
-        # wrong-length flats are ignored, not half-applied
-        other = BlockColumn(column.segments)
-        other.seed_flat(flat[:-1])
-        assert not other._panel_map
 
     def test_inherit_cache_drops_panels_of_dead_blocks(self):
         column, flat = self._column(cuts=(1500, 700))
@@ -240,17 +240,12 @@ class TestBlockColumn:
         inherited_keys = set(successor._panel_map)
         for key in inherited_keys:
             assert all(part[0] != id(column.segments[1]) for part in key)
-        # and the rebuilt panels still match the flat backend bitwise
+        # and the rebuilt panels still match a one-block column bitwise
         test = np.random.default_rng(4).normal(size=(3, 5))
         assert np.array_equal(
             panel_product(test, successor.panels(), len(flat)),
-            panel_product(test, flat_panels(flat), len(flat)),
+            panel_product(test, BlockColumn([flat]).panels(), len(flat)),
         )
-
-    def test_probe_passes_on_this_blas(self):
-        # by construction both backends issue identical GEMM call
-        # sequences; the probe is the safety net and must hold here
-        assert segment_direct_supported()
 
 
 class TestSegmentDirectEquivalence:
@@ -287,18 +282,64 @@ class TestSegmentDirectEquivalence:
         reference = streaming.evaluate(test_features, test_predictions)
         _assert_decisions_identical(incremental, reference)
 
-    def test_small_sets_fall_back_to_flat_materialization(self):
+    def test_small_sets_evaluate_on_the_bundle_view(self):
         streaming = StreamingPromClassifier(
             capacity=300, n_shards=4, router="hash", seed=0
         )
         streaming.calibrate(*_classification_batch(250, seed=5))
         streaming.update(*_classification_batch(20, seed=6))
         assert not streaming._bundle_fresh
-        assert streaming._bundle.evaluation_view() is None
+        view = streaming._bundle.evaluation_view()
+        assert _evaluation_view(streaming.prom) is view
+        # below the threshold the partition is one panel, still no concat
+        assert len(view.features.panels()) == 1
         test = _classification_batch(10, seed=7)
-        streaming.evaluate(test[0], test[1])
-        # below the threshold the evaluate materializes the flat state
+        decisions = streaming.evaluate(test[0], test[1])
+        assert not streaming._bundle_fresh
+        fresh = PromClassifier().calibrate(
+            streaming.store.column("features"),
+            streaming.store.column("probabilities"),
+            streaming.store.column("label"),
+        )
+        _assert_decisions_identical(decisions, fresh.evaluate(test[0], test[1]))
+
+    def test_materialized_bundle_keeps_one_panel_cache(self):
+        streaming = _large_classifier()
+        view = streaming._bundle.evaluation_view()
+        streaming.prom._features  # fires the compose hook: flat arrays exist
         assert streaming._bundle_fresh
+        assert _evaluation_view(streaming.prom) is view
+        snapshot = streaming.detector_snapshot()
+        assert _evaluation_view(snapshot) is view
+
+    def test_retired_snapshot_is_freed_without_the_cycle_collector(self):
+        streaming = _large_classifier()
+        snapshot = streaming.detector_snapshot()
+        test = _classification_batch(3, seed=12)
+        snapshot.evaluate(test[0], test[1])
+        snapshot._features  # fires the snapshot's hook as well
+        retired = weakref.ref(snapshot)
+        gc.disable()
+        try:
+            del snapshot
+            assert retired() is None
+        finally:
+            gc.enable()
+
+    def test_plain_detector_view_is_built_once_per_calibration(self):
+        features, probabilities, labels = _classification_batch(300, seed=9)
+        prom = PromClassifier().calibrate(features, probabilities, labels)
+        view = _evaluation_view(prom)
+        assert view.features.segments == (prom._features,)
+        assert _evaluation_view(prom) is view
+        test = _classification_batch(5, seed=10)
+        first = prom.evaluate(test[0], test[1])
+        assert _evaluation_view(prom) is view
+        prom.calibrate(features[:200], probabilities[:200], labels[:200])
+        rebuilt = _evaluation_view(prom)
+        assert rebuilt is not view and len(rebuilt.features) == 200
+        prom.calibrate(features, probabilities, labels)
+        _assert_decisions_identical(first, prom.evaluate(test[0], test[1]))
 
     def test_snapshot_evaluates_segment_direct_and_stays_pending(self):
         streaming = _large_classifier()
@@ -318,18 +359,28 @@ class TestSegmentDirectEquivalence:
         )
         streaming.calibrate(*_classification_batch(N_LARGE, seed=8))
         view = streaming._bundle.evaluation_view()
-        assert view is not None
+        view.prewarm()
         before = dict(view.features._panel_map)
         features, probabilities, labels = _classification_batch(30, seed=500)
         streaming.update(features, probabilities, np.full(len(labels), 3))
         after_view = streaming._bundle.evaluation_view()
-        assert after_view is not None and after_view is not view
+        assert after_view is not view
         carried = sum(
             1
             for key, panel in after_view.features._panel_map.items()
             if before.get(key) is panel
         )
         assert carried > 0  # untouched-shard panels were not re-gathered
+        after_view.prewarm()
+        panels = after_view.features.panels()
+        reused = sum(1 for _, panel in panels if any(panel is p for p in before.values()))
+        assert 0 < reused < len(panels)  # the touched shard's panels are new
+        flat = np.concatenate(after_view.features.segments)
+        test = np.random.default_rng(6).normal(size=(2, flat.shape[1]))
+        assert np.array_equal(
+            panel_product(test, panels, len(flat)),
+            panel_product(test, BlockColumn([flat]).panels(), len(flat)),
+        )
 
 
 class TestTauSketch:
