@@ -18,22 +18,37 @@ This bench asserts, at a production-ish scale (12k calibration samples,
   monitor -> relabel -> recalibrate) sustains a floor throughput in
   decisions/sec.
 
+The ``fold_job`` section times the maintenance job that follows every
+one-row relabel in a sharded deployment: ``update`` (fold), snapshot
+publish (``detector_snapshot``) and evaluation-view prewarm, on a
+12k-row, 48-feature, 32-class, 16-shard hash-routed state.  It reports
+per-fold medians, splits the update into tau, store and compose, and
+checks after every fold that the incrementally resolved tau is bitwise
+the tau a fresh ``calibrate()`` on the store would resolve.  It uses
+only long-standing public entry points, so the same script times any
+revision of the runtime.
+
 Results are appended to ``out/BENCH_streaming.json`` alongside
 ``BENCH_batch_eval.json`` so later PRs can track both trajectories.
 """
 
 import argparse
+import contextlib
 import json
 import time
 
 import numpy as np
 
 from repro.core import (
+    AdaptiveWeighting,
     LoopConfig,
     ModelInterface,
     PromClassifier,
     StreamingPromClassifier,
 )
+from repro.core import segments as segments_module
+from repro.core import sharding as sharding_module
+from repro.core import weighting as weighting_module
 from repro.experiments import stream_deployment
 from repro.ml import MLPClassifier
 
@@ -177,6 +192,164 @@ def test_stream_deployment_throughput():
     )
 
 
+def _prototype_batch(centers, n, g, shift=0.0):
+    """Rows around class centres, scored by a softmax over distances."""
+    labels = g.integers(0, len(centers), n)
+    features = centers[labels] + 0.5 * g.normal(size=(n, centers.shape[1])) + shift
+    logits = 2.0 * features @ centers.T - np.einsum("ij,ij->i", centers, centers)
+    logits /= 8.0
+    logits -= logits.max(axis=1, keepdims=True)
+    probabilities = np.exp(logits)
+    probabilities /= probabilities.sum(axis=1, keepdims=True)
+    return features, probabilities, labels
+
+
+@contextlib.contextmanager
+def _timed(owner, name, totals, key):
+    """Accumulate the wall time of every ``owner.name`` call in ``totals[key]``."""
+    original = getattr(owner, name)
+
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            totals[key] += time.perf_counter() - started
+
+    setattr(owner, name, timed)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def _fold_sequence(n_calibration, n_folds, n_shards, n_classes, n_features, seed):
+    """One replay of the fold sequence: per-fold timings and checks."""
+    g = np.random.default_rng(seed)
+    centers = g.normal(size=(n_classes, n_features)) * 2.0
+    streaming = StreamingPromClassifier(
+        capacity=n_calibration, n_shards=n_shards, router="hash", seed=seed
+    )
+    streaming.calibrate(*_prototype_batch(centers, n_calibration, g))
+    snapshot = streaming.detector_snapshot()
+    snapshot._segment_bundle.evaluation_view().prewarm()
+    features, probabilities, labels = _prototype_batch(centers, n_folds, g, shift=0.3)
+    requests = _prototype_batch(centers, 2 * n_folds, g, shift=0.3)
+    keys = ("update", "publish", "prewarm", "tau", "store")
+    times = {key: np.zeros(n_folds) for key in keys}
+    totals = {"tau": 0.0, "store": 0.0, "kernel_calls": 0}
+    resized = skipped = 0
+    tau_bitwise = True
+    kernel = weighting_module.median_pairwise_tau
+
+    def counted_kernel(*args, **kwargs):
+        totals["kernel_calls"] += 1
+        return kernel(*args, **kwargs)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(
+            _timed(segments_module.TauSketch, "resolve", totals, "tau")
+        )
+        stack.enter_context(
+            _timed(sharding_module.ShardedCalibrationStore, "add", totals, "store")
+        )
+        weighting_module.median_pairwise_tau = counted_kernel
+        stack.callback(setattr, weighting_module, "median_pairwise_tau", kernel)
+        for i in range(n_folds):
+            sizes = streaming.shard_sizes
+            totals["tau"] = totals["store"] = 0.0
+            calls = totals["kernel_calls"]
+            started = time.perf_counter()
+            streaming.update(
+                features[i : i + 1], probabilities[i : i + 1], labels[i : i + 1]
+            )
+            folded = time.perf_counter()
+            snapshot = streaming.detector_snapshot()
+            published = time.perf_counter()
+            snapshot._segment_bundle.evaluation_view().prewarm()
+            warmed = time.perf_counter()
+            times["update"][i] = folded - started
+            times["publish"][i] = published - folded
+            times["prewarm"][i] = warmed - published
+            times["tau"][i] = totals["tau"]
+            times["store"][i] = totals["store"]
+            resized += sizes != streaming.shard_sizes
+            skipped += totals["kernel_calls"] == calls
+            # the store's own column() would cache a concatenation that
+            # the next add frees inside the timed fold
+            fresh = AdaptiveWeighting()
+            fresh.resolve_tau(
+                np.concatenate(streaming.store.column_segments("features"))
+            )
+            live = streaming.prom.weighting.effective_tau
+            tau_bitwise &= np.float64(live).tobytes() == np.float64(
+                fresh.effective_tau
+            ).tobytes()
+            # a batch-2 decision on the published snapshot between
+            # folds, as in a closed-loop deployment
+            snapshot.evaluate(
+                requests[0][2 * i : 2 * i + 2], requests[1][2 * i : 2 * i + 2]
+            )
+    return times, resized, skipped, tau_bitwise, len(streaming.store)
+
+
+def _fold_job(
+    n_calibration, n_folds, n_shards, repeats=5, n_classes=32, n_features=48, seed=0
+):
+    """Per-fold update / publish / prewarm medians of one-row folds.
+
+    The store is capped at its calibration size, so hash routing leaves
+    some shards under capacity: a fold into one of those grows it and
+    shifts every later shard's rows, a fold into a full shard replaces
+    its oldest row.  Between folds (untimed) the tau check runs and the
+    published snapshot makes one batch-2 decision.  The same seeded
+    sequence is replayed ``repeats`` times from a fresh state; each
+    fold's time is its fastest replay (a shared machine's slow phases
+    last longer than one replay), and the reported figures are medians
+    over the folds.
+    """
+    replays = [
+        _fold_sequence(n_calibration, n_folds, n_shards, n_classes, n_features, seed)
+        for _ in range(repeats)
+    ]
+    fastest = {
+        key: np.min([times[key] for times, *_ in replays], axis=0)
+        for key in replays[0][0]
+    }
+    _, resized, skipped, _, store_rows = replays[0]
+
+    def median_ms(values):
+        return round(1e3 * float(np.median(values)), 4)
+
+    update, tau, store = fastest["update"], fastest["tau"], fastest["store"]
+    job = update + fastest["publish"] + fastest["prewarm"]
+    return {
+        "n_calibration": n_calibration,
+        "n_shards": n_shards,
+        "n_features": n_features,
+        "n_folds": n_folds,
+        "repeats": repeats,
+        "store_rows": store_rows,
+        "median_job_ms": median_ms(job),
+        "median_update_ms": median_ms(update),
+        "median_update_tau_ms": median_ms(tau),
+        "median_update_store_ms": median_ms(store),
+        "median_update_compose_ms": median_ms(update - tau - store),
+        "median_publish_ms": median_ms(fastest["publish"]),
+        "median_prewarm_ms": median_ms(fastest["prewarm"]),
+        "folds_resizing_a_shard": resized,
+        "folds_skipping_the_tau_kernel": skipped,
+        "tau_bitwise_equal_to_fresh": all(replay[3] for replay in replays),
+    }
+
+
+def test_fold_job():
+    """One-row fold job at the deployment benchmark's state shape."""
+    result = _fold_job(n_calibration=12_000, n_folds=120, n_shards=16)
+    update_bench_json("BENCH_streaming.json", {"fold_job": result})
+    assert result["tau_bitwise_equal_to_fresh"]
+
+
 def _smoke() -> dict:
     """Seconds-long, assertion-free pass for CI (nothing written to out/)."""
     n_calibration, n_classes, n_features, batch = 1_500, 8, 16, 32
@@ -200,8 +373,11 @@ def _smoke() -> dict:
         y_stream,
         loop=LoopConfig(batch_size=50, budget_fraction=0.1, epochs=5),
     )
+    fold_job = _fold_job(n_calibration=3_000, n_folds=20, n_shards=8, repeats=2)
+    assert fold_job["tau_bitwise_equal_to_fresh"]
     return {
         "smoke": True,
+        "fold_job": fold_job,
         "incremental_update_seconds": round(update_seconds, 6),
         "stream_decisions_per_second": round(result.decisions_per_second, 1),
         "stream_final_calibration_size": result.final_calibration_size,
@@ -221,6 +397,7 @@ def main():
         return
     test_incremental_update_speedup()
     test_stream_deployment_throughput()
+    test_fold_job()
     print("BENCH_streaming.json updated")
 
 

@@ -29,10 +29,12 @@ call sequence instead:
   layout produce identical bits, whatever the segmentation.
 
 Below :data:`SEGMENT_DIRECT_MIN_ROWS` total rows the partition is a
-single panel.  :class:`BlockColumn` builds each panel once and caches
-it keyed by the identity of the block slices it was gathered from, so a
-publish rebuilds only the panels whose rows moved or changed
-(:meth:`BlockColumn.inherit_cache`).
+single panel.  :class:`BlockColumn` builds its panels once and caches
+them.  A column that follows a mutation repairs its panels from its
+predecessor's (:meth:`BlockColumn.inherit_cache`): a panel whose rows
+are exactly one old panel's is that panel object, rows that only moved
+are copied from the old panels' contiguous row slices, and only the
+rows of replaced blocks are transposed afresh.
 """
 
 from __future__ import annotations
@@ -105,10 +107,11 @@ class BlockColumn:
     of a multi-block column.  Blocks follow the compose layer's
     copy-on-write contract and are never mutated.
 
-    The panel and norm caches only ever hold entries whose blocks are
-    segments of this column (``inherit_cache`` filters by block
-    identity), so ``id()``-based keys cannot dangle: every keyed block
-    is pinned by the ``segments`` tuple for the cache's lifetime.
+    The norm cache only ever holds entries whose blocks are segments of
+    this column (``inherit_cache`` filters by block identity), so
+    ``id()``-based keys cannot dangle: every keyed block is pinned by
+    the ``segments`` tuple for the cache's lifetime.  The predecessor a
+    column repairs its panels from is held only until they are built.
     """
 
     __slots__ = (
@@ -116,8 +119,8 @@ class BlockColumn:
         "_starts",
         "_bounds",
         "_length",
-        "_panel_map",
         "_panels",
+        "_previous",
         "_norm_map",
         "_norms",
         "_gather_flat",
@@ -135,8 +138,8 @@ class BlockColumn:
         self._bounds = np.cumsum(sizes)
         self._starts = self._bounds - sizes
         self._length = int(self._bounds[-1])
-        self._panel_map: dict = {}
         self._panels = None
+        self._previous = None
         self._norm_map: dict = {}
         self._norms = None
         self._gather_flat = None
@@ -205,65 +208,97 @@ class BlockColumn:
                 raise IndexError(
                     f"row index out of range for {self._length} segmented rows"
                 )
-        out = np.empty(
+        # group the rows by owning block (a stable sort keeps each
+        # block's rows in request order), take each group with one
+        # call, then scatter the groups back to request order
+        owners = np.searchsorted(self._bounds, flat_rows, side="right")
+        order = np.argsort(owners, kind="stable")
+        owners = owners[order]
+        local = flat_rows[order] - self._starts[owners]
+        ends = np.cumsum(np.bincount(owners, minlength=len(self.segments)))
+        grouped = np.empty(
             (flat_rows.size,) + self.trailing_shape, dtype=self.dtype
         )
-        owners = np.searchsorted(self._bounds, flat_rows, side="right")
-        for index, segment in enumerate(self.segments):
-            mask = owners == index
-            if mask.any():
-                out[mask] = segment[flat_rows[mask] - self._starts[index]]
+        lo = 0
+        for segment, hi in zip(self.segments, ends.tolist()):
+            if hi > lo:
+                # in range by construction: "clip" lets take write into out
+                np.take(segment, local[lo:hi], axis=0, out=grouped[lo:hi], mode="clip")
+            lo = hi
+        out = np.empty_like(grouped)
+        out[order] = grouped
         return out.reshape(rows.shape + self.trailing_shape)
-
-    def _panel_parts(self, c0: int, c1: int):
-        """Yield ``(block_index, local_start, local_stop)`` covering ``[c0, c1)``."""
-        first = int(np.searchsorted(self._bounds, c0, side="right"))
-        for index in range(first, len(self.segments)):
-            start = int(self._starts[index])
-            if start >= c1:
-                break
-            stop = int(self._bounds[index])
-            if stop <= c0:
-                continue
-            yield index, max(c0, start) - start, min(c1, stop) - start
-
-    def _panel_key(self, c0: int, c1: int) -> tuple:
-        """Cache key of panel ``[c0, c1)``: the block slices composing it."""
-        return tuple(
-            (id(self.segments[index]), a, b)
-            for index, a, b in self._panel_parts(c0, c1)
-        )
 
     def panels(self) -> list:
         """``(start, panel_t)`` pairs of the canonical GEMM partition.
 
-        ``panel_t`` is a new C-contiguous ``(d, rows)`` float64 array
-        holding the transpose of the panel's rows, gathered across
-        block boundaries where the panel straddles them.  Each panel is
-        built once and cached by block identity, so repeated evaluates
-        — and, via :meth:`inherit_cache`, bundles that share blocks
-        with a predecessor — never rebuild it.  The cache then keeps
-        only the panels in use: an inherited panel whose block slices
-        moved off the partition grid is dropped, not carried forward.
+        ``panel_t`` is a C-contiguous ``(d, rows)`` float64 array holding
+        the transpose of the panel's rows.  Built once and cached; a
+        column with a predecessor (:meth:`inherit_cache`) repairs each
+        panel from the predecessor's panels where its blocks survived —
+        reusing a whole old panel when the rows are exactly its rows,
+        else copying the moved rows' contiguous slices — and transposes
+        only rows of blocks the predecessor did not hold.  Every path
+        writes the same bytes as a fresh transpose of the rows.
         """
         if self._panels is None:
-            panels = []
-            panel_map = {}
-            for c0, c1 in panel_bounds(self._length):
-                key = self._panel_key(c0, c1)
-                panel = self._panel_map.get(key)
-                if panel is None:
-                    panel = np.empty(self.trailing_shape + (c1 - c0,))
-                    offset = 0
-                    for index, a, b in self._panel_parts(c0, c1):
-                        rows = self.segments[index][a:b]
-                        panel[:, offset : offset + len(rows)] = rows.T
-                        offset += len(rows)
-                panel_map[key] = panel
-                panels.append((c0, panel))
-            self._panel_map = panel_map
-            self._panels = panels
+            previous, self._previous = self._previous, None
+            source = _PanelSource(previous) if previous is not None else None
+            bounds = panel_bounds(self._length)
+            pieces = self._panel_pieces(bounds, source)
+            self._panels = [
+                (c0, self._build_panel(c1 - c0, runs))
+                for (c0, c1), runs in zip(bounds, pieces)
+            ]
         return self._panels
+
+    def _panel_pieces(self, bounds, source) -> list:
+        """Per panel, the runs it is assembled from, in row order.
+
+        A run is ``[old_panel, lo, hi]`` — columns of a predecessor
+        panel, adjacent runs merged — or ``[None, rows]`` for block rows
+        the predecessor did not hold.  One walk over the blocks.
+        """
+        pieces = [[] for _ in bounds]
+        index = 0
+        for block, g0, g1 in zip(
+            self.segments, self._starts.tolist(), self._bounds.tolist()
+        ):
+            old = None if source is None else source.start_of(block)
+            g = g0
+            while g < g1:
+                while bounds[index][1] <= g:
+                    index += 1
+                stop = min(g1, bounds[index][1])
+                runs = pieces[index]
+                if old is None:
+                    runs.append([None, block[g - g0 : stop - g0]])
+                else:
+                    for panel, lo, hi in source.runs(old + g - g0, old + stop - g0):
+                        if runs and runs[-1][0] is panel and runs[-1][2] == lo:
+                            runs[-1][2] = hi
+                        else:
+                            runs.append([panel, lo, hi])
+                g = stop
+        return pieces
+
+    def _build_panel(self, width: int, runs) -> np.ndarray:
+        """One panel of ``width`` rows assembled from its runs."""
+        if len(runs) == 1 and runs[0][0] is not None:
+            old, lo, hi = runs[0]
+            if lo == 0 and hi == old.shape[1] == width:
+                return old
+        panel = np.empty(self.trailing_shape + (width,))
+        offset = 0
+        for run in runs:
+            if run[0] is None:
+                part = run[1].T
+            else:
+                old, lo, hi = run
+                part = old[:, lo:hi]
+            panel[:, offset : offset + part.shape[1]] = part
+            offset += part.shape[1]
+        return panel
 
     def row_norms(self) -> np.ndarray:
         """Concatenated per-block squared row norms, bit-identical to flat.
@@ -286,24 +321,58 @@ class BlockColumn:
     def inherit_cache(self, previous: "BlockColumn | None") -> None:
         """Adopt a predecessor column's caches for blocks still present.
 
-        Entries are filtered by block identity against this column's
-        segments, so only panels/norms whose every underlying block
-        survived the mutation carry over — exactly the panels a publish
-        did not touch.  Stale entries are dropped here, which also
-        unpins the predecessor's dead blocks.
+        Norms carry over per surviving block.  Panels are repaired from
+        the newest column in ``previous``'s lineage whose panels were
+        built, when this column builds its own (:meth:`panels`); the
+        reference is dropped then, which unpins the predecessor's dead
+        blocks and panels.
         """
         if previous is None:
             return
         live = set(map(id, self.segments))
-        # list() snapshots the dicts atomically (CPython): the
+        # list() snapshots the dict atomically (CPython): the
         # predecessor's owner may be a decision thread still inserting
-        # panels while a maintenance thread prewarms this column
-        for key, panel in list(previous._panel_map.items()):
-            if all(part[0] in live for part in key):
-                self._panel_map.setdefault(key, panel)
+        # norms while a maintenance thread prewarms this column
         for block_id, norms in list(previous._norm_map.items()):
             if block_id in live:
                 self._norm_map.setdefault(block_id, norms)
+        while previous is not None and previous._panels is None:
+            previous = previous._previous
+        self._previous = previous
+
+
+class _PanelSource:
+    """A built column's panels, addressed by the blocks they hold.
+
+    The repair source of :meth:`BlockColumn.panels`: maps each block of
+    the old column to its old global start, and old global rows to
+    contiguous slices of the old ``(d, rows)`` panels.
+    """
+
+    __slots__ = ("_starts", "_panels", "_single")
+
+    def __init__(self, column: BlockColumn):
+        self._starts = {
+            id(block): start
+            for block, start in zip(column.segments, column._starts.tolist())
+        }
+        self._panels = column._panels
+        self._single = len(self._panels) == 1
+
+    def start_of(self, block) -> int | None:
+        """The old global start of ``block``, or ``None`` if it is new."""
+        return self._starts.get(id(block))
+
+    def runs(self, g0: int, g1: int) -> list:
+        """``(panel, lo, hi)`` column runs holding old global rows ``[g0, g1)``."""
+        out = []
+        while g0 < g1:
+            index = 0 if self._single else g0 // PANEL_ROWS
+            p0, panel = self._panels[index]
+            stop = min(g1, p0 + panel.shape[1])
+            out.append((panel, g0 - p0, stop - p0))
+            g0 = stop
+        return out
 
 
 def export_block(block) -> np.ndarray:

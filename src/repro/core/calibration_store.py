@@ -471,7 +471,7 @@ class CalibrationStore:
                 ),
                 dtype=int,
             )
-            if len(victims) != n_over or len(np.unique(victims)) != n_over:
+            if len(victims) != n_over or len(set(victims.tolist())) != n_over:
                 raise InternalError(
                     f"{self.policy!r} returned {len(victims)} victims, "
                     f"needed {n_over} distinct"

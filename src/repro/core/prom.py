@@ -119,6 +119,11 @@ def _active_pruner(prom, view):
     return pruner if _pending_bundle(prom) is not None else None
 
 
+def _all_finite(*arrays) -> bool:
+    """Whether every value of every array is finite (no NaN, no inf)."""
+    return all(np.isfinite(array).all() for array in arrays)
+
+
 def _check_calibration_inputs(features, outputs, targets):
     features = np.asarray(features, dtype=float)
     outputs = np.asarray(outputs, dtype=float)
@@ -130,6 +135,12 @@ def _check_calibration_inputs(features, outputs, targets):
     if len(features) != len(outputs) or len(features) != len(targets):
         raise CalibrationError(
             "calibration features, model outputs and targets must align"
+        )
+    numeric_targets = (targets,) if targets.dtype.kind in "fc" else ()
+    if not _all_finite(features, outputs, *numeric_targets):
+        raise CalibrationError(
+            "calibration features, model outputs and targets must be finite "
+            "(no NaN or inf)"
         )
     return features, outputs, targets
 
@@ -276,6 +287,10 @@ class PromClassifier:
             raise ValidationError(
                 f"{len(probabilities)} probability rows for "
                 f"{len(features)} feature rows"
+            )
+        if not _all_finite(features, probabilities):
+            raise ValidationError(
+                "test features and probabilities must be finite (no NaN or inf)"
             )
         if predicted_labels is None:
             predicted_labels = np.argmax(probabilities, axis=1)
@@ -637,6 +652,10 @@ class PromRegressor:
         if len(predictions) != len(features):
             raise ValidationError(
                 f"{len(predictions)} predictions for {len(features)} feature rows"
+            )
+        if not _all_finite(features, predictions):
+            raise ValidationError(
+                "test features and predictions must be finite (no NaN or inf)"
             )
         return features, predictions
 

@@ -199,33 +199,53 @@ def update_label_groups(
     the result is exactly what :func:`group_scores_by_label` would
     build from the surviving scores and labels in store order.
     """
-    new_scores = np.asarray(new_scores, dtype=float).ravel()
+    return update_committee_groups(
+        [layout], keep_mask, [new_scores], new_labels, order
+    )[0]
+
+
+def update_committee_groups(
+    layouts, keep_mask, new_scores, new_labels, order=None
+) -> list:
+    """:func:`update_label_groups` for every expert of one store at once.
+
+    The experts' layouts group the same rows by the same labels, so the
+    label gather and the count arithmetic run once and the results share
+    one labels array; only each expert's score gather is its own.
+    ``layouts`` and ``new_scores`` hold one entry per expert.
+    """
+    first = layouts[0]
     new_labels = np.asarray(new_labels, dtype=int).ravel()
-    if new_scores.shape != new_labels.shape:
+    new_scores = [np.asarray(scores, dtype=float).ravel() for scores in new_scores]
+    if any(scores.shape != new_labels.shape for scores in new_scores):
         raise ValidationError("new scores and labels must align")
     if len(new_labels) and (
-        new_labels.min() < 0 or new_labels.max() >= layout.n_labels
+        new_labels.min() < 0 or new_labels.max() >= first.n_labels
     ):
         raise ValidationError("new calibration label index out of range")
     keep_mask = np.asarray(keep_mask, dtype=bool)
-    if len(keep_mask) != len(layout.labels) + len(new_labels):
+    if len(keep_mask) != len(first.labels) + len(new_labels):
         raise ValidationError(
             f"keep_mask covers {len(keep_mask)} rows, combined layout has "
-            f"{len(layout.labels) + len(new_labels)}"
+            f"{len(first.labels) + len(new_labels)}"
         )
     gather = np.flatnonzero(keep_mask) if order is None else np.asarray(order)
-    combined_labels = np.concatenate([layout.labels, new_labels])
+    combined_labels = np.concatenate([first.labels, new_labels])
     group_counts = (
-        layout.group_counts
-        + np.bincount(new_labels, minlength=layout.n_labels)
-        - np.bincount(combined_labels[~keep_mask], minlength=layout.n_labels)
+        first.group_counts
+        + np.bincount(new_labels, minlength=first.n_labels)
+        - np.bincount(combined_labels[~keep_mask], minlength=first.n_labels)
     )
-    return LabelGroupedScores(
-        scores=np.concatenate([layout.scores, new_scores])[gather],
-        labels=combined_labels[gather],
-        group_counts=group_counts,
-        n_labels=layout.n_labels,
-    )
+    labels = combined_labels[gather]
+    return [
+        LabelGroupedScores(
+            scores=np.concatenate([layout.scores, scores])[gather],
+            labels=labels,
+            group_counts=group_counts,
+            n_labels=first.n_labels,
+        )
+        for layout, scores in zip(layouts, new_scores)
+    ]
 
 
 def merge_group_counts(layouts, n_labels: int) -> np.ndarray:

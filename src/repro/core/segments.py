@@ -54,9 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockColumn
-from .pvalue import LabelGroupedScores, merge_group_counts
+from .pvalue import LabelGroupedScores
 from .weighting import TAU_MAX_ROWS, TAU_SEED
-from .exceptions import ValidationError
 
 
 #: instance slot of a plain detector's cached one-block
@@ -178,68 +177,6 @@ def make_field(segments, previous: SegmentedField | None = None) -> SegmentedFie
     if previous is not None and previous.same_segments(segments):
         return previous
     return SegmentedField(segments)
-
-
-def gather_rows(segments, rows) -> np.ndarray:
-    """Gather global rows from a segment list without the flat concat.
-
-    Bit-identical to ``np.concatenate(segments)[rows]`` (row order
-    preserved, negative indices wrap like NumPy's), in ``O(len(rows))``
-    gathered cells instead of ``O(n)``.
-
-    Raises:
-        ValueError: on an empty segment list.
-        IndexError: when any row index is outside ``[-n, n)`` — the
-            same contract as indexing the concatenation.
-    """
-    segments = [np.asarray(segment) for segment in segments]
-    if not segments:
-        raise ValidationError("gather_rows needs at least one segment")
-    rows = np.asarray(rows, dtype=np.int64)
-    sizes = np.fromiter(
-        (len(segment) for segment in segments),
-        dtype=np.int64,
-        count=len(segments),
-    )
-    bounds = np.cumsum(sizes)
-    n = int(bounds[-1])
-    if len(rows):
-        rows = np.where(rows < 0, rows + n, rows)
-        if rows.min() < 0 or rows.max() >= n:
-            raise IndexError(
-                f"row index out of range for {n} segmented rows"
-            )
-    starts = bounds - sizes
-    dtype = np.result_type(*segments)
-    out = np.empty((len(rows),) + segments[0].shape[1:], dtype=dtype)
-    owners = np.searchsorted(bounds, rows, side="right")
-    for index, segment in enumerate(segments):
-        mask = owners == index
-        if mask.any():
-            out[mask] = segment[rows[mask] - starts[index]]
-    return out
-
-
-def tau_feature_sample(
-    field: SegmentedField, max_rows: int = TAU_MAX_ROWS, seed: int = TAU_SEED
-) -> np.ndarray:
-    """The feature rows ``resolve_tau`` would subsample, gathered per segment.
-
-    ``median_pairwise_tau`` draws ``max_rows`` rows with
-    ``default_rng(seed).choice`` when the set is larger; reproducing the
-    identical draw here and gathering only those rows keeps the resolved
-    tau bit-identical to the flat path while tau resolution costs
-    ``O(max_rows * d)`` instead of forcing the ``O(n)`` flat
-    materialization on every update.
-    """
-    flat = field.cached_flat
-    if flat is not None:
-        return flat
-    n = len(field)
-    if n <= max_rows:
-        return field.flat()
-    rows = np.random.default_rng(seed).choice(n, size=max_rows, replace=False)
-    return gather_rows(field.segments, rows)
 
 
 @dataclass(frozen=True)
@@ -663,7 +600,7 @@ class TauSketch:
         if self._rows is None:
             sample = field.flat()
         else:
-            sample = gather_rows(field.segments, self._rows)
+            sample = BlockColumn(field.segments)[self._rows]
         if self._sample is not None and np.array_equal(sample, self._sample):
             return weighting.adopt_tau(self._tau)
         self._sample = sample

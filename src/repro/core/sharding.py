@@ -27,10 +27,10 @@ the *touched* shards, not the whole calibration set.  See DESIGN.md §4.
 from __future__ import annotations
 
 import abc
+import functools
 import threading
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -335,17 +335,18 @@ def resolve_shard_router(router, n_shards: int, seed: int = 0) -> ShardRouter:
     )
 
 
-@dataclass(frozen=True)
 class ShardedStoreUpdate(StoreUpdate):
     """A global :class:`StoreUpdate` plus its per-shard decomposition.
 
     ``keep_mask``/``order``/``evicted`` are expressed over the *global*
     combined layout (old global exposed rows, then the added batch), so
-    any single-store consumer works unchanged.  The extra fields let
-    shard-aware consumers (the streaming wrappers) fold only the
-    touched shards:
+    any single-store consumer works unchanged.  They are ``O(n)``
+    arrays, built on first read from the decomposition: the streaming
+    wrappers fold only the touched shards and never read them, which
+    keeps a one-row add ``O(routed shard)``.
 
     Attributes:
+        shard_sizes: every shard's size before the mutation.
         shard_updates: shard id -> that shard's own :class:`StoreUpdate`
             (in the shard's local combined layout).
         shard_batches: shard id -> positions of the added batch routed
@@ -353,13 +354,56 @@ class ShardedStoreUpdate(StoreUpdate):
         touched: sorted shard ids that mutated.
     """
 
-    shard_updates: dict = field(default_factory=dict)
-    shard_batches: dict = field(default_factory=dict)
+    def __init__(self, n_before, n_added, shard_sizes, shard_updates, shard_batches):
+        # the base class is a frozen dataclass: set through object
+        object.__setattr__(self, "n_before", int(n_before))
+        object.__setattr__(self, "n_added", int(n_added))
+        object.__setattr__(self, "shard_sizes", tuple(shard_sizes))
+        object.__setattr__(self, "shard_updates", dict(shard_updates))
+        object.__setattr__(self, "shard_batches", dict(shard_batches))
 
     @property
     def touched(self) -> tuple:
         """Sorted ids of the shards this mutation actually changed."""
         return tuple(sorted(self.shard_updates))
+
+    @property
+    def n_after(self) -> int:
+        """Store size after the mutation."""
+        return self.n_before + self.n_added - sum(
+            len(sub.evicted) for sub in self.shard_updates.values()
+        )
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """Surviving global combined positions in new exposed order."""
+        segments = []
+        start = 0
+        for shard_id, size in enumerate(self.shard_sizes):
+            existing = np.arange(start, start + size, dtype=np.int64)
+            start += size
+            sub = self.shard_updates.get(shard_id)
+            if sub is None:
+                segments.append(existing)
+                continue
+            # the shard's local combined layout (its rows, then its
+            # routed slice of the batch) mapped to global positions,
+            # gathered through the shard's own order
+            routed = self.n_before + self.shard_batches[shard_id]
+            segments.append(np.concatenate([existing, routed])[sub.order])
+        return np.concatenate(segments) if segments else np.zeros(0, dtype=np.int64)
+
+    @functools.cached_property
+    def keep_mask(self) -> np.ndarray:
+        """``(n_before + n_added,)`` boolean mask of survivors."""
+        keep_mask = np.zeros(self.n_before + self.n_added, dtype=bool)
+        keep_mask[self.order] = True
+        return keep_mask
+
+    @functools.cached_property
+    def evicted(self) -> np.ndarray:
+        """Global combined positions that were dropped, sorted."""
+        return np.flatnonzero(~self.keep_mask)
 
 
 class ShardedCalibrationStore:
@@ -829,63 +873,32 @@ class ShardedCalibrationStore:
         shard_ids = np.asarray(shard_ids, dtype=int)
         if len(shard_ids) != n_new:
             raise CalibrationError("shard_ids must align with the added batch")
-        if len(shard_ids) and (
-            shard_ids.min() < 0 or shard_ids.max() >= self.n_shards
-        ):
+        # a set, not np.unique: its fixed cost dominates one-row folds
+        touched = sorted(set(shard_ids.tolist()))
+        if touched and (touched[0] < 0 or touched[-1] >= self.n_shards):
             raise CalibrationError(
                 f"shard id out of range for {self.n_shards} shards"
             )
 
-        n_before = len(self)
-        offsets = self._offsets()
+        sizes = self.shard_sizes
         # Invalidate the caches up front: from here every failure mode
         # is exotic (e.g. a custom policy raising mid-loop), and stale
         # cached snapshots must never outlive a partial mutation.  Only
         # the shards receiving rows can mutate, so untouched shards'
-        # segment copies stay valid (the structural-sharing invariant).
-        self._invalidate_columns(np.unique(shard_ids))
-        order_segments = []
+        # segment copies stay valid (the structural-sharing invariant)
+        # and are not even visited.
+        self._invalidate_columns(touched)
         shard_updates = {}
         shard_batches = {}
-        for s, shard in enumerate(self.shards):
-            existing = np.arange(
-                offsets[s], offsets[s] + len(shard), dtype=np.int64
-            )
+        for s in touched:
             routed = np.flatnonzero(shard_ids == s)
-            if len(routed) == 0:
-                order_segments.append(existing)
-                continue
-            sub = shard.add(
+            shard_updates[s] = self.shards[s].add(
                 priority=priorities[routed],
                 **{name: values[routed] for name, values in arrays.items()},
             )
-            # Map the shard's local combined layout (its rows, then its
-            # routed slice of the batch) back to global combined
-            # positions, then gather through the shard's own order.
-            local_to_global = np.concatenate([existing, n_before + routed])
-            order_segments.append(local_to_global[sub.order])
-            shard_updates[s] = sub
             shard_batches[s] = routed
-        return self._compose(n_before, n_new, order_segments, shard_updates, shard_batches)
-
-    def _compose(self, n_before, n_added, order_segments, shard_updates, shard_batches):
-        order = (
-            np.concatenate(order_segments)
-            if order_segments
-            else np.zeros(0, dtype=np.int64)
-        )
-        keep_mask = np.zeros(n_before + n_added, dtype=bool)
-        keep_mask[order] = True
-        self._tag_mutation(shard_updates.keys())
-        return ShardedStoreUpdate(
-            n_before=n_before,
-            n_added=n_added,
-            keep_mask=keep_mask,
-            evicted=np.flatnonzero(~keep_mask),
-            order=order,
-            shard_updates=shard_updates,
-            shard_batches=shard_batches,
-        )
+        self._tag_mutation(shard_updates)
+        return ShardedStoreUpdate(sum(sizes), n_new, sizes, shard_updates, shard_batches)
 
     def evict(self, positions) -> ShardedStoreUpdate:
         """Remove samples at global exposed ``positions``."""
@@ -894,25 +907,19 @@ class ShardedCalibrationStore:
         if len(positions) and (positions.min() < -n or positions.max() >= n):
             raise IndexError(f"eviction position out of range for store of {n}")
         positions = positions % n if len(positions) else positions
+        sizes = self.shard_sizes
         offsets = self._offsets()
         owners = self.shard_of(positions)
-        self._invalidate_columns(np.unique(owners))
-        order_segments = []
+        touched = np.unique(owners)
+        self._invalidate_columns(touched)
         shard_updates = {}
         shard_batches = {}
-        for s, shard in enumerate(self.shards):
-            existing = np.arange(
-                offsets[s], offsets[s] + len(shard), dtype=np.int64
-            )
+        for s in touched.tolist():
             local = positions[owners == s] - offsets[s]
-            if len(local) == 0:
-                order_segments.append(existing)
-                continue
-            sub = shard.evict(local)
-            order_segments.append(existing[sub.order])
-            shard_updates[s] = sub
+            shard_updates[s] = self.shards[s].evict(local)
             shard_batches[s] = np.zeros(0, dtype=np.int64)
-        return self._compose(n, 0, order_segments, shard_updates, shard_batches)
+        self._tag_mutation(shard_updates)
+        return ShardedStoreUpdate(n, 0, sizes, shard_updates, shard_batches)
 
     def clear(self, lifetime: bool = False) -> None:
         """Clear every shard and drop fitted routing state.

@@ -72,7 +72,7 @@ from .pvalue import (
     LabelGroupedScores,
     group_scores_by_label,
     merge_group_counts,
-    update_label_groups,
+    update_committee_groups,
 )
 from .segments import (
     BundleComposeHook,
@@ -253,7 +253,7 @@ class _ShardMixin:
             return int(self._bundle.fields["_features"].trailing_shape[0])
         return int(self.prom._features.shape[1])
 
-    def _build_bundle(self, fresh: bool) -> dict:
+    def _build_bundle(self, fresh: bool, before=None) -> dict:
         """Assemble the :class:`SegmentBundle` from the current shard
         states, per the class compose spec; returns the field dict.
 
@@ -266,50 +266,73 @@ class _ShardMixin:
         rescore: fields whose every block is identical to the previous
         bundle's are reused outright (flat caches carried along), and
         the flat arrays are left to lazy materialization.
+
+        ``before`` maps each shard the mutation touched to its layouts
+        from before it.  Given a previous bundle, only those shards'
+        blocks are fetched — every other block is the previous
+        bundle's — and each expert's group counts move by the touched
+        shards' count deltas (integers, so exactly the per-shard sum).
         """
         prom = self.prom
         states = self._shard_states
         previous = None if fresh else self._bundle
-        experts = self._compose_experts()
+        n_experts = len(self._compose_experts())
         n_labels = self._compose_n_labels()
+        touched = None if previous is None or before is None else sorted(before)
 
-        def build_field(name, blocks):
-            if fresh:
-                return SegmentedField(blocks, flat=getattr(prom, name))
-            return make_field(
-                blocks, previous.fields.get(name) if previous else None
-            )
+        def build_field(old, block_of, flat):
+            if touched is None:
+                blocks = tuple(block_of(s) for s in range(len(states)))
+                if fresh:
+                    return SegmentedField(blocks, flat=flat())
+                return make_field(blocks, old)
+            blocks = list(old.segments)
+            changed = False
+            for s in touched:
+                block = block_of(s)
+                changed = changed or block is not blocks[s]
+                blocks[s] = block
+            return SegmentedField(blocks) if changed else old
 
-        fields = {
-            name: build_field(name, self.store.column_segments(column))
-            for name, column in self._compose_store_fields.items()
-        }
-        for name in self._compose_state_fields:
-            attr = name.lstrip("_")
+        old_fields = {} if previous is None else previous.fields
+        old_scores = (None,) * n_experts if previous is None else previous.score_fields
+        fields = {}
+        for name, column in self._compose_store_fields.items():
             fields[name] = build_field(
-                name, tuple(getattr(state, attr) for state in states)
+                old_fields.get(name),
+                lambda s, column=column: self.store.column_segment(s, column),
+                lambda name=name: getattr(prom, name),
             )
-        score_fields = []
-        for e in range(len(experts)):
-            blocks = tuple(state.scores[e] for state in states)
-            if fresh:
-                score_fields.append(SegmentedField(blocks, flat=prom._scores[e]))
-            else:
-                score_fields.append(
-                    make_field(
-                        blocks,
-                        previous.score_fields[e] if previous else None,
+        for name in self._compose_state_fields:
+            fields[name] = build_field(
+                old_fields.get(name),
+                lambda s, attr=name.lstrip("_"): getattr(states[s], attr),
+                lambda name=name: getattr(prom, name),
+            )
+        score_fields = tuple(
+            build_field(
+                old_scores[e],
+                lambda s, e=e: states[s].scores[e],
+                lambda e=e: prom._scores[e],
+            )
+            for e in range(n_experts)
+        )
+        if touched is None:
+            group_counts = tuple(
+                merge_group_counts([state.layouts[e] for state in states], n_labels)
+                for e in range(n_experts)
+            )
+        else:
+            group_counts = list(previous.group_counts)
+            for s in touched:
+                for e, (old, new) in enumerate(zip(before[s], states[s].layouts)):
+                    group_counts[e] = group_counts[e] + (
+                        new.group_counts - old.group_counts
                     )
-                )
         self._bundle = SegmentBundle(
             fields=fields,
-            score_fields=tuple(score_fields),
-            group_counts=tuple(
-                merge_group_counts(
-                    [state.layouts[e] for state in states], n_labels
-                )
-                for e in range(len(experts))
-            ),
+            score_fields=score_fields,
+            group_counts=tuple(group_counts),
             label_key=self._compose_label_key,
             n_labels=n_labels,
         )
@@ -326,19 +349,21 @@ class _ShardMixin:
         self._bundle_fresh = fresh
         return fields
 
-    def _compose_global(self, retune_tau: bool) -> None:
+    def _compose_global(self, retune_tau: bool, before=None) -> None:
         """Recompose the detector's global state from per-shard segments.
 
         Builds a fresh immutable :class:`~repro.core.segments.SegmentBundle`
-        in ``O(touched shards)``: untouched shards contribute the same
-        block objects as the previous bundle (segment order is the
-        store's global exposed order, and group counts add
-        integer-exactly), tau is re-resolved from a per-segment row
-        gather, and the flat arrays are *not* rebuilt here — the next
-        detector state read materializes them, bit-identical to the
-        eager concatenation a fresh ``calibrate()`` would produce.
+        in ``O(touched shards)`` (``before``: the touched shards' layouts
+        from before the mutation, see :meth:`_build_bundle`): untouched
+        shards contribute the same block objects as the previous bundle
+        (segment order is the store's global exposed order, and group
+        counts add integer-exactly), tau is re-resolved from a row
+        gather over the segments, and the flat arrays are *not* rebuilt
+        here — the next detector state read materializes them,
+        bit-identical to the eager concatenation a fresh ``calibrate()``
+        would produce.
         """
-        fields = self._build_bundle(fresh=False)
+        fields = self._build_bundle(fresh=False, before=before)
         self._retune_composed_tau(retune_tau, fields["_features"])
 
     @property
@@ -463,6 +488,10 @@ class _ShardMixin:
         else:
             for shard_id in shard_ids:
                 fn(shard_id)
+
+    def _layouts_of(self, shard_ids) -> dict:
+        """Shard id -> its current layouts, for :meth:`_build_bundle`."""
+        return {int(s): self._shard_states[s].layouts for s in shard_ids}
 
     def _shard_blocks(self):
         """Yield ``(shard_id, start, stop)`` global row blocks."""
@@ -684,12 +713,9 @@ class StreamingPromClassifier(_ShardMixin):
 
     def _apply(self, update: StoreUpdate, new_scores, new_labels, retune_tau: bool):
         prom = self.prom
-        prom._layouts = [
-            update_label_groups(
-                layout, update.keep_mask, scores, new_labels, order=update.order
-            )
-            for layout, scores in zip(prom._layouts, new_scores)
-        ]
+        prom._layouts = update_committee_groups(
+            prom._layouts, update.keep_mask, new_scores, new_labels, update.order
+        )
         prom._scores = [layout.scores for layout in prom._layouts]
         prom._features = self.store.column("features")
         prom._labels = self.store.column("label")
@@ -703,21 +729,19 @@ class StreamingPromClassifier(_ShardMixin):
             state = self._shard_states[shard_id]
             sub = update.shard_updates[shard_id]
             routed = update.shard_batches[shard_id]
-            state.layouts = [
-                update_label_groups(
-                    layout,
-                    sub.keep_mask,
-                    scores[routed],
-                    new_labels[routed],
-                    order=sub.order,
-                )
-                for layout, scores in zip(state.layouts, new_scores)
-            ]
+            state.layouts = update_committee_groups(
+                state.layouts,
+                sub.keep_mask,
+                [scores[routed] for scores in new_scores],
+                new_labels[routed],
+                sub.order,
+            )
             state.scores = [layout.scores for layout in state.layouts]
             state.tau = None  # stale; shard_taus recomputes on read
 
+        before = self._layouts_of(update.touched)
         self._map_shards(update.touched, fold, parallel=False)
-        self._compose_global(retune_tau)
+        self._compose_global(retune_tau, before)
 
     def recalibrate_shards(
         self, shard_ids=None, retune_tau: bool = True
@@ -764,8 +788,9 @@ class StreamingPromClassifier(_ShardMixin):
             ]
             state.tau = None
 
+        before = self._layouts_of(shard_ids)
         self._map_shards(shard_ids, rescore)
-        self._compose_global(retune_tau)
+        self._compose_global(retune_tau, before)
         self._bump_epoch()
         return self
 
@@ -1034,12 +1059,9 @@ class StreamingPromRegressor(_ShardMixin):
 
     def _apply(self, update: StoreUpdate, new_scores, new_clusters, retune_tau: bool):
         prom = self.prom
-        prom._layouts = [
-            update_label_groups(
-                layout, update.keep_mask, scores, new_clusters, order=update.order
-            )
-            for layout, scores in zip(prom._layouts, new_scores)
-        ]
+        prom._layouts = update_committee_groups(
+            prom._layouts, update.keep_mask, new_scores, new_clusters, update.order
+        )
         prom._scores = [layout.scores for layout in prom._layouts]
         prom._clusters = np.concatenate([prom._clusters, new_clusters])[update.order]
         prom._features = self.store.column("features")
@@ -1054,24 +1076,22 @@ class StreamingPromRegressor(_ShardMixin):
             state = self._shard_states[shard_id]
             sub = update.shard_updates[shard_id]
             routed = update.shard_batches[shard_id]
-            state.layouts = [
-                update_label_groups(
-                    layout,
-                    sub.keep_mask,
-                    scores[routed],
-                    new_clusters[routed],
-                    order=sub.order,
-                )
-                for layout, scores in zip(state.layouts, new_scores)
-            ]
+            state.layouts = update_committee_groups(
+                state.layouts,
+                sub.keep_mask,
+                [scores[routed] for scores in new_scores],
+                new_clusters[routed],
+                sub.order,
+            )
             state.scores = [layout.scores for layout in state.layouts]
             state.clusters = np.concatenate(
                 [state.clusters, new_clusters[routed]]
             )[sub.order]
             state.tau = None  # stale; shard_taus recomputes on read
 
+        before = self._layouts_of(update.touched)
         self._map_shards(update.touched, fold, parallel=False)
-        self._compose_global(retune_tau)
+        self._compose_global(retune_tau, before)
 
     def recalibrate_shards(
         self, shard_ids=None, retune_tau: bool = True
@@ -1123,8 +1143,9 @@ class StreamingPromRegressor(_ShardMixin):
             ]
             state.tau = None
 
+        before = self._layouts_of(shard_ids)
         self._map_shards(shard_ids, rescore)
-        self._compose_global(retune_tau)
+        self._compose_global(retune_tau, before)
         self._bump_epoch()
         return self
 

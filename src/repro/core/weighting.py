@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from .blocks import as_column, panel_product
+from .blocks import as_column, panel_bounds, panel_product
 from .exceptions import ConfigurationError, ValidationError
 
 #: soft bound on the number of float64 cells a distance block may hold
@@ -22,10 +22,10 @@ from .exceptions import ConfigurationError, ValidationError
 DISTANCE_CELL_BUDGET = 4_000_000
 
 #: rows :func:`median_pairwise_tau` subsamples, and the seed of the
-#: draw.  Shared with the segment-aware tau path
-#: (:func:`repro.core.segments.tau_feature_sample`), which must
-#: reproduce the exact same draw for the resolved tau to stay
-#: bit-identical — change these HERE, never by restating the literals.
+#: draw.  Shared with the streaming tau sketch
+#: (:class:`repro.core.segments.TauSketch`), which must reproduce the
+#: exact same draw for the resolved tau to stay bit-identical — change
+#: these HERE, never by restating the literals.
 TAU_MAX_ROWS = 200
 TAU_SEED = 0
 
@@ -96,8 +96,34 @@ def squared_distance_matrix(A, B=None, chunk_size=None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _upper_triangle_indices(n: int):
-    return np.triu_indices(n, k=1)
+def _upper_triangle_flat(n: int) -> np.ndarray:
+    """Flat positions of the strict upper triangle of an ``n x n`` array.
+
+    Row-major, i.e. the order ``np.triu_indices(n, k=1)`` visits.
+    """
+    rows, cols = np.triu_indices(n, k=1)
+    return rows * n + cols
+
+
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))``, bitwise, with one partition.
+
+    ``np.median`` partitions at up to three positions (both middles and
+    the end, for its NaN check) and averages through ``np.mean``.  One
+    partition at ``h = m // 2`` places the upper middle; for an even
+    count the lower middle is the largest value left of it, and
+    ``(lo + hi) / 2`` is exactly what ``np.mean`` of the pair computes.
+    NaN sorts last, so the result is NaN whenever any value is.
+    Partitions ``values`` in place.
+    """
+    h = len(values) // 2
+    values.partition(h)
+    upper = values[h]
+    if np.isnan(values[h:].max()):
+        return float("nan")
+    if len(values) % 2:
+        return float(upper)
+    return float((values[:h].max() + upper) / 2.0)
 
 
 def median_pairwise_tau(
@@ -112,6 +138,13 @@ def median_pairwise_tau(
     (one ``max_rows x max_rows`` GEMM and a ~20k-element median, a few
     hundred microseconds) regardless of the calibration-set size, so it
     can rerun on every streaming micro-batch.
+
+    The distance block is :func:`squared_distance_matrix`'s arithmetic
+    without its column machinery: one ``NN`` GEMM per canonical panel
+    against a C-contiguous transpose, row-chunked by the same cell
+    budget, then the same in-place ``-2`` / ``+norms`` / clip passes.
+    The strict upper triangle is read with one flat ``take`` and its
+    median by :func:`_median` (DESIGN.md §3).
     """
     features = np.asarray(features, dtype=float)
     n = len(features)
@@ -120,10 +153,27 @@ def median_pairwise_tau(
     if n > max_rows:
         rng = np.random.default_rng(seed)
         features = features[rng.choice(n, size=max_rows, replace=False)]
-    squared = squared_distance_matrix(features)
-    distances = squared[_upper_triangle_indices(len(features))]
-    median = float(np.median(distances))
-    return max(median, 1e-9)
+        n = max_rows
+    if features.ndim != 2:
+        raise ValidationError("feature arrays must be 2-D")
+    norms = np.einsum("ij,ij->i", features, features)
+    panels = [
+        (c0, np.ascontiguousarray(features[c0:c1].T))
+        for c0, c1 in panel_bounds(n)
+    ]
+    blocks = []
+    chunk = _auto_chunk(n)
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        block = panel_product(features[start:stop], panels, n)
+        block *= -2.0
+        block += norms[start:stop, None]
+        block += norms[None, :]
+        np.clip(block, 0.0, None, out=block)
+        blocks.append(block)
+    squared = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    distances = np.take(squared.ravel(), _upper_triangle_flat(n))
+    return max(_median(distances), 1e-9)
 
 
 @dataclass(frozen=True)

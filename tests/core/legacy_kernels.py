@@ -13,6 +13,13 @@ and the docstrings dropped.
 
 The tier-1 suite (``test_kernel_oracle.py``) and
 ``benchmarks/bench_batch_eval.py --smoke`` both run the grid.
+
+:func:`legacy_median_pairwise_tau` is the automatic-tau kernel from
+before its lean rewrite (no column panel cache, flat triangle ``take``,
+one-partition median), with the one-block ``BlockColumn`` distance
+path it ran through inlined: panels built into ``np.empty`` by
+transposed assignment, one ``NN`` GEMM per panel into a fresh chunk
+block, ``np.triu_indices`` and ``np.median``.
 """
 
 from __future__ import annotations
@@ -28,11 +35,61 @@ from repro.core import (
     group_scores_by_label,
     pvalues_from_binning,
 )
-from repro.core.blocks import BlockColumn
+from repro.core.blocks import PANEL_ROWS, SEGMENT_DIRECT_MIN_ROWS, BlockColumn
 from repro.core.exceptions import ConfigurationError, ValidationError
 from repro.core.pvalue import WEIGHT_MODES
 from repro.core.segments import SegmentLayout
-from repro.core.weighting import iter_squared_distance_chunks
+from repro.core.weighting import DISTANCE_CELL_BUDGET, iter_squared_distance_chunks
+
+
+def _legacy_panel_bounds(n: int) -> tuple:
+    if n <= 0:
+        return ()
+    if n < SEGMENT_DIRECT_MIN_ROWS:
+        return ((0, n),)
+    return tuple(
+        (c0, min(c0 + PANEL_ROWS, n)) for c0 in range(0, n, PANEL_ROWS)
+    )
+
+
+def _legacy_squared_distance_matrix(A) -> np.ndarray:
+    A = np.asarray(A, dtype=float)
+    calibration = A  # as_column(A): a one-block column over A itself
+    out = np.empty((len(A), len(calibration)))
+    calibration_sq = np.einsum("ij,ij->i", calibration, calibration)
+    panels = []
+    for c0, c1 in _legacy_panel_bounds(len(calibration)):
+        panel = np.empty(calibration.shape[1:] + (c1 - c0,))
+        rows = calibration[c0:c1]
+        panel[:, 0 : len(rows)] = rows.T
+        panels.append((c0, panel))
+    chunk = max(1, DISTANCE_CELL_BUDGET // max(1, len(calibration)))
+    for start in range(0, len(A), chunk):
+        stop = min(len(A), start + chunk)
+        block_rows = A[start:stop]
+        block = np.empty((len(block_rows), len(calibration)))
+        for c0, panel in panels:
+            np.matmul(block_rows, panel, out=block[:, c0 : c0 + panel.shape[1]])
+        block *= -2.0
+        block += np.einsum("ij,ij->i", block_rows, block_rows)[:, None]
+        block += calibration_sq[None, :]
+        np.clip(block, 0.0, None, out=block)
+        out[start:stop] = block
+    return out
+
+
+def legacy_median_pairwise_tau(features, max_rows: int = 200, seed: int = 0) -> float:
+    features = np.asarray(features, dtype=float)
+    n = len(features)
+    if n < 2:
+        return 1.0
+    if n > max_rows:
+        rng = np.random.default_rng(seed)
+        features = features[rng.choice(n, size=max_rows, replace=False)]
+    squared = _legacy_squared_distance_matrix(features)
+    distances = squared[np.triu_indices(len(features), k=1)]
+    median = float(np.median(distances))
+    return max(median, 1e-9)
 
 
 def legacy_select_batch(

@@ -13,10 +13,12 @@ import pytest
 
 from repro.core import PromClassifier, bin_subset_by_label, pvalues_from_binning
 from repro.core.prom import _evaluation_view
+from repro.core.weighting import median_pairwise_tau
 
 from .legacy_kernels import (
     check_bit_identity,
     legacy_bin_subset_by_label,
+    legacy_median_pairwise_tau,
     legacy_pvalues_from_binning,
     legacy_select_batch,
     oracle_grid,
@@ -82,3 +84,73 @@ def test_committee_pvalues_bit_identical(weight_mode):
                 layout, old_binning, test_scores, weight_mode=weight_mode, tail=function.tail
             ),
         )
+
+
+def _tau_inputs(case):
+    """Feature sets for the tau oracle, by name."""
+    rng = np.random.default_rng(11)
+    if case == "odd_pairs":  # 199 rows: 19701 pairs
+        return rng.normal(size=(199, 9)), {}
+    if case == "even_pairs":  # 200 rows: 19900 pairs
+        return rng.normal(size=(200, 9)), {}
+    if case == "tiny_odd":  # 3 rows: 3 pairs
+        return rng.normal(size=(3, 4)), {}
+    if case == "tiny_even":  # 4 rows: 6 pairs
+        return rng.normal(size=(4, 4)), {}
+    if case == "ties":  # a few distinct values: the middle pair ties
+        return rng.integers(0, 3, size=(160, 5)).astype(float), {}
+    if case == "below_max_rows":
+        return rng.normal(size=(120, 7)) * 3.0, {}
+    if case == "subsampled":
+        return rng.normal(size=(1500, 7)), {}
+    if case == "multi_panel":  # 2 panels, 2 row chunks
+        return rng.normal(size=(2600, 6)), {"max_rows": 2100}
+    if case == "strided":  # a non-contiguous view, not subsampled
+        return rng.normal(size=(150, 12))[:, ::2], {}
+    raise AssertionError(case)
+
+
+TAU_CASES = (
+    "odd_pairs",
+    "even_pairs",
+    "tiny_odd",
+    "tiny_even",
+    "ties",
+    "below_max_rows",
+    "subsampled",
+    "multi_panel",
+    "strided",
+)
+
+
+@pytest.mark.parametrize("case", TAU_CASES)
+def test_median_pairwise_tau_bit_identical_to_oracle(case):
+    features, kwargs = _tau_inputs(case)
+    live = median_pairwise_tau(features, **kwargs)
+    frozen = legacy_median_pairwise_tau(features, **kwargs)
+    assert type(live) is float
+    assert np.float64(live).tobytes() == np.float64(frozen).tobytes()
+
+
+def test_tau_ties_case_really_ties_at_the_middle():
+    features, _ = _tau_inputs("ties")
+    n = len(features)
+    rows, cols = np.triu_indices(n, k=1)
+    distances = np.sort(((features[rows] - features[cols]) ** 2).sum(axis=1))
+    h = len(distances) // 2
+    assert distances[h - 1] == distances[h]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_median_pairwise_tau_non_finite_gives_nan_like_the_oracle(value):
+    features, _ = _tau_inputs("even_pairs")
+    features[7, 3] = value
+    with np.errstate(invalid="ignore"):  # inf - inf is the point
+        assert np.isnan(legacy_median_pairwise_tau(features))
+        assert np.isnan(median_pairwise_tau(features))
+
+
+def test_median_pairwise_tau_small_sets_match_the_oracle():
+    assert median_pairwise_tau(np.ones((1, 3))) == 1.0
+    same = np.ones((5, 3))  # every distance is 0: the floor applies
+    assert median_pairwise_tau(same) == legacy_median_pairwise_tau(same) == 1e-9

@@ -6,6 +6,8 @@ import pytest
 from repro import PromClassifier, PromRegressor
 from repro.core import (
     CalibrationError,
+    StreamingPromClassifier,
+    StreamingPromRegressor,
     LAC,
     NotCalibratedError,
     ValidationError,
@@ -109,6 +111,94 @@ class TestEvaluateBoundaryValidation:
         with pytest.raises(ValidationError):
             prom.evaluate(test, np.zeros(9))
         _assert_same_decisions(before, prom.evaluate(test, test[:, 0]))
+
+
+class TestNonFiniteInputs:
+    """NaN/inf at the public boundary raise before any state changes."""
+
+    @pytest.fixture()
+    def classifier_data(self):
+        rng = np.random.default_rng(3)
+        raw = rng.random((150, 4)) + 0.05
+        features = rng.normal(size=(150, 3))
+        probabilities = raw / raw.sum(axis=1, keepdims=True)
+        labels = rng.integers(0, 4, 150)
+        return features, probabilities, labels
+
+    @staticmethod
+    def _poisoned(array, value, index=(1, 1)):
+        array = np.array(array, dtype=float)
+        array[index] = value
+        return array
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["features", "probabilities"])
+    def test_classifier_evaluate_rejects_non_finite(self, classifier_data, value, where):
+        features, probabilities, labels = classifier_data
+        prom = PromClassifier().calibrate(features, probabilities, labels)
+        test_f, test_p = features[:5], probabilities[:5]
+        before = prom.evaluate(test_f, test_p)
+        bad_f = self._poisoned(test_f, value) if where == "features" else test_f
+        bad_p = self._poisoned(test_p, value) if where == "probabilities" else test_p
+        with pytest.raises(ValidationError):
+            prom.evaluate(bad_f, bad_p)
+        with pytest.raises(ValidationError):
+            prom.evaluate_one(bad_f[1], bad_p[1])
+        _assert_same_decisions(before, prom.evaluate(test_f, test_p))
+
+    @pytest.mark.parametrize("where", ["features", "probabilities"])
+    def test_classifier_calibrate_rejects_non_finite(self, classifier_data, where):
+        features, probabilities, labels = classifier_data
+        prom = PromClassifier().calibrate(features, probabilities, labels)
+        before = prom.evaluate(features[:5], probabilities[:5])
+        bad_f = self._poisoned(features, np.nan) if where == "features" else features
+        bad_p = (
+            self._poisoned(probabilities, np.inf)
+            if where == "probabilities"
+            else probabilities
+        )
+        with pytest.raises(CalibrationError):
+            prom.calibrate(bad_f, bad_p, labels)
+        _assert_same_decisions(before, prom.evaluate(features[:5], probabilities[:5]))
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize("where", ["features", "probabilities"])
+    def test_streaming_update_rejects_non_finite(self, classifier_data, n_shards, where):
+        features, probabilities, labels = classifier_data
+        streaming = StreamingPromClassifier(capacity=200, n_shards=n_shards, seed=0)
+        streaming.calibrate(features[:120], probabilities[:120], labels[:120])
+        epoch, size = streaming.epoch, len(streaming.store)
+        before = streaming.evaluate(features[:5], probabilities[:5])
+        new_f, new_p = features[120:], probabilities[120:]
+        bad_f = self._poisoned(new_f, np.nan) if where == "features" else new_f
+        bad_p = self._poisoned(new_p, np.nan) if where == "probabilities" else new_p
+        with pytest.raises(CalibrationError):
+            streaming.update(bad_f, bad_p, labels[120:])
+        assert streaming.epoch == epoch
+        assert len(streaming.store) == size
+        _assert_same_decisions(
+            before, streaming.evaluate(features[:5], probabilities[:5])
+        )
+
+    def test_regressor_rejects_non_finite(self):
+        rng = np.random.default_rng(4)
+        features = rng.normal(size=(90, 3))
+        targets = features[:, 0]
+        streaming = StreamingPromRegressor(capacity=120, n_shards=3, seed=0)
+        streaming.calibrate(features[:80], targets[:80] + 0.1, targets[:80])
+        epoch = streaming.epoch
+        test = features[80:85]
+        before = streaming.evaluate(test, test[:, 0])
+        with pytest.raises(ValidationError):
+            streaming.evaluate(self._poisoned(test, np.nan), test[:, 0])
+        with pytest.raises(ValidationError):
+            streaming.evaluate(test, self._poisoned(test[:, 0], np.inf, index=2))
+        with pytest.raises(CalibrationError):
+            streaming.update(
+                features[85:], targets[85:], self._poisoned(targets[85:], np.nan, 0)
+            )
+        assert streaming.epoch == epoch
+        _assert_same_decisions(before, streaming.evaluate(test, test[:, 0]))
 
 
 class TestPromClassifierDetection:

@@ -48,7 +48,7 @@ from repro.core.blocks import (
     panel_product,
 )
 from repro.core.prom import _evaluation_view, _pending_bundle
-from repro.core.weighting import AdaptiveWeighting
+from repro.core.weighting import AdaptiveWeighting, squared_distance_matrix
 
 ROUTERS = ("hash", "label", "cluster")
 POLICIES = ("fifo", "reservoir", "lowest_weight")
@@ -231,21 +231,59 @@ class TestBlockColumn:
 
     def test_inherit_cache_drops_panels_of_dead_blocks(self):
         column, flat = self._column(cuts=(1500, 700))
-        column.panels()
-        # replace the block under the straddling second panel
+        old_panels = column.panels()
+        # replace the block under the straddling second and third panels
         blocks = list(column.segments)
         blocks[1] = blocks[1].copy()
         successor = BlockColumn(blocks)
         successor.inherit_cache(column)
-        inherited_keys = set(successor._panel_map)
-        for key in inherited_keys:
-            assert all(part[0] != id(column.segments[1]) for part in key)
+        assert successor._previous is column
+        panels = successor.panels()
+        assert successor._previous is None  # the predecessor is unpinned
+        # the first panel holds block 0 rows only: carried as is
+        assert panels[0][1] is old_panels[0][1]
+        for (_, panel), (_, old) in zip(panels[1:3], old_panels[1:3]):
+            assert panel is not old and not np.shares_memory(panel, old)
         # and the rebuilt panels still match a one-block column bitwise
         test = np.random.default_rng(4).normal(size=(3, 5))
         assert np.array_equal(
-            panel_product(test, successor.panels(), len(flat)),
+            panel_product(test, panels, len(flat)),
             panel_product(test, BlockColumn([flat]).panels(), len(flat)),
         )
+
+    @pytest.mark.parametrize("grow", [1, -1, 37])
+    def test_shifted_panels_are_repaired_bitwise(self, grow):
+        column, flat = self._column(cuts=(1100, 900, 0, 300))
+        old_panels = column.panels()
+        # resize block 1: every later row moves off its old panel slot
+        g = np.random.default_rng(5)
+        blocks = list(column.segments)
+        if grow > 0:
+            blocks[1] = np.concatenate([blocks[1], g.normal(size=(grow, 5))])
+        else:
+            blocks[1] = blocks[1][1:].copy()
+        successor = BlockColumn(blocks)
+        successor.inherit_cache(column)
+        panels = successor.panels()
+        fresh_flat = np.concatenate(blocks)
+        fresh = BlockColumn([fresh_flat]).panels()
+        assert [c0 for c0, _ in panels] == [c0 for c0, _ in fresh]
+        for (_, panel), (_, reference) in zip(panels, fresh):
+            assert panel.flags.c_contiguous
+            assert panel.tobytes() == reference.tobytes()
+        # the first panel's rows did not move: it is carried, not copied
+        assert panels[0][1] is old_panels[0][1]
+        assert all(p is not old for _, p in panels[1:] for _, old in old_panels)
+
+    def test_repair_skips_a_predecessor_without_panels(self):
+        column, flat = self._column()
+        column.panels()
+        middle = BlockColumn(column.segments)
+        middle.inherit_cache(column)  # never builds its panels
+        last = BlockColumn(column.segments)
+        last.inherit_cache(middle)
+        assert last._previous is column
+        assert all(a is b for (_, a), (_, b) in zip(last.panels(), column.panels()))
 
 
 class TestSegmentDirectEquivalence:
@@ -360,20 +398,15 @@ class TestSegmentDirectEquivalence:
         streaming.calibrate(*_classification_batch(N_LARGE, seed=8))
         view = streaming._bundle.evaluation_view()
         view.prewarm()
-        before = dict(view.features._panel_map)
+        before = [panel for _, panel in view.features.panels()]
         features, probabilities, labels = _classification_batch(30, seed=500)
         streaming.update(features, probabilities, np.full(len(labels), 3))
         after_view = streaming._bundle.evaluation_view()
         assert after_view is not view
-        carried = sum(
-            1
-            for key, panel in after_view.features._panel_map.items()
-            if before.get(key) is panel
-        )
-        assert carried > 0  # untouched-shard panels were not re-gathered
+        assert after_view.features._previous is view.features
         after_view.prewarm()
         panels = after_view.features.panels()
-        reused = sum(1 for _, panel in panels if any(panel is p for p in before.values()))
+        reused = sum(1 for _, panel in panels if any(panel is p for p in before))
         assert 0 < reused < len(panels)  # the touched shard's panels are new
         flat = np.concatenate(after_view.features.segments)
         test = np.random.default_rng(6).normal(size=(2, flat.shape[1]))
@@ -381,6 +414,64 @@ class TestSegmentDirectEquivalence:
             panel_product(test, panels, len(flat)),
             panel_product(test, BlockColumn([flat]).panels(), len(flat)),
         )
+
+
+class TestOneRowFoldSequence:
+    """The deployment maintenance job, fold by fold (DESIGN.md §3, §9).
+
+    One-row folds on a 16-shard hash store that hash routing left
+    under capacity, so folds into some shards grow them and shift every
+    later shard's rows across the panel grid.  After each publish and
+    prewarm, the repaired panels, the distance blocks at batch 2 and
+    256, and the snapshot's decisions must equal a fresh computation.
+    """
+
+    def test_every_publish_matches_a_fresh_one_block_column(self):
+        n_calibration, n_folds = SEGMENT_DIRECT_MIN_ROWS + 152, 110
+        streaming = StreamingPromClassifier(
+            capacity=n_calibration, n_shards=16, router="hash", seed=0
+        )
+        streaming.calibrate(*_classification_batch(n_calibration, seed=40))
+        streaming.detector_snapshot()._segment_bundle.evaluation_view().prewarm()
+        folds = _classification_batch(n_folds, seed=41, shift=0.3)
+        tests = [_classification_batch(n, seed=42 + n) for n in (2, 256)]
+        resized = 0
+        for i in range(n_folds):
+            sizes = streaming.shard_sizes
+            streaming.update(*(column[i : i + 1] for column in folds))
+            resized += sizes != streaming.shard_sizes
+            snapshot = streaming.detector_snapshot()
+            view = snapshot._segment_bundle.evaluation_view()
+            view.prewarm()
+            flat = np.concatenate(view.features.segments)
+            fresh = BlockColumn([flat])
+            panels, fresh_panels = view.features.panels(), fresh.panels()
+            assert [c0 for c0, _ in panels] == [c0 for c0, _ in fresh_panels]
+            for (_, panel), (_, reference) in zip(panels, fresh_panels):
+                assert panel.flags.c_contiguous
+                assert panel.tobytes() == reference.tobytes()
+            reference = PromClassifier().calibrate(
+                flat,
+                streaming.store.column("probabilities"),
+                streaming.store.column("label"),
+            )
+            assert (
+                snapshot.weighting.effective_tau
+                == reference.weighting.effective_tau
+            )
+            for features, _, _ in tests:
+                assert np.array_equal(
+                    squared_distance_matrix(features, view.features),
+                    squared_distance_matrix(features, fresh),
+                )
+            # decisions at batch 2 after every fold, at 256 now and then
+            for features, probabilities, _ in tests[: 1 + (i % 25 == 0)]:
+                live = snapshot.evaluate(features, probabilities)
+                expected = reference.evaluate(features, probabilities)
+                assert np.array_equal(live.accepted, expected.accepted)
+                assert np.array_equal(live.credibility, expected.credibility)
+        assert resized >= n_folds // 5  # shard sizes changed along the way
+        assert resized < n_folds  # and some folds replaced a row in place
 
 
 class TestTauSketch:

@@ -21,16 +21,17 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    AdaptiveWeighting,
     PromClassifier,
     PromRegressor,
     SegmentBundle,
     SegmentedField,
     StreamingPromClassifier,
     StreamingPromRegressor,
-    gather_rows,
+    TauSketch,
     make_field,
-    tau_feature_sample,
 )
+from repro.core.blocks import BlockColumn
 from repro.core.weighting import median_pairwise_tau
 
 ROUTERS = ("hash", "label", "cluster")
@@ -89,47 +90,58 @@ def _calibrated_regressor(router="hash", policy="fifo", n_shards=3, capacity=100
 
 
 class TestSegmentPrimitives:
+    # the segmented row gather is BlockColumn.__getitem__ (DESIGN.md §9)
     def test_gather_rows_matches_flat_gather(self):
         g = np.random.default_rng(0)
         segments = [g.normal(size=(n, 4)) for n in (7, 0, 12, 3)]
         flat = np.concatenate(segments)
         rows = g.permutation(len(flat))[:15]
-        assert np.array_equal(gather_rows(segments, rows), flat[rows])
+        assert np.array_equal(BlockColumn(segments)[rows], flat[rows])
 
     def test_gather_rows_preserves_duplicate_and_order(self):
         segments = [np.arange(5.0), np.arange(5.0, 9.0)]
         rows = [8, 0, 8, 3, 5]
-        assert gather_rows(segments, rows).tolist() == [8.0, 0.0, 8.0, 3.0, 5.0]
+        assert BlockColumn(segments)[rows].tolist() == [8.0, 0.0, 8.0, 3.0, 5.0]
+        # feature rows: grouped by block internally, returned in order
+        wide = [np.arange(10.0).reshape(5, 2), np.arange(10.0, 18.0).reshape(4, 2)]
+        flat = np.concatenate(wide)
+        assert np.array_equal(BlockColumn(wide)[rows], flat[rows])
 
     def test_gather_rows_negative_indices_wrap_like_numpy(self):
         segments = [np.arange(3.0), np.arange(3.0, 5.0)]
         flat = np.concatenate(segments)
         rows = [-1, -5, 2, -2]
-        assert np.array_equal(gather_rows(segments, rows), flat[rows])
+        assert np.array_equal(BlockColumn(segments)[rows], flat[rows])
+        wide = [np.ones((3, 2)), np.zeros((2, 2))]
+        assert np.array_equal(
+            BlockColumn(wide)[np.asarray(rows)], np.concatenate(wide)[rows]
+        )
 
     def test_gather_rows_rejects_out_of_range(self):
-        segments = [np.arange(3.0), np.arange(3.0, 5.0)]
+        segments = [np.ones((3, 2)), np.zeros((2, 2))]
         with pytest.raises(IndexError):
-            gather_rows(segments, [5])
+            BlockColumn(segments)[np.asarray([5])]
         with pytest.raises(IndexError):
-            gather_rows(segments, [-6])
+            BlockColumn(segments)[np.asarray([-6])]
         with pytest.raises(ValueError):
-            gather_rows([], [0])
+            BlockColumn([])
 
     def test_tau_sample_bit_identical_to_flat_resolution(self):
         g = np.random.default_rng(3)
         segments = tuple(g.normal(size=(n, 6)) for n in (150, 90, 120))
         field = SegmentedField(segments)
         flat = np.concatenate(segments)
-        assert median_pairwise_tau(tau_feature_sample(field)) == (
+        assert TauSketch().resolve(AdaptiveWeighting(), field) == (
             median_pairwise_tau(flat)
         )
 
     def test_tau_sample_small_sets_use_everything(self):
         segments = (np.ones((3, 2)), np.zeros((4, 2)))
         field = SegmentedField(segments)
-        sample = tau_feature_sample(field, max_rows=200)
-        assert np.array_equal(sample, np.concatenate(segments))
+        sketch = TauSketch(max_rows=200)
+        tau = sketch.resolve(AdaptiveWeighting(), field)
+        assert np.array_equal(sketch._sample, np.concatenate(segments))
+        assert tau == median_pairwise_tau(np.concatenate(segments))
 
     def test_make_field_reuses_identical_segments(self):
         blocks = (np.arange(3.0), np.arange(4.0))
