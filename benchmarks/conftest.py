@@ -15,7 +15,10 @@ incremental learning.  Rendered outputs are also written to
 import json
 import os
 import pickle
+import platform
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments import run_classification, run_incremental, run_regression
@@ -28,6 +31,7 @@ from repro.tasks import (
     VulnerabilityDetectionTask,
 )
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 CACHE_DIR = os.path.join(os.path.dirname(__file__), ".cache")
 
@@ -54,12 +58,49 @@ def write_artifact(name: str, text: str) -> None:
         handle.write(text + "\n")
 
 
+def git_sha() -> str:
+    """HEAD of the checkout, read from ``.git`` without running git."""
+    git = REPO_ROOT / ".git"
+    try:
+        ref = (git / "HEAD").read_text().strip()
+        if not ref.startswith("ref: "):
+            return ref
+        name = ref[5:]
+        if (git / name).exists():
+            return (git / name).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + name):
+                return line.split()[0]
+    except OSError:
+        pass
+    return "unknown"
+
+
+def bench_environment() -> dict:
+    """Where a bench ran: the fields ``perfbench/run.py`` records too."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except Exception:  # noqa: BLE001 -- the record is best effort
+        blas = "unknown"
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+        "git_sha": git_sha(),
+    }
+
+
 def update_bench_json(name: str, payload: dict) -> str:
     """Merge ``payload`` into a JSON perf artifact under ``out/``.
 
     Several benches contribute sections to the same tracking file (e.g.
     ``BENCH_batch_eval.json``), so the update is a read-merge-write of
-    top-level keys.  Returns the artifact path.
+    top-level keys.  Every write also refreshes the ``env`` envelope
+    (git SHA, cores, NumPy/BLAS), so numbers stay comparable across
+    checkouts.  Returns the artifact path.
     """
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, name)
@@ -68,6 +109,7 @@ def update_bench_json(name: str, payload: dict) -> str:
         with open(path) as handle:
             data = json.load(handle)
     data.update(payload)
+    data["env"] = bench_environment()
     with open(path, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")

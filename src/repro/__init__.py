@@ -98,15 +98,14 @@ def deploy(
     checkpointing: CheckpointConfig | None = None,
     pruning: PruningConfig | None = None,
 ):
-    """Run the end-to-end deployment stream (config spelling only).
+    """Run the end-to-end deployment stream.
 
     The top-level facade over
     :func:`repro.experiments.stream_deployment`: detect drift per
     micro-batch, relabel within budget, fold the answers back into the
     calibration state, and return the
     :class:`~repro.experiments.runner.StreamResult`.  Configuration
-    arrives as the four :mod:`repro.core.config` objects — this entry
-    point never accepts the deprecated flat keywords.
+    arrives as the four :mod:`repro.core.config` objects.
     """
     from .experiments import stream_deployment
 

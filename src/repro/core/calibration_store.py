@@ -253,6 +253,12 @@ def resolve_eviction_policy(policy) -> EvictionPolicy:
     )
 
 
+#: exposure keys of the arrival / priority buffers (tuples, so no
+#: column name can collide with them)
+_ARRIVAL = ("arrival",)
+_PRIORITY = ("priority",)
+
+
 class CalibrationStore:
     """Bounded, eviction-managed container of aligned sample columns.
 
@@ -281,10 +287,14 @@ class CalibrationStore:
     ``StoreUpdate.order``-tracked) permutation of arrival order; use
     :meth:`arrival_order` to normalize when comparing stores.
 
-    Because slot reuse rewrites rows in place, ``column()`` views are
-    only guaranteed valid until the next mutation; consumers that hold
-    state across mutations must either re-fetch (what the streaming
-    wrappers do) or copy.
+    Every view the store hands out (:meth:`column`, :attr:`arrival`,
+    :attr:`priority`) is read-only and immutable: its bytes never change
+    afterwards, so consumers may hold it across mutations without a
+    defensive copy.  Appends and head advances never write exposed
+    rows; a slot-reuse write first copies any buffer that handed out a
+    view since its last copy (copy-on-write).  A FIFO store therefore
+    never copies, while reservoir / lowest-weight stores pay one live-
+    window copy per exposed buffer on the next slot reuse.
     """
 
     def __init__(self, capacity: int, policy="fifo", seed: int = 0):
@@ -300,6 +310,9 @@ class CalibrationStore:
         self._head = 0
         self._tail = 0
         self._seen = 0
+        # keys of the buffers that handed out a view since their last
+        # copy; slot-reuse writes copy these first (copy-on-write)
+        self._exposed: set = set()
 
     def __len__(self) -> int:
         return self._tail - self._head
@@ -313,29 +326,57 @@ class CalibrationStore:
     def column_names(self) -> tuple:
         return tuple(self._buffers)
 
+    def schema(self) -> dict | None:
+        """Column name -> trailing row shape, or ``None`` pre-schema."""
+        if not self._buffers:
+            return None
+        return {name: buffer.shape[1:] for name, buffer in self._buffers.items()}
+
+    def _expose(self, key, buffer: np.ndarray) -> np.ndarray:
+        """A read-only view of ``buffer``'s live window, recorded as exposed."""
+        self._exposed.add(key)
+        view = buffer[self._head : self._tail]
+        view.flags.writeable = False
+        return view
+
+    def _private(self, key, buffer: np.ndarray) -> np.ndarray:
+        """``buffer``, copied first when it exposed a view since its last copy.
+
+        The copy-on-write step before an in-place slot-reuse write: only
+        the live window is copied, into a buffer of the same layout, so
+        the shared ``[head, tail)`` window stays valid.
+        """
+        if key not in self._exposed:
+            return buffer
+        self._exposed.discard(key)
+        fresh = np.empty_like(buffer)
+        fresh[self._head : self._tail] = buffer[self._head : self._tail]
+        return fresh
+
     @property
     def arrival(self) -> np.ndarray:
-        """Monotone arrival counter of each stored sample."""
-        return self._arrival_buffer[self._head : self._tail]
+        """Monotone arrival counter of each stored sample (read-only view)."""
+        return self._expose(_ARRIVAL, self._arrival_buffer)
 
     @property
     def priority(self) -> np.ndarray:
-        """Retention priority of each stored sample."""
-        return self._priority_buffer[self._head : self._tail]
+        """Retention priority of each stored sample (read-only view)."""
+        return self._expose(_PRIORITY, self._priority_buffer)
 
     def column(self, name: str) -> np.ndarray:
         """Return one stored column (exposed store order).
 
-        The returned array is a view of the store's buffer — treat it
-        as read-only, and as valid only until the next mutation:
-        slot-reuse evictions overwrite freed rows in place.
+        The returned array is a read-only view of the store's buffer
+        whose bytes never change: later slot-reuse writes copy the
+        buffer first (see the class docstring).
         """
         try:
-            return self._buffers[name][self._head : self._tail]
+            buffer = self._buffers[name]
         except KeyError:
             raise KeyError(
                 f"store has no column {name!r}; columns: {self.column_names}"
             ) from None
+        return self._expose(name, buffer)
 
     def arrival_order(self) -> np.ndarray:
         """Exposed-order positions sorted by arrival (oldest first).
@@ -345,7 +386,9 @@ class CalibrationStore:
         reuse permuted the exposed layout, so content comparisons across
         stores with different mutation histories stay meaningful.
         """
-        return np.argsort(self.arrival, kind="stable")
+        return np.argsort(
+            self._arrival_buffer[self._head : self._tail], kind="stable"
+        )
 
     def clear(self, lifetime: bool = False) -> None:
         """Drop all samples and the column schema; keep the RNG state.
@@ -362,6 +405,7 @@ class CalibrationStore:
         self._priority_buffer = np.zeros(0, dtype=float)
         self._head = 0
         self._tail = 0
+        self._exposed = set()
         if lifetime:
             self._seen = 0
 
@@ -371,12 +415,13 @@ class CalibrationStore:
 
     # -- internal storage ---------------------------------------------------------
     def _set_from_arrays(self, columns: dict, arrival, priority) -> None:
-        """Adopt exact arrays as the new live window (head 0)."""
+        """Adopt exact (owned, unexposed) arrays as the live window (head 0)."""
         self._buffers = dict(columns)
         self._arrival_buffer = arrival
         self._priority_buffer = priority
         self._head = 0
         self._tail = len(arrival)
+        self._exposed = set()
 
     def _reserve(self, columns: dict, n_extra: int) -> None:
         """Promote dtypes / grow buffers so ``n_extra`` tail rows fit.
@@ -412,6 +457,7 @@ class CalibrationStore:
             self._arrival_buffer = regrow(self._arrival_buffer)
             self._priority_buffer = regrow(self._priority_buffer)
             self._head, self._tail = 0, n
+            self._exposed = set()
 
     def _append(self, columns: dict, arrival, priority) -> None:
         """Write a batch at the tail, growing-and-compacting if needed."""
@@ -424,12 +470,7 @@ class CalibrationStore:
         self._tail = stop
 
     def _check_batch(self, columns: dict):
-        schema = (
-            {name: b.shape[1:] for name, b in self._buffers.items()}
-            if self._buffers
-            else None
-        )
-        return check_batch_columns(columns, schema)
+        return check_batch_columns(columns, self.schema())
 
     def add(self, priority=None, **columns) -> StoreUpdate:
         """Append a batch of samples, evicting down to capacity.
@@ -452,8 +493,9 @@ class CalibrationStore:
                 raise CalibrationError("priority must align with the added batch")
 
         new_arrival = self._seen + np.arange(n_new, dtype=np.int64)
-        combined_arrival = np.concatenate([self.arrival, new_arrival])
-        combined_priority = np.concatenate([self.priority, new_priority])
+        live = slice(self._head, self._tail)
+        combined_arrival = np.concatenate([self._arrival_buffer[live], new_arrival])
+        combined_priority = np.concatenate([self._priority_buffer[live], new_priority])
         self._seen += n_new
 
         n_total = n_before + n_new
@@ -519,8 +561,12 @@ class CalibrationStore:
                 self._reserve(arrays, len(tail))
                 slots = self._head + freed
                 for name, values in arrays.items():
-                    self._buffers[name][slots] = values[fill]
+                    buffer = self._private(name, self._buffers[name])
+                    buffer[slots] = values[fill]
+                    self._buffers[name] = buffer
+                self._arrival_buffer = self._private(_ARRIVAL, self._arrival_buffer)
                 self._arrival_buffer[slots] = new_arrival[fill]
+                self._priority_buffer = self._private(_PRIORITY, self._priority_buffer)
                 self._priority_buffer[slots] = new_priority[fill]
                 if len(tail):
                     self._append(
@@ -556,9 +602,12 @@ class CalibrationStore:
         positions = positions % n if len(positions) else positions
         keep_mask = np.ones(n, dtype=bool)
         keep_mask[positions] = False
-        merged = {name: self.column(name)[keep_mask] for name in self._buffers}
+        live = slice(self._head, self._tail)
+        # boolean gathers copy: the compacted arrays are fresh buffers
         self._set_from_arrays(
-            merged, self.arrival[keep_mask], self.priority[keep_mask]
+            {name: b[live][keep_mask] for name, b in self._buffers.items()},
+            self._arrival_buffer[live][keep_mask],
+            self._priority_buffer[live][keep_mask],
         )
         return StoreUpdate(
             n_before=n,
@@ -574,9 +623,7 @@ class CalibrationStore:
         columns (features, probabilities) must be recomputed — possibly
         with a different trailing shape (e.g. a grown class head).
         """
-        # np.array (not asarray): the store must own the buffer — see
-        # the copy-on-adoption note in add().
-        values = np.array(values)
+        values = np.asarray(values)
         if name not in self._buffers:
             raise KeyError(f"store has no column {name!r}")
         if len(values) != len(self):
@@ -584,14 +631,14 @@ class CalibrationStore:
                 f"replacement column {name!r} has {len(values)} rows, "
                 f"store holds {len(self)}"
             )
-        # Re-anchor every buffer to the live window so the replaced
-        # column (whose trailing shape may differ) stays aligned.
-        self._set_from_arrays(
-            {n: self.column(n) for n in self._buffers},
-            self.arrival,
-            self.priority,
+        # A fresh buffer laid out like the others (same length, values
+        # in the shared live window); its trailing shape may differ.
+        buffer = np.empty(
+            (len(self._arrival_buffer),) + values.shape[1:], dtype=values.dtype
         )
-        self._buffers[name] = values
+        buffer[self._head : self._tail] = values
+        self._buffers[name] = buffer
+        self._exposed.discard(name)
 
     def __repr__(self) -> str:
         return (

@@ -1,9 +1,7 @@
 """Deployment configuration objects (the PR 9 API redesign).
 
-``stream_deployment`` grew one flat keyword per feature for eight PRs
-— 22 by the time the multi-process tier landed — and every new serving
-plane made the signature worse.  These frozen dataclasses group the
-knobs by the plane that consumes them:
+``stream_deployment`` takes its knobs as these frozen dataclasses,
+grouped by the plane that consumes them:
 
 * :class:`LoopConfig` — the deployment loop itself (batching, relabel
   budget, drift monitor, model-update policy);
@@ -22,9 +20,8 @@ knobs by the plane that consumes them:
 All are frozen and validated at construction
 (:class:`~repro.core.exceptions.ConfigurationError`, which IS-A
 ``ValueError``), so a bad value fails where it was written, not deep
-inside a deployment run.  The legacy flat-kwarg spelling of
-``stream_deployment`` still works for one release behind a
-``DeprecationWarning`` shim that maps onto these objects.
+inside a deployment run.  They are the only spelling: the call takes
+no flat keywords, so an unknown one is Python's own ``TypeError``.
 """
 
 from __future__ import annotations

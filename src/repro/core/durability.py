@@ -68,7 +68,6 @@ import numpy as np
 from .clustering import CalibrationClusterer
 from .exceptions import CheckpointError, ConfigurationError, ValidationError
 from .pvalue import group_scores_by_label
-from .sharding import ShardedCalibrationStore
 from .streaming import StreamingPromClassifier, _ShardState
 from ..ml.cluster import KMeans
 
@@ -204,10 +203,10 @@ def _is_classifier(streaming) -> bool:
 def _capture(streaming) -> tuple:
     """Snapshot the runtime into ``(payload, shard_entries, global_arrays)``.
 
-    ``shard_entries`` is one ``(manifest_entry, arrays)`` pair per shard
-    (a single-store runtime is treated as one shard); ``arrays`` are the
-    immutable blocks to persist.  Must run with the runtime quiescent
-    (the serving loop calls this under its maintenance mutex).
+    ``shard_entries`` is one ``(manifest_entry, arrays)`` pair per
+    shard; ``arrays`` are the immutable blocks to persist.  Must run
+    with the runtime quiescent (the serving loop calls this under its
+    maintenance mutex).
     """
     prom = streaming.prom
     store = streaming.store
@@ -230,52 +229,31 @@ def _capture(streaming) -> tuple:
             "fixed": weighting.tau,
             "resolved": weighting._resolved_tau,
         },
+        "store_epoch": int(store.epoch),
+        "capacities": [int(c) for c in store.shard_capacities],
+        "policies": [policy.name for policy in store.policies],
+        "router": store.router.name,
     }
     shard_entries = []
-    if streaming.is_sharded:
-        payload["store_epoch"] = int(store.epoch)
-        payload["capacities"] = [int(c) for c in store.shard_capacities]
-        payload["policies"] = [policy.name for policy in store.policies]
-        payload["router"] = store.router.name
-        states = streaming._shard_states
-        for s, shard in enumerate(store.shards):
-            arrays = {
-                f"col:{name}": store.column_segment(s, name) for name in columns
-            }
-            arrays["arrival"] = np.array(shard.arrival)
-            arrays["priority"] = np.array(shard.priority)
-            for e in range(len(experts)):
-                arrays[f"score:{e}"] = np.asarray(states[s].scores[e])
-            if not classifier:
-                arrays["clusters"] = np.asarray(states[s].clusters)
-            entry = {
-                "epoch": int(store.shard_epochs[s]),
-                "n_seen": int(shard.n_seen),
-                "rng": shard._rng.bit_generator.state,
-            }
-            shard_entries.append((entry, arrays))
-    else:
-        payload["store_epoch"] = int(streaming.epoch)
-        payload["capacities"] = [int(store.capacity)]
-        payload["policies"] = [store.policy.name]
-        payload["router"] = None
-        arrays = {f"col:{name}": np.array(store.column(name)) for name in columns}
-        arrays["arrival"] = np.array(store.arrival)
-        arrays["priority"] = np.array(store.priority)
+    states = streaming._shard_states
+    for s, shard in enumerate(store.shards):
+        arrays = {f"col:{name}": store.column_segment(s, name) for name in columns}
+        arrays["arrival"] = shard.arrival
+        arrays["priority"] = shard.priority
         for e in range(len(experts)):
-            arrays[f"score:{e}"] = np.array(prom._scores[e])
+            arrays[f"score:{e}"] = np.asarray(states[s].scores[e])
         if not classifier:
-            arrays["clusters"] = np.array(prom._clusters)
+            arrays["clusters"] = np.asarray(states[s].clusters)
         entry = {
-            "epoch": int(streaming.epoch),
-            "n_seen": int(store.n_seen),
-            "rng": store._rng.bit_generator.state,
+            "epoch": int(store.shard_epochs[s]),
+            "n_seen": int(shard.n_seen),
+            "rng": shard._rng.bit_generator.state,
         }
         shard_entries.append((entry, arrays))
 
     global_arrays = {}
-    router = getattr(store, "router", None)
-    if router is not None and router.name == "cluster" and router.is_fitted:
+    router = store.router
+    if router.name == "cluster" and router.is_fitted:
         global_arrays["router_centers"] = np.asarray(
             router._kmeans.cluster_centers_
         )
@@ -288,7 +266,7 @@ def _capture(streaming) -> tuple:
     return payload, shard_entries, global_arrays
 
 
-def _shard_fingerprint(streaming, shard_id: int, columns) -> tuple | None:
+def _shard_fingerprint(streaming, shard_id: int, columns) -> tuple:
     """The tuple of one shard's immutable block objects.
 
     Under the compose layer's copy-on-write discipline, a shard whose
@@ -296,11 +274,8 @@ def _shard_fingerprint(streaming, shard_id: int, columns) -> tuple | None:
     bit-identical content — the same invariant structural-sharing
     snapshot publishes rely on.  The writer holds the previous
     fingerprint's objects (not bare ``id()`` integers, which a later
-    allocation could legally reuse) and compares by identity.  Returns
-    ``None`` in single-store mode (no stable block objects).
+    allocation could legally reuse) and compares by identity.
     """
-    if not streaming.is_sharded or streaming._shard_states is None:
-        return None
     store = streaming.store
     state = streaming._shard_states[shard_id]
     blocks = [store.column_segment(shard_id, name) for name in columns]
@@ -543,14 +518,9 @@ def _validate(streaming, payload: dict) -> None:
             f"checkpoint carries {payload['n_experts']} expert score sets, "
             f"runtime has {len(experts)}"
         )
-    if streaming.is_sharded:
-        capacities = [int(c) for c in store.shard_capacities]
-        policies = [policy.name for policy in store.policies]
-        router = store.router.name
-    else:
-        capacities = [int(store.capacity)]
-        policies = [store.policy.name]
-        router = None
+    capacities = [int(c) for c in store.shard_capacities]
+    policies = [policy.name for policy in store.policies]
+    router = store.router.name
     if payload["capacities"] != capacities:
         problems.append(
             f"capacities differ: checkpoint {payload['capacities']}, "
@@ -579,10 +549,10 @@ def _validate(streaming, payload: dict) -> None:
         )
 
 
-def _restore_rng(store_or_shard, state: dict) -> None:
-    rng = np.random.default_rng(store_or_shard.seed)
+def _restore_rng(shard, state: dict) -> None:
+    rng = np.random.default_rng(shard.seed)
     rng.bit_generator.state = state
-    store_or_shard._rng = rng
+    shard._rng = rng
 
 
 def _restore_clusterer(prom, payload: dict, global_arrays: dict) -> None:
@@ -623,64 +593,33 @@ def _install(streaming, payload: dict, shard_blobs, global_arrays) -> None:
         _restore_clusterer(prom, payload, global_arrays)
     prom.weighting._resolved_tau = payload["tau"]["resolved"]
 
-    if isinstance(store, ShardedCalibrationStore):
-        _restore_router(store, global_arrays)
-        store._invalidate_columns()
-        states = []
-        for s, (entry, arrays) in enumerate(zip(payload["shards"], shard_blobs)):
-            shard = store.shards[s]
-            shard_columns = {name: arrays[f"col:{name}"] for name in columns}
-            shard._set_from_arrays(
-                shard_columns, arrays["arrival"], arrays["priority"]
-            )
-            shard._seen = int(entry["n_seen"])
-            _restore_rng(shard, entry["rng"])
-            store._shard_epochs[s] = int(entry["epoch"])
-            scores = [arrays[f"score:{e}"] for e in range(n_experts)]
-            group_key = (
-                shard_columns["label"] if classifier else arrays["clusters"]
-            )
-            states.append(
-                _ShardState(
-                    scores=scores,
-                    layouts=[
-                        group_scores_by_label(block, group_key, n_labels)
-                        for block in scores
-                    ],
-                    clusters=None if classifier else arrays["clusters"],
-                )
-            )
-        store._epoch = int(payload["store_epoch"])
-        streaming._shard_states = states
-        streaming._bundle = None
-        streaming._build_bundle(fresh=False)
-        streaming._materialize_composed()
-    else:
-        entry, arrays = payload["shards"][0], shard_blobs[0]
-        store._set_from_arrays(
-            {name: arrays[f"col:{name}"] for name in columns},
-            arrays["arrival"],
-            arrays["priority"],
-        )
-        store._seen = int(entry["n_seen"])
-        _restore_rng(store, entry["rng"])
+    _restore_router(store, global_arrays)
+    store._invalidate_columns()
+    states = []
+    for s, (entry, arrays) in enumerate(zip(payload["shards"], shard_blobs)):
+        shard = store.shards[s]
+        shard_columns = {name: arrays[f"col:{name}"] for name in columns}
+        shard._set_from_arrays(shard_columns, arrays["arrival"], arrays["priority"])
+        shard._seen = int(entry["n_seen"])
+        _restore_rng(shard, entry["rng"])
+        store._shard_epochs[s] = int(entry["epoch"])
         scores = [arrays[f"score:{e}"] for e in range(n_experts)]
-        prom._features = store.column("features")
-        if classifier:
-            prom._labels = store.column("label")
-            group_key = prom._labels
-        else:
-            prom._targets = store.column("target")
-            prom._clusters = arrays["clusters"]
-            group_key = prom._clusters
-        prom._scores = scores
-        prom._layouts = [
-            group_scores_by_label(block, group_key, n_labels)
-            for block in scores
-        ]
-        streaming._shard_states = None
-        streaming._bundle = None
-        streaming._bundle_fresh = True
+        group_key = shard_columns["label"] if classifier else arrays["clusters"]
+        states.append(
+            _ShardState(
+                scores=scores,
+                layouts=[
+                    group_scores_by_label(block, group_key, n_labels)
+                    for block in scores
+                ],
+                clusters=None if classifier else arrays["clusters"],
+            )
+        )
+    store._epoch = int(payload["store_epoch"])
+    streaming._shard_states = states
+    streaming._bundle = None
+    streaming._build_bundle(fresh=False)
+    streaming._materialize_composed()
     streaming._epoch = int(payload["epoch"])
 
 

@@ -80,12 +80,12 @@ class ModelInterface(abc.ABC):
         eviction: eviction policy name or instance (``"fifo"`` keeps
             the newest, drift-informative samples; see
             :mod:`repro.core.calibration_store`).
-        n_shards: calibration shards (1 = one store).  With more, the
-            calibration runtime becomes the sharded subsystem of
-            :mod:`repro.core.sharding`: per-shard capacity and
-            eviction, updates folded only into touched shards.
+        n_shards: calibration shards of the sharded store
+            (:mod:`repro.core.sharding`): per-shard capacity and
+            eviction, updates folded only into touched shards.  The
+            default one shard runs the same runtime.
         router: shard router name or instance (``"hash"``, ``"label"``,
-            ``"cluster"``); only meaningful with ``n_shards > 1``.
+            ``"cluster"``); a one-shard store never consults it.
         parallel: thread-pool width for whole-shard rescoring
             (:meth:`recalibrate_shards`); micro-batch folds stay
             serial.
@@ -204,18 +204,18 @@ class ModelInterface(abc.ABC):
 
     @property
     def shard_sizes(self) -> tuple:
-        """Per-shard calibration sizes (one entry in single-store mode)."""
+        """Per-shard calibration sizes (one entry per shard)."""
         return self.streaming.shard_sizes
 
     @property
     def shard_epochs(self) -> tuple:
-        """Per-shard mutation counters (empty in single-store mode).
+        """Per-shard mutation counters (one entry per shard).
 
         The serving plane tags published snapshots with these, so
         block-level staleness — which shards a snapshot predates — is
         observable (DESIGN.md §6).
         """
-        return tuple(getattr(self.streaming.store, "shard_epochs", ()))
+        return self.streaming.store.shard_epochs
 
     def recalibrate_shards(self, shard_ids=None) -> "ModelInterface":
         """Fully rescore the given calibration shards (all by default).
@@ -223,7 +223,7 @@ class ModelInterface(abc.ABC):
         Shard-local rebuild after operator interventions (manual shard
         eviction, policy swaps): cost proportional to the touched
         shards' rows, run on a thread pool when the interface was
-        configured with ``parallel`` workers.  Sharded mode only.
+        configured with ``parallel`` workers.
         """
         self.streaming.recalibrate_shards(shard_ids)
         return self
@@ -323,14 +323,14 @@ class ModelInterface(abc.ABC):
         # Fold the new batch into the capped store first, then rebuild
         # the whole calibration state once: the model moved, so every
         # stored feature vector and probability row is stale anyway.
-        # In sharded mode the feature and label columns carry real
+        # With several shards the feature and label columns carry real
         # values (the shard router keys on them); probabilities stay a
         # zero placeholder sized to the stored schema because a refit
         # may have grown the class head — replace_outputs handles the
         # trailing-shape change when it recomputes every surviving row.
         store = self.streaming.store
         new_features = None
-        if self.streaming.is_sharded:
+        if store.n_shards > 1:
             # worth a model forward pass only when a router consumes it
             new_features = np.asarray(self.feature_extraction(X_new), dtype=float)
             if new_features.shape[1:] != store.column("features").shape[1:]:
@@ -458,16 +458,16 @@ class RegressionModelInterface(abc.ABC):
 
     @property
     def shard_sizes(self) -> tuple:
-        """Per-shard calibration sizes (one entry in single-store mode)."""
+        """Per-shard calibration sizes (one entry per shard)."""
         return self.streaming.shard_sizes
 
     @property
     def shard_epochs(self) -> tuple:
-        """Per-shard mutation counters (empty in single-store mode).
+        """Per-shard mutation counters (one entry per shard).
 
         See :attr:`ModelInterface.shard_epochs`.
         """
-        return tuple(getattr(self.streaming.store, "shard_epochs", ()))
+        return self.streaming.store.shard_epochs
 
     def recalibrate_shards(self, shard_ids=None) -> "RegressionModelInterface":
         """Fully rescore the given calibration shards (all by default).
@@ -531,13 +531,13 @@ class RegressionModelInterface(abc.ABC):
         # the whole calibration state once against the updated model.
         # (Unlike the classifier there is no output-width hazard, and a
         # single rebuild avoids paying the "loo" mode's clustering and
-        # leave-one-out costs twice per round.)  In sharded mode the
+        # leave-one-out costs twice per round.)  With several shards the
         # feature column carries real values so the router can key on
         # them; the prediction column stays a zero placeholder because
         # replace_outputs recomputes it for every surviving row anyway.
         store = self.streaming.store
         new_features = None
-        if self.streaming.is_sharded:
+        if store.n_shards > 1:
             new_features = np.asarray(self.feature_extraction(X_new), dtype=float)
             if new_features.shape[1:] != store.column("features").shape[1:]:
                 new_features = None

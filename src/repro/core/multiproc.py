@@ -46,7 +46,6 @@ from .exceptions import ConfigurationError, ServingError, SharedSegmentError
 from .segments import (
     BundleComposeHook,
     bundle_from_manifest,
-    bundle_from_state,
     bundle_manifest,
     manifest_refs,
 )
@@ -325,10 +324,7 @@ class ProcessServingPool:
         an unchanged spec is detected by checksum and not re-exported.
         """
         self._require_open()
-        streaming = self.interface.streaming
-        bundle = getattr(streaming, "_bundle", None)
-        if bundle is None:
-            bundle = bundle_from_state(self.interface.prom)
+        bundle = self.interface.streaming._bundle
         spec_bytes = self._pickle_spec()
         token = (zlib.crc32(spec_bytes), len(spec_bytes))
         if token != self._spec_token or self._spec_ref is None:

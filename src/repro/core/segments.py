@@ -32,11 +32,11 @@ This module replaces both copies with a **segment compose layer**:
 
 The safety contract is copy-on-write: a block handed to a bundle is
 never mutated in place — folds and rescores *replace* a shard's blocks
-with fresh arrays, and store-backed blocks are owned copies taken at
-the segment cache (:meth:`~repro.core.sharding.ShardedCalibrationStore.
-column_segment`), not views of the slot-reused buffers.  Under that
-discipline sharing blocks between the live detector and any number of
-published snapshots is free.
+with fresh arrays, and store-backed blocks are the store's immutable
+views (:meth:`~repro.core.sharding.ShardedCalibrationStore.
+column_segment`), whose buffers are copied before any slot-reuse write.
+Under that discipline sharing blocks between the live detector and any
+number of published snapshots is free.
 
 Materialization is idempotent and tolerates benign races: concurrent
 first readers of one snapshot may each build the flat arrays, but every
@@ -519,33 +519,6 @@ def bundle_from_manifest(manifest: dict, attach) -> SegmentBundle:
         group_counts=[np.array(counts) for counts in manifest["group_counts"]],
         label_key=manifest["label_key"],
         n_labels=manifest["n_labels"],
-    )
-
-
-def bundle_from_state(prom) -> SegmentBundle:
-    """Synthesize a single-segment bundle from a detector's flat state.
-
-    The export path for non-sharded runtimes, whose store rewrites its
-    buffers in place: every block is an owned copy taken here, so the
-    exported segments stay frozen while the store keeps mutating.
-    Sharded runtimes never take this path — their compose bundle's
-    copy-on-write blocks are exported directly.
-    """
-    regression = state_is_set(prom, "_clusters")
-    label_key = "_clusters" if regression else "_labels"
-    fields = {"_features": SegmentedField([np.array(prom._features)])}
-    fields[label_key] = SegmentedField([np.array(getattr(prom, label_key))])
-    if state_is_set(prom, "_targets"):
-        fields["_targets"] = SegmentedField([np.array(prom._targets)])
-    layouts = prom._layouts
-    return SegmentBundle(
-        fields=fields,
-        score_fields=[
-            SegmentedField([np.array(scores)]) for scores in prom._scores
-        ],
-        group_counts=[np.array(layout.group_counts) for layout in layouts],
-        label_key=label_key,
-        n_labels=layouts[0].n_labels,
     )
 
 

@@ -162,8 +162,7 @@ class ServingStats:
     structural sharing of segment-composed snapshots (DESIGN.md §6):
     per publish, how many shards' blocks were reused by identity from
     the previously published snapshot versus rebuilt because the shard
-    mutated.  Both stay 0 in single-store mode, where snapshots are
-    deep copies.
+    mutated.
 
     ``n_candidates_scored`` / ``n_shards_pruned`` account router-aware
     shard pruning (DESIGN.md §9) when a
@@ -251,7 +250,7 @@ class ComposeSnapshot:
     ``epoch`` is the streaming wrapper's epoch the snapshot was built
     at — ``live_epoch - snapshot.epoch`` mutations have happened since.
     ``shard_epochs`` tags the per-shard store epochs the snapshot's
-    blocks correspond to (empty in single-store mode), and
+    blocks correspond to, and
     ``blocks_shared`` counts how many shards' blocks this snapshot
     shares, by identity, with the previously published one — the
     observable form of the structural-sharing publish (DESIGN.md §6).
@@ -280,8 +279,8 @@ def freeze_interface(interface):
     The clone shares the (stateless) feature-extraction hook and the
     current model reference; the detector is the frozen clone from
     :meth:`~repro.core.streaming._ShardMixin.detector_snapshot` — a
-    structural-sharing snapshot over the segment compose layer when the
-    runtime is sharded, a deep copy otherwise.  Model updates applied
+    structural-sharing snapshot over the segment compose layer.  Model
+    updates applied
     through :meth:`AsyncServingLoop.submit_model_update` swap the live
     interface's ``model`` attribute for a fresh object instead of
     mutating it (``isolate_model``), so the reference captured here
@@ -723,12 +722,8 @@ class AsyncServingLoop:
             return
         published = False
         with self._state_lock:
-            store = streaming.store
-            if streaming.is_sharded:
-                shard_ids = job.shard_ids if job.kind == "recalibrate" else None
-                with store.acquire_shards(shard_ids):
-                    self._apply(interface, job)
-            else:
+            shard_ids = job.shard_ids if job.kind == "recalibrate" else None
+            with streaming.store.acquire_shards(shard_ids):
                 self._apply(interface, job)
             # Publish once per burst, not once per job: with more work
             # already queued, this snapshot could never be the one a
@@ -834,51 +829,43 @@ class AsyncServingLoop:
     def _build_snapshot(self) -> ComposeSnapshot:
         """Freeze the current state into a new :class:`ComposeSnapshot`.
 
-        With a segment-composed (sharded) runtime this is ``O(touched
-        shards)``: the frozen detector references the live bundle's
-        immutable blocks, and the sharing with the previously published
-        snapshot is accounted per shard.  Single-store runtimes pay the
-        historical ``O(store)`` deep copy.
+        This is ``O(touched shards)``: the frozen detector references
+        the live bundle's immutable blocks, and the sharing with the
+        previously published snapshot is accounted per shard.
         """
         started = time.perf_counter()
         streaming = self.interface.streaming
         frozen = freeze_interface(self.interface)
         previous = getattr(self, "_snapshot", None)
-        bundle = getattr(frozen.prom, "_segment_bundle", None)
-        shared = 0
-        if bundle is not None:
-            previous_bundle = (
-                getattr(previous.interface.prom, "_segment_bundle", None)
-                if previous is not None
-                else None
-            )
-            shared = bundle.shared_shards_with(previous_bundle)
-            self.stats.shard_blocks_shared += shared
-            self.stats.shard_blocks_rebuilt += bundle.n_shards - shared
+        bundle = frozen.prom._segment_bundle
+        shared = bundle.shared_shards_with(
+            None if previous is None else previous.interface.prom._segment_bundle
+        )
+        self.stats.shard_blocks_shared += shared
+        self.stats.shard_blocks_rebuilt += bundle.n_shards - shared
         snapshot = ComposeSnapshot(
             epoch=streaming.epoch,
             interface=frozen,
             calibration_size=self.interface.calibration_size,
             shard_sizes=tuple(self.interface.shard_sizes),
             published_at=time.perf_counter(),
-            shard_epochs=tuple(getattr(streaming.store, "shard_epochs", ())),
+            shard_epochs=streaming.store.shard_epochs,
             blocks_shared=shared,
         )
         elapsed = time.perf_counter() - started
         self.stats.last_publish_seconds = elapsed
         self.stats.total_publish_seconds += elapsed
-        if bundle is not None:
-            # prewarm the evaluation view here, on the maintenance
-            # thread: the panel rebuilds and norm rebuilds a mutation
-            # leaves behind must not tax the first decision after the
-            # publish (DESIGN.md §9).  Timed apart from the publish —
-            # it is repair work moved off the decision path, not part
-            # of the structural-sharing pointer swap.
-            started = time.perf_counter()
-            bundle.evaluation_view().prewarm()
-            prewarm = time.perf_counter() - started
-            self.stats.last_prewarm_seconds = prewarm
-            self.stats.total_prewarm_seconds += prewarm
+        # prewarm the evaluation view here, on the maintenance thread:
+        # the panel rebuilds and norm rebuilds a mutation leaves behind
+        # must not tax the first decision after the publish (DESIGN.md
+        # §9).  Timed apart from the publish — it is repair work moved
+        # off the decision path, not part of the structural-sharing
+        # pointer swap.
+        started = time.perf_counter()
+        bundle.evaluation_view().prewarm()
+        prewarm = time.perf_counter() - started
+        self.stats.last_prewarm_seconds = prewarm
+        self.stats.total_prewarm_seconds += prewarm
         return snapshot
 
     def _publish(self) -> None:

@@ -340,7 +340,7 @@ class ShardedStoreUpdate(StoreUpdate):
 
     ``keep_mask``/``order``/``evicted`` are expressed over the *global*
     combined layout (old global exposed rows, then the added batch), so
-    any single-store consumer works unchanged.  They are ``O(n)``
+    any :class:`StoreUpdate` consumer works unchanged.  They are ``O(n)``
     arrays, built on first read from the decomposition: the streaming
     wrappers fold only the touched shards and never read them, which
     keeps a one-row add ``O(routed shard)``.
@@ -482,12 +482,11 @@ class ShardedCalibrationStore:
             for i, (cap, pol) in enumerate(zip(shard_capacities, policies))
         ]
         self._column_cache: dict[str, np.ndarray] = {}
-        # Per-shard immutable column copies (the segment cache): one
+        # Per-shard immutable column views (the segment cache): one
         # dict per shard, invalidated only when *that* shard mutates.
-        # Segment copies are what the streaming compose layer and the
-        # structural-sharing snapshots hold (core/segments.py) — they
-        # must be owned copies because slot-reuse eviction rewrites the
-        # shard's internal buffers in place.
+        # Segments are what the streaming compose layer and the
+        # structural-sharing snapshots hold (core/segments.py); shard
+        # views never change bytes, so holding them needs no copy.
         self._segment_cache: list[dict[str, np.ndarray]] = [
             {} for _ in range(self.n_shards)
         ]
@@ -696,11 +695,20 @@ class ShardedCalibrationStore:
         return np.concatenate([[0], np.cumsum(sizes)[:-1]])
 
     def _concat(self, parts, key):
-        if key not in self._column_cache:
-            self._column_cache[key] = (
-                np.concatenate(parts) if parts else np.zeros(0)
-            )
-        return self._column_cache[key]
+        """The cached global view of per-shard parts (read-only).
+
+        A sole part is returned as is: shard views are immutable, so a
+        one-shard store hands out its shard's view without a copy.
+        """
+        cached = self._column_cache.get(key)
+        if cached is None:
+            if len(parts) == 1:
+                cached = parts[0]
+            else:
+                cached = np.concatenate(parts) if parts else np.zeros(0)
+                cached.flags.writeable = False
+            self._column_cache[key] = cached
+        return cached
 
     def _schema_shard(self) -> CalibrationStore | None:
         """The first shard that has adopted the column schema."""
@@ -711,15 +719,20 @@ class ShardedCalibrationStore:
     def column(self, name: str) -> np.ndarray:
         """Concatenated shard columns (global exposed order).
 
-        The result is a cached copy: safe to hold across mutations,
-        refreshed on the next call after one.
+        The result is cached and read-only; like every store view its
+        bytes never change, so it is safe to hold across mutations
+        (refreshed on the next call after one).
         """
         reference = self._schema_shard()
         if reference is None or name not in reference.column_names:
             raise KeyError(
                 f"store has no column {name!r}; columns: {self.column_names}"
             )
-        parts = [shard.column(name) for shard in self.shards if len(shard)]
+        parts = [
+            self.column_segment(shard_id, name)
+            for shard_id, shard in enumerate(self.shards)
+            if len(shard)
+        ]
         if not parts:
             # fully-emptied store: an empty array of the schema's dtype
             # and trailing shape, exactly like CalibrationStore
@@ -727,13 +740,13 @@ class ShardedCalibrationStore:
         return self._concat(parts, name)
 
     def column_segment(self, shard_id: int, name: str) -> np.ndarray:
-        """One shard's column as an immutable owned copy (segment-cached).
+        """One shard's column as an immutable view (segment-cached).
 
         The segment compose layer's read primitive: the returned array
-        is a snapshot copy owned by the cache — later slot-reuse
-        evictions rewrite the shard's internal buffers, never this
-        array — so compose bundles and published snapshots can hold it
-        without a defensive copy.  The cache entry is dropped only when
+        is the shard's read-only column view, whose bytes never change
+        (a later slot-reuse write copies the shard buffer first), so
+        compose bundles and published snapshots can hold it without a
+        defensive copy.  The cache entry is dropped only when
         *this* shard mutates, which is what makes a post-update
         recomposition ``O(touched shards)``: untouched shards keep
         returning the same block object.
@@ -767,16 +780,16 @@ class ShardedCalibrationStore:
             )
         shard = self.shards[shard_id]
         if len(shard):
-            segment = np.array(shard.column(name))
+            segment = shard.column(name)
         else:
             # empty shard: an empty block with the schema's dtype and
             # trailing shape, mirroring column() on an emptied store
-            segment = np.array(reference.column(name)[:0])
+            segment = reference.column(name)[:0]
         cache[name] = segment
         return segment
 
     def column_segments(self, name: str) -> tuple:
-        """Per-shard owned column copies, one block per shard.
+        """Per-shard immutable column views, one block per shard.
 
         The segment-list view of :meth:`column`:
         ``np.concatenate(column_segments(name))`` equals
@@ -825,21 +838,22 @@ class ShardedCalibrationStore:
     def _schema(self) -> dict | None:
         """Column name -> trailing row shape, or ``None`` pre-schema."""
         reference = self._schema_shard()
-        if reference is None:
-            return None
-        return {
-            name: reference.column(name).shape[1:]
-            for name in reference.column_names
-        }
+        return None if reference is None else reference.schema()
 
     # -- mutations ----------------------------------------------------------------
     def route(self, **columns) -> np.ndarray:
-        """Shard ids the router would assign to a batch of columns."""
+        """Shard ids the router would assign to a batch of columns.
+
+        A one-shard store routes everything to shard 0 without fitting
+        or consulting the router.
+        """
         features = columns.get(self.feature_column)
         if features is None:
             raise CalibrationError(
                 f"routing needs the {self.feature_column!r} column"
             )
+        if self.n_shards == 1:
+            return np.zeros(len(features), dtype=int)
         labels = (
             columns.get(self.label_column)
             if self.label_column is not None
@@ -859,7 +873,7 @@ class ShardedCalibrationStore:
         # shard mutates: per-shard validation alone is not atomic — an
         # empty shard would adopt a divergent schema and earlier shards
         # would keep rows the failing add should have rejected.  The
-        # shared helper keeps sharded and single stores accepting
+        # shared helper keeps the facade and its shards accepting
         # exactly the same batches.
         arrays, n_new = check_batch_columns(columns, self._schema())
         if priority is None:
@@ -873,12 +887,16 @@ class ShardedCalibrationStore:
         shard_ids = np.asarray(shard_ids, dtype=int)
         if len(shard_ids) != n_new:
             raise CalibrationError("shard_ids must align with the added batch")
-        # a set, not np.unique: its fixed cost dominates one-row folds
-        touched = sorted(set(shard_ids.tolist()))
-        if touched and (touched[0] < 0 or touched[-1] >= self.n_shards):
-            raise CalibrationError(
-                f"shard id out of range for {self.n_shards} shards"
-            )
+        touched = []
+        if n_new:
+            lo, hi = int(shard_ids.min()), int(shard_ids.max())
+            if lo < 0 or hi >= self.n_shards:
+                raise CalibrationError(
+                    f"shard id out of range for {self.n_shards} shards"
+                )
+            # bincount, not a Python set: a set over a 12k-row batch
+            # costs ~0.25 ms
+            touched = [lo] if lo == hi else np.flatnonzero(np.bincount(shard_ids)).tolist()
 
         sizes = self.shard_sizes
         # Invalidate the caches up front: from here every failure mode
@@ -890,13 +908,19 @@ class ShardedCalibrationStore:
         self._invalidate_columns(touched)
         shard_updates = {}
         shard_batches = {}
-        for s in touched:
-            routed = np.flatnonzero(shard_ids == s)
-            shard_updates[s] = self.shards[s].add(
-                priority=priorities[routed],
-                **{name: values[routed] for name, values in arrays.items()},
-            )
-            shard_batches[s] = routed
+        if len(touched) == 1:
+            # the whole batch goes to one shard: pass it through as is
+            (s,) = touched
+            shard_updates[s] = self.shards[s].add(priority=priorities, **arrays)
+            shard_batches[s] = np.arange(n_new)
+        else:
+            for s in touched:
+                routed = np.flatnonzero(shard_ids == s)
+                shard_updates[s] = self.shards[s].add(
+                    priority=priorities[routed],
+                    **{name: values[routed] for name, values in arrays.items()},
+                )
+                shard_batches[s] = routed
         self._tag_mutation(shard_updates)
         return ShardedStoreUpdate(sum(sizes), n_new, sizes, shard_updates, shard_batches)
 
@@ -973,6 +997,8 @@ class ShardedCalibrationStore:
         capacity evicts down as usual, and per-shard stream counters
         restart (the rebuilt shards see the rows as a fresh stream).
         Returns the composing update, or ``None`` on an empty store.
+        A one-shard store has nowhere to move rows: it returns an
+        identity update and keeps its stream counters and RNG state.
 
         Raises:
             ServingError: when another thread holds any shard write
@@ -982,9 +1008,12 @@ class ShardedCalibrationStore:
         with self._structural_mutation("rebalance() the sharded store"):
             if len(self) == 0:
                 return None
+            if self.n_shards == 1:
+                n = len(self)
+                return ShardedStoreUpdate(n, 0, (n,), {}, {})
             self._tag_mutation()
             columns = {name: self.column(name) for name in self.column_names}
-            priorities = np.array(self.priority)
+            priorities = self.priority
             if refit_router:
                 self.router = self.router.clone_unfitted()
             self.shards = [

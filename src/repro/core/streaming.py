@@ -21,12 +21,11 @@ detector's calibration state *incrementally*:
   the same bounded kernel (``median_pairwise_tau``) a fresh
   ``calibrate()`` would use.
 
-With ``n_shards > 1`` the store becomes a
-:class:`~repro.core.sharding.ShardedCalibrationStore` and the wrapper
-additionally keeps **per-shard** scores, label groupings and tau.  An
-update then folds only into the shards its batch touched — untouched
-shards' state is not even copied — and the global detector state is
-re-composed *segment-aware* (:mod:`repro.core.segments`): per-shard
+The store is a :class:`~repro.core.sharding.ShardedCalibrationStore`
+(one shard by default) and the wrapper keeps **per-shard** scores,
+label groupings and tau.  An update folds only into the shards its
+batch touched — untouched shards' state is not even copied — and the
+global detector state is re-composed *segment-aware* (:mod:`repro.core.segments`): per-shard
 score/feature/label blocks stay immutable segments in a
 :class:`~repro.core.segments.SegmentBundle`, group counts are summed
 integer-exactly per segment, tau is re-resolved from a per-segment row
@@ -65,11 +64,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration_store import CalibrationStore, StoreUpdate
-from .exceptions import CalibrationError
+from .calibration_store import StoreUpdate
+from .exceptions import CalibrationError, ValidationError
 from .prom import PromClassifier, PromRegressor, _check_calibration_inputs
 from .pvalue import (
-    LabelGroupedScores,
     group_scores_by_label,
     merge_group_counts,
     update_committee_groups,
@@ -91,10 +89,19 @@ def _as_columns(extra) -> dict:
     return dict(extra)
 
 
-def _check_leaves_survivors(store, positions) -> None:
-    """Reject evictions that would empty the calibration store."""
-    positions = np.asarray(positions, dtype=int)
-    if len(store) - len(np.unique(positions % max(1, len(store)))) < 1:
+def _check_eviction(store, positions) -> None:
+    """Reject out-of-range evictions and ones that would empty the store.
+
+    Runs before anything mutates, so a rejected eviction leaves the
+    store, the detector and the epoch untouched.
+    """
+    n = len(store)
+    positions = np.asarray(positions, dtype=int).ravel()
+    if len(positions) and (positions.min() < -n or positions.max() >= n):
+        raise ValidationError(
+            f"eviction position out of range for a store of {n} samples"
+        )
+    if n - len(np.unique(positions % max(1, n))) < 1:
         raise CalibrationError("eviction would empty the calibration store")
 
 
@@ -108,8 +115,6 @@ def _shard_tau(weighting, features) -> float:
 
 
 def _make_store(capacity, eviction, seed, n_shards, router, label_column):
-    if n_shards == 1:
-        return CalibrationStore(capacity, eviction, seed=seed)
     return ShardedCalibrationStore(
         capacity,
         n_shards,
@@ -161,7 +166,7 @@ class _LiveComposeHook:
         self._wrapper._materialize_composed()
 
     def bundle(self):
-        """The current compose bundle (``None`` in single-store mode)."""
+        """The current compose bundle (``None`` before calibration)."""
         return self._wrapper._bundle
 
     def pending_bundle(self):
@@ -177,19 +182,12 @@ class _ShardMixin:
     """Shard, segment-compose and snapshot bookkeeping shared by both
     streaming wrappers.
 
-    Sharded wrappers hold the detector's global state as a
+    The wrappers hold the detector's global state as a
     :class:`~repro.core.segments.SegmentBundle` of immutable per-shard
     blocks (``self._bundle``); the detector's flat arrays are
     materialized from it lazily on first read (``self._bundle_fresh``
-    tracks whether they currently match).  Single-store wrappers keep
-    ``_bundle`` as ``None`` and behave exactly as before.
+    tracks whether they currently match).
     """
-
-    #: detector attributes that may alias store buffers (rewritten in
-    #: place by slot-reuse eviction) and must be materialized when a
-    #: frozen snapshot is published without a segment bundle
-    #: (single-store mode); set per wrapper class.
-    _snapshot_array_fields: tuple = ()
 
     #: compose spec, set per wrapper class: detector attribute ->
     #: store column for store-backed fields; detector attributes whose
@@ -214,8 +212,8 @@ class _ShardMixin:
     def _materialize_composed(self) -> None:
         """Install the current bundle's flat arrays on the detector.
 
-        The lazy half of the segment compose: no-op in single-store
-        mode or when the detector already reflects the bundle;
+        The lazy half of the segment compose: no-op before calibration
+        or when the detector already reflects the bundle;
         otherwise one ``O(store)`` concatenation per mutated epoch,
         paid by the first consumer that actually needs flat state
         (and shared with snapshots built from the same bundle).
@@ -249,9 +247,7 @@ class _ShardMixin:
     @property
     def _feature_dim(self) -> int:
         """Calibrated feature dimensionality, without materializing."""
-        if self._bundle is not None:
-            return int(self._bundle.fields["_features"].trailing_shape[0])
-        return int(self.prom._features.shape[1])
+        return int(self._bundle.fields["_features"].trailing_shape[0])
 
     def _build_bundle(self, fresh: bool, before=None) -> dict:
         """Assemble the :class:`SegmentBundle` from the current shard
@@ -349,6 +345,38 @@ class _ShardMixin:
         self._bundle_fresh = fresh
         return fields
 
+    def _rebuild_shard_states(self) -> None:
+        """Slice the detector's freshly calibrated state into per-shard
+        states and seed the compose bundle.
+
+        Runs right after a full ``calibrate()``/``refresh()``: the flat
+        arrays exist and match the store, so the bundle is built with
+        its flat caches pre-populated (score blocks are zero-copy
+        slices of the flat arrays; feature/label blocks come from the
+        store's segment cache so later folds can reuse them by
+        identity).  A shard holding every row adopts the detector's own
+        scores and layouts, which the same kernel just built.
+        """
+        prom = self.prom
+        key = getattr(prom, self._compose_label_key)
+        n_labels = self._compose_n_labels()
+        states = []
+        for _, start, stop in self._shard_blocks():
+            if stop - start == len(key):
+                scores, layouts = list(prom._scores), list(prom._layouts)
+            else:
+                scores = [expert[start:stop] for expert in prom._scores]
+                layouts = [
+                    group_scores_by_label(block, key[start:stop], n_labels)
+                    for block in scores
+                ]
+            clusters = (
+                key[start:stop] if "_clusters" in self._compose_state_fields else None
+            )
+            states.append(_ShardState(scores=scores, layouts=layouts, clusters=clusters))
+        self._shard_states = states
+        self._build_bundle(fresh=True)
+
     def _compose_global(self, retune_tau: bool, before=None) -> None:
         """Recompose the detector's global state from per-shard segments.
 
@@ -365,10 +393,6 @@ class _ShardMixin:
         """
         fields = self._build_bundle(fresh=False, before=before)
         self._retune_composed_tau(retune_tau, fields["_features"])
-
-    @property
-    def is_sharded(self) -> bool:
-        return isinstance(self.store, ShardedCalibrationStore)
 
     @property
     def epoch(self) -> int:
@@ -393,71 +417,46 @@ class _ShardMixin:
         updates.  This is the double-buffered read side of the async
         serving loop (DESIGN.md §5).
 
-        How the state is frozen depends on the compose mode:
-
-        * **sharded** — a structural-sharing snapshot (DESIGN.md §6):
-          the clone references the live
-          :class:`~repro.core.segments.SegmentBundle` of immutable
-          per-shard blocks, so freezing is ``O(n_shards)`` pointer
-          work, not an ``O(store)`` deep copy.  Untouched shards'
-          blocks are therefore *shared* (``np.shares_memory``) between
-          consecutive snapshots; folds replace touched shards' blocks
-          instead of mutating them, so shared blocks can never change
-          under a published snapshot.  Flat arrays are materialized on
-          the snapshot's first evaluate (or reused from the live
-          detector when it already materialized the same bundle).
-        * **single-store** — the store rewrites its buffers in place
-          (slot-reuse eviction), so the clone deep-copies every
-          store-aliased array, as before.
+        The snapshot is structural-sharing (DESIGN.md §6): the clone
+        references the live :class:`~repro.core.segments.SegmentBundle`
+        of immutable per-shard blocks, so freezing is ``O(n_shards)``
+        pointer work, not an ``O(store)`` deep copy.  Untouched shards'
+        blocks are therefore *shared* (``np.shares_memory``) between
+        consecutive snapshots; folds replace touched shards' blocks
+        instead of mutating them, and store-backed blocks are immutable
+        store views, so shared blocks can never change under a
+        published snapshot.  Flat arrays are materialized on the
+        snapshot's first evaluate (or reused from the live detector
+        when it already materialized the same bundle).
         """
         self.prom._require_calibrated()
         prom = copy.copy(self.prom)
         prom.weighting = copy.copy(self.prom.weighting)
         bundle = self._bundle
-        if bundle is not None:
-            # Structural sharing: the one-shot hook materializes the
-            # bundle on first read.  When the live detector's flat
-            # state already reflects the bundle, the copied attributes
-            # are current and the hook starts done — zero copies.
-            prom._compose_hook = BundleComposeHook(
-                prom, bundle, done=self._bundle_fresh
-            )
-            prom._segment_bundle = bundle
-            return prom
-        prom._compose_hook = None
-        for name in self._snapshot_array_fields:
-            setattr(prom, name, np.array(getattr(self.prom, name)))
-        layouts = [
-            LabelGroupedScores(
-                scores=np.array(layout.scores),
-                labels=np.array(layout.labels),
-                group_counts=np.array(layout.group_counts),
-                n_labels=layout.n_labels,
-            )
-            for layout in self.prom._layouts
-        ]
-        prom._layouts = layouts
-        prom._scores = [layout.scores for layout in layouts]
+        # The one-shot hook materializes the bundle on first read.
+        # When the live detector's flat state already reflects the
+        # bundle, the copied attributes are current and the hook starts
+        # done — zero copies.
+        prom._compose_hook = BundleComposeHook(prom, bundle, done=self._bundle_fresh)
+        prom._segment_bundle = bundle
         return prom
 
     @property
     def n_shards(self) -> int:
-        return getattr(self.store, "n_shards", 1)
+        return self.store.n_shards
 
     @property
     def shard_sizes(self) -> tuple:
-        return getattr(self.store, "shard_sizes", (len(self.store),))
+        return self.store.shard_sizes
 
     @property
     def shard_taus(self) -> tuple:
-        """Per-shard feature-scale taus (empty for single-store mode).
+        """Per-shard feature-scale taus (empty before calibration).
 
         Computed lazily: a fold marks its shard's tau stale, and this
         accessor re-resolves stale entries with the same bounded kernel
         a shard-local recalibration would use.
         """
-        if self._shard_states is None:
-            return ()
         taus = []
         for shard_id, state in enumerate(self._shard_states):
             if state.tau is None:
@@ -509,16 +508,16 @@ class StreamingPromClassifier(_ShardMixin):
             omitted.  Evaluation methods (``evaluate``,
             ``evaluate_one``, ``prediction_region_batch``) delegate to
             it unchanged.
-        capacity: calibration-store cap (paper: 1000) — total across
-            shards when sharded.
+        capacity: calibration-store cap (paper: 1000), total across
+            shards.
         eviction: eviction policy instance or name (``"fifo"``,
-            ``"reservoir"``, ``"lowest_weight"``); with ``n_shards > 1``
-            a sequence gives each shard its own policy.
-        seed: RNG seed of the store (randomized policies).
-        n_shards: number of calibration shards (1 = the classic single
-            store).
+            ``"reservoir"``, ``"lowest_weight"``), or a sequence giving
+            each shard its own policy.
+        seed: RNG seed of the store (randomized policies); shard ``i``
+            uses ``seed + i``.
+        n_shards: number of calibration shards.
         router: shard router name or instance (``"hash"``, ``"label"``,
-            ``"cluster"``) — only meaningful with ``n_shards > 1``.
+            ``"cluster"``); a one-shard store never consults it.
         parallel: thread-pool width for whole-shard rescoring in
             :meth:`recalibrate_shards` (``None``/``1`` = serial);
             micro-batch folds stay serial either way.
@@ -529,7 +528,6 @@ class StreamingPromClassifier(_ShardMixin):
     ``extra=`` — the schema is fixed by the first call.
     """
 
-    _snapshot_array_fields = ("_features", "_labels")
     _compose_store_fields = {"_features": "features", "_labels": "label"}
     _compose_state_fields = ()
     _compose_label_key = "_labels"
@@ -557,7 +555,7 @@ class StreamingPromClassifier(_ShardMixin):
             capacity, eviction, seed, n_shards, router, label_column="label"
         )
         self.parallel = parallel
-        self._shard_states = None
+        self._shard_states = []
         self._epoch = 0
         self._init_compose()
 
@@ -623,38 +621,9 @@ class StreamingPromClassifier(_ShardMixin):
             staged.column("label"),
         )
         self.store = staged
-        if self.is_sharded:
-            self._rebuild_shard_states()
+        self._rebuild_shard_states()
         self._bump_epoch()
         return self
-
-    def _rebuild_shard_states(self) -> None:
-        """Slice the detector's freshly calibrated state into per-shard
-        states and seed the compose bundle.
-
-        Runs right after a full ``calibrate()``/``refresh()``: the flat
-        arrays exist and match the store, so the bundle is built with
-        its flat caches pre-populated (score blocks are zero-copy
-        slices of the flat arrays; feature/label blocks come from the
-        store's segment cache so later folds can reuse them by
-        identity).
-        """
-        prom = self.prom
-        states = []
-        for _, start, stop in self._shard_blocks():
-            labels = prom._labels[start:stop]
-            scores = [expert[start:stop] for expert in prom._scores]
-            states.append(
-                _ShardState(
-                    scores=scores,
-                    layouts=[
-                        group_scores_by_label(s, labels, prom._n_classes)
-                        for s in scores
-                    ],
-                )
-            )
-        self._shard_states = states
-        self._build_bundle(fresh=True)
 
     def update(
         self,
@@ -669,7 +638,7 @@ class StreamingPromClassifier(_ShardMixin):
 
         Scores are computed for the new batch only; groupings and
         counts are carried across the store mutation (touched shards
-        only, when sharded); tau is re-resolved against the surviving
+        only); tau is re-resolved against the surviving
         features (pass ``retune_tau=False`` to freeze it — faster, but
         the detector then diverges from a fresh ``calibrate()`` until
         the next ``refresh``).  Returns the :class:`StoreUpdate`
@@ -690,39 +659,21 @@ class StreamingPromClassifier(_ShardMixin):
             label=labels,
             **_as_columns(extra),
         )
-        if self._shard_states is None:
-            self._apply(update, new_scores, labels, retune_tau)
-        else:
-            self._apply_sharded(update, new_scores, labels, retune_tau)
+        self._apply(update, new_scores, labels, retune_tau)
         self._bump_epoch()
         return update
 
     def evict(self, positions, retune_tau: bool = True) -> StoreUpdate:
         """Remove calibration samples by (global) store position."""
         self.prom._require_calibrated()
-        _check_leaves_survivors(self.store, positions)
+        _check_eviction(self.store, positions)
         update = self.store.evict(positions)
         empty = [np.zeros(0)] * len(self.prom.functions)
-        no_labels = np.zeros(0, dtype=int)
-        if self._shard_states is None:
-            self._apply(update, empty, no_labels, retune_tau)
-        else:
-            self._apply_sharded(update, empty, no_labels, retune_tau)
+        self._apply(update, empty, np.zeros(0, dtype=int), retune_tau)
         self._bump_epoch()
         return update
 
-    def _apply(self, update: StoreUpdate, new_scores, new_labels, retune_tau: bool):
-        prom = self.prom
-        prom._layouts = update_committee_groups(
-            prom._layouts, update.keep_mask, new_scores, new_labels, update.order
-        )
-        prom._scores = [layout.scores for layout in prom._layouts]
-        prom._features = self.store.column("features")
-        prom._labels = self.store.column("label")
-        if retune_tau:
-            prom.weighting.resolve_tau(prom._features)
-
-    def _apply_sharded(self, update, new_scores, new_labels, retune_tau: bool):
+    def _apply(self, update, new_scores, new_labels, retune_tau: bool):
         """Fold the batch into the touched shards, then recompose."""
 
         def fold(shard_id):
@@ -754,10 +705,6 @@ class StreamingPromClassifier(_ShardMixin):
         ``parallel`` workers are configured.  ``shard_ids=None``
         rescores every shard.
         """
-        if self._shard_states is None:
-            raise CalibrationError(
-                "recalibrate_shards needs a sharded store (n_shards > 1)"
-            )
         self.prom._require_calibrated()
         prom = self.prom
         if shard_ids is None:
@@ -806,8 +753,7 @@ class StreamingPromClassifier(_ShardMixin):
             self.store.column("probabilities"),
             self.store.column("label"),
         )
-        if self.is_sharded:
-            self._rebuild_shard_states()
+        self._rebuild_shard_states()
         self._bump_epoch()
         return self
 
@@ -818,10 +764,10 @@ class StreamingPromClassifier(_ShardMixin):
         the deployed model changed, so every stored feature vector and
         probability row is stale.  Incremental maintenance cannot help
         here (all scores change); this is the designed full-rebuild
-        path.  A sharded store additionally re-fits its router and
-        re-routes every sample (the feature space the router keyed on
-        moved too), which may trigger per-shard evictions when the new
-        routing overloads a shard.
+        path.  The store also re-fits its router and re-routes every
+        sample (the feature space the router keyed on moved too), which
+        may trigger per-shard evictions when the new routing overloads
+        a shard; a one-shard store keeps its rows where they are.
         """
         features, probabilities, labels = _check_calibration_inputs(
             features, probabilities, labels
@@ -829,8 +775,7 @@ class StreamingPromClassifier(_ShardMixin):
         self.store.replace_column("features", features)
         self.store.replace_column("probabilities", probabilities)
         self.store.replace_column("label", np.asarray(labels))
-        if self.is_sharded:
-            self.store.rebalance(refit_router=True)
+        self.store.rebalance(refit_router=True)
         self.refresh()
 
     # -- deployment (delegation) --------------------------------------------------
@@ -867,7 +812,7 @@ class StreamingPromRegressor(_ShardMixin):
       ``refit_clusters=True`` after heavy drift.
     * ``calibration_residuals="true"`` (the default prom built here)
       keeps scores per-sample pure, enabling the incremental fast path
-      (per touched shard, when sharded).  A ``"loo"`` detector couples
+      (per touched shard).  A ``"loo"`` detector couples
       every score to its neighbours, so ``update()`` transparently
       falls back to a full recompute of the LOO residuals — with the
       *fitted* clusterer, like every other update path — correct and
@@ -877,7 +822,6 @@ class StreamingPromRegressor(_ShardMixin):
     no integer label column to key ``"label"`` routing on).
     """
 
-    _snapshot_array_fields = ("_features", "_targets", "_clusters")
     _compose_store_fields = {"_features": "features", "_targets": "target"}
     _compose_state_fields = ("_clusters",)
     _compose_label_key = "_clusters"
@@ -905,7 +849,7 @@ class StreamingPromRegressor(_ShardMixin):
             capacity, eviction, seed, n_shards, router, label_column=None
         )
         self.parallel = parallel
-        self._shard_states = None
+        self._shard_states = []
         self._epoch = 0
         self._init_compose()
 
@@ -950,8 +894,7 @@ class StreamingPromRegressor(_ShardMixin):
             staged.column("target"),
         )
         self.store = staged
-        if self.is_sharded:
-            self._rebuild_shard_states()
+        self._rebuild_shard_states()
         self._bump_epoch()
         return self
 
@@ -963,31 +906,8 @@ class StreamingPromRegressor(_ShardMixin):
             self.store.column("prediction"),
             self.store.column("target"),
         )
-        if self.is_sharded:
-            self._rebuild_shard_states()
+        self._rebuild_shard_states()
         self._bump_epoch()
-
-    def _rebuild_shard_states(self) -> None:
-        """Slice the detector's freshly calibrated state into per-shard
-        states and seed the compose bundle (see the classifier's
-        :meth:`StreamingPromClassifier._rebuild_shard_states`)."""
-        prom = self.prom
-        states = []
-        for _, start, stop in self._shard_blocks():
-            clusters = prom._clusters[start:stop]
-            scores = [expert[start:stop] for expert in prom._scores]
-            states.append(
-                _ShardState(
-                    scores=scores,
-                    layouts=[
-                        group_scores_by_label(s, clusters, prom.clusterer_.k_)
-                        for s in scores
-                    ],
-                    clusters=clusters,
-                )
-            )
-        self._shard_states = states
-        self._build_bundle(fresh=True)
 
     def update(
         self,
@@ -1001,8 +921,8 @@ class StreamingPromRegressor(_ShardMixin):
         """Fold a micro-batch into the calibration state.
 
         Incremental when the detector uses per-sample (``"true"``)
-        residuals — touching only the shards the batch routed to when
-        sharded; ``"loo"`` falls back to recomputing all residuals
+        residuals — touching only the shards the batch routed to;
+        ``"loo"`` falls back to recomputing all residuals
         (fitted clusterer kept — only :meth:`refresh` re-clusters).
         """
         self.prom._require_calibrated()
@@ -1033,43 +953,24 @@ class StreamingPromRegressor(_ShardMixin):
             function.score(predictions, targets) for function in prom.score_functions
         ]
         update = self.store.add(priority=priority, **columns)
-        if self._shard_states is None:
-            self._apply(update, new_scores, new_clusters, retune_tau)
-        else:
-            self._apply_sharded(update, new_scores, new_clusters, retune_tau)
+        self._apply(update, new_scores, new_clusters, retune_tau)
         self._bump_epoch()
         return update
 
     def evict(self, positions, retune_tau: bool = True) -> StoreUpdate:
         """Remove calibration samples by (global) store position."""
         self.prom._require_calibrated()
-        _check_leaves_survivors(self.store, positions)
+        _check_eviction(self.store, positions)
         update = self.store.evict(positions)
         if self.prom.calibration_residuals != "true":
             self.refresh(refit_clusters=False, retune_tau=retune_tau)
             return update
         empty = [np.zeros(0)] * len(self.prom.score_functions)
-        no_clusters = np.zeros(0, dtype=int)
-        if self._shard_states is None:
-            self._apply(update, empty, no_clusters, retune_tau)
-        else:
-            self._apply_sharded(update, empty, no_clusters, retune_tau)
+        self._apply(update, empty, np.zeros(0, dtype=int), retune_tau)
         self._bump_epoch()
         return update
 
-    def _apply(self, update: StoreUpdate, new_scores, new_clusters, retune_tau: bool):
-        prom = self.prom
-        prom._layouts = update_committee_groups(
-            prom._layouts, update.keep_mask, new_scores, new_clusters, update.order
-        )
-        prom._scores = [layout.scores for layout in prom._layouts]
-        prom._clusters = np.concatenate([prom._clusters, new_clusters])[update.order]
-        prom._features = self.store.column("features")
-        prom._targets = self.store.column("target")
-        if retune_tau:
-            prom.weighting.resolve_tau(prom._features)
-
-    def _apply_sharded(self, update, new_scores, new_clusters, retune_tau: bool):
+    def _apply(self, update, new_scores, new_clusters, retune_tau: bool):
         """Fold the batch into the touched shards, then recompose."""
 
         def fold(shard_id):
@@ -1102,10 +1003,6 @@ class StreamingPromRegressor(_ShardMixin):
         detector couples scores across shards, so it falls back to the
         global ``refresh(refit_clusters=False)``.
         """
-        if self._shard_states is None:
-            raise CalibrationError(
-                "recalibrate_shards needs a sharded store (n_shards > 1)"
-            )
         self.prom._require_calibrated()
         if self.prom.calibration_residuals != "true":
             return self.refresh(refit_clusters=False, retune_tau=retune_tau)
@@ -1188,8 +1085,7 @@ class StreamingPromRegressor(_ShardMixin):
             group_scores_by_label(scores, prom._clusters, prom.clusterer_.k_)
             for scores in prom._scores
         ]
-        if self.is_sharded:
-            self._rebuild_shard_states()
+        self._rebuild_shard_states()
         self._bump_epoch()
         return self
 
@@ -1198,8 +1094,8 @@ class StreamingPromRegressor(_ShardMixin):
 
         Keeps membership and the fitted clusterer is re-fit as part of
         the full recalibration (the model's feature space moved, so the
-        old pseudo-labels are stale too).  A sharded store re-routes on
-        the new features first (see the classifier's
+        old pseudo-labels are stale too).  The store re-routes on the
+        new features first (see the classifier's
         :meth:`~StreamingPromClassifier.replace_outputs`).
         """
         features, predictions, targets = _check_calibration_inputs(
@@ -1210,8 +1106,7 @@ class StreamingPromRegressor(_ShardMixin):
         self.store.replace_column(
             "target", np.asarray(targets, dtype=float).ravel()
         )
-        if self.is_sharded:
-            self.store.rebalance(refit_router=True)
+        self.store.rebalance(refit_router=True)
         self._full_calibrate()
 
     # -- deployment (delegation) --------------------------------------------------

@@ -1428,7 +1428,7 @@ def build_trigger_stack(
     Returns a :class:`TriggerStack`, or a :class:`PerShardTriggerStack`
     when ``config.per_shard`` is set and a router with more than one
     shard is available (per-shard mode silently degrades to the global
-    stack otherwise — a single-store deployment has nothing to key on).
+    stack otherwise — a one-shard deployment has nothing to key on).
     Per-shard member stacks derive their reservoir seeds from
     ``config.seed`` and the shard id, so assembly is deterministic.
     """

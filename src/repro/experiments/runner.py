@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -407,8 +406,7 @@ class StreamStep:
     accepted, coalesced or applied), and ``snapshot_blocks_shared``
     reports how many calibration shards' blocks the snapshot that
     served this batch shared with its predecessor (the
-    structural-sharing publish of DESIGN.md §6; 0 in single-store
-    mode).
+    structural-sharing publish of DESIGN.md §6).
 
     Async accounting caveat: ``model_updated`` (and the monitor reset
     behind it) records an **accepted submission** — required for the
@@ -431,7 +429,7 @@ class StreamStep:
     scored by the GEMM, and ``(test row, skipped shard)`` pairs the
     pruner excluded.  Both stay 0 unless the run evaluated
     segment-direct with a :class:`~repro.core.pruning.CandidatePruner`
-    installed (``stream_deployment(..., prune=True)``).
+    installed (``pruning=PruningConfig(enabled=True)``).
 
     ``trigger_metric`` / ``trigger_threshold`` / ``trigger_detector``
     expose the trigger plane per step (DESIGN.md §11): the primary
@@ -536,112 +534,15 @@ class StreamResult:
     trigger_restored: bool = False
 
 
-#: legacy flat parameters of :func:`stream_deployment` in their
-#: pre-PR 9 positional order, paired with the defaults the shim keeps
-_LEGACY_PARAMS = (
-    ("batch_size", 64),
-    ("budget_fraction", 0.05),
-    ("monitor", None),
-    ("update_on_alert", True),
-    ("epochs", 20),
-    ("async_serving", False),
-    ("serving_workers", 1),
-    ("queue_capacity", 32),
-    ("backpressure", "coalesce"),
-    ("drain_each_step", False),
-    ("record_decisions", False),
-    ("checkpoint_dir", None),
-    ("checkpoint_keep", 3),
-    ("checkpoint_every", 1),
-    ("restore_from_checkpoint", False),
-    ("retry", None),
-    ("chunk_size", None),
-    ("prune", False),
-    ("prune_spill", 1.0),
-)
-
-
-def _resolve_legacy(args: tuple, kwargs: dict) -> dict:
-    """The legacy flat-kwarg spelling, normalized to a full value map.
-
-    Reproduces the pre-PR 9 signature exactly — positional order,
-    defaults, ``TypeError`` on unknown or duplicated names — and fires
-    the one :class:`DeprecationWarning` for the call.
-    """
-    values = dict(_LEGACY_PARAMS)
-    names = tuple(name for name, _ in _LEGACY_PARAMS)
-    if len(args) > len(names):
-        raise TypeError(
-            "stream_deployment() takes at most "
-            f"{3 + len(names)} positional arguments ({3 + len(args)} given)"
-        )
-    for name, value in zip(names, args):
-        values[name] = value
-    positional = frozenset(names[: len(args)])
-    for name, value in kwargs.items():
-        if name not in values:
-            raise TypeError(
-                "stream_deployment() got an unexpected keyword argument "
-                f"{name!r}"
-            )
-        if name in positional:
-            raise TypeError(
-                f"stream_deployment() got multiple values for argument {name!r}"
-            )
-        values[name] = value
-    warnings.warn(
-        "flat stream_deployment keywords are deprecated; pass "
-        "loop=LoopConfig(...), serving=ServingConfig(...), "
-        "checkpointing=CheckpointConfig(...), pruning=PruningConfig(...) "
-        "from repro.core.config instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return values
-
-
-def _configs_from_legacy(values: dict):
-    """Config objects equivalent to a legacy flat-kwarg value map."""
-    loop = LoopConfig(
-        batch_size=values["batch_size"],
-        budget_fraction=values["budget_fraction"],
-        monitor=values["monitor"],
-        update_on_alert=values["update_on_alert"],
-        epochs=values["epochs"],
-    )
-    serving = ServingConfig(
-        asynchronous=values["async_serving"],
-        workers=values["serving_workers"],
-        queue_capacity=values["queue_capacity"],
-        backpressure=values["backpressure"],
-        drain_each_step=values["drain_each_step"],
-        record_decisions=values["record_decisions"],
-    )
-    checkpointing = CheckpointConfig(
-        directory=values["checkpoint_dir"],
-        keep=values["checkpoint_keep"],
-        every=values["checkpoint_every"],
-        restore=values["restore_from_checkpoint"],
-        retry=values["retry"],
-    )
-    pruning = PruningConfig(
-        enabled=values["prune"],
-        spill=values["prune_spill"],
-        chunk_size=values["chunk_size"],
-    )
-    return loop, serving, checkpointing, pruning
-
-
 def stream_deployment(
     interface,
     X_stream,
     oracle_labels,
-    *legacy_args,
+    *,
     loop: LoopConfig | None = None,
     serving: ServingConfig | None = None,
     checkpointing: CheckpointConfig | None = None,
     pruning: PruningConfig | None = None,
-    **legacy_kwargs,
 ) -> StreamResult:
     """Serve a sample stream end to end: detect, relabel, recalibrate.
 
@@ -699,60 +600,15 @@ def stream_deployment(
             (DESIGN.md §9); ``spill=1.0`` keeps decisions
             bit-identical to the unpruned path.
 
-    Sharding note: with an interface built over a sharded calibration
-    runtime (``n_shards > 1``), step 4's calibration work routes
-    through the shard layer — an ``extend_calibration`` batch folds
-    only into the shards it touches, and every :class:`StreamStep`
-    records ``n_shards_touched`` so shard churn is observable per
-    batch.
-
-    Deprecated spelling: the pre-PR 9 flat keywords (``batch_size=``,
-    ``async_serving=``, ``checkpoint_dir=``, ``prune=``, …) are still
-    accepted — they map onto the config objects behind a
-    :class:`DeprecationWarning` and produce bit-identical runs.  Mixing
-    the two spellings in one call raises
-    :class:`~repro.core.exceptions.ConfigurationError`.
+    Sharding note: step 4's calibration work routes through the shard
+    layer — an ``extend_calibration`` batch folds only into the shards
+    it touches, and every :class:`StreamStep` records
+    ``n_shards_touched`` so shard churn is observable per batch.
     """
-    config_spelling = (
-        loop is not None
-        or serving is not None
-        or checkpointing is not None
-        or pruning is not None
-    )
-    if legacy_args or legacy_kwargs:
-        if config_spelling:
-            raise ConfigurationError(
-                "stream_deployment() mixes legacy flat keywords with config "
-                "objects; pass loop=/serving=/checkpointing=/pruning= only"
-            )
-        loop, serving, checkpointing, pruning = _configs_from_legacy(
-            _resolve_legacy(legacy_args, legacy_kwargs)
-        )
-    return _stream_deployment_impl(
-        interface,
-        X_stream,
-        oracle_labels,
-        loop if loop is not None else LoopConfig(),
-        serving if serving is not None else ServingConfig(asynchronous=False),
-        checkpointing if checkpointing is not None else CheckpointConfig(),
-        pruning if pruning is not None else PruningConfig(enabled=False),
-    )
-
-
-def _stream_deployment_impl(
-    interface,
-    X_stream,
-    oracle_labels,
-    loop_config: LoopConfig,
-    serving_config: ServingConfig,
-    checkpoint_config: CheckpointConfig,
-    pruning_config: PruningConfig,
-) -> StreamResult:
-    """The deployment loop proper, over resolved config objects.
-
-    Both public spellings of :func:`stream_deployment` land here, so
-    legacy and config calls are trivially bit-identical.
-    """
+    loop_config = loop if loop is not None else LoopConfig()
+    serving_config = serving if serving is not None else ServingConfig(asynchronous=False)
+    checkpoint_config = checkpointing if checkpointing is not None else CheckpointConfig()
+    pruning_config = pruning if pruning is not None else PruningConfig(enabled=False)
     batch_size = loop_config.batch_size
     budget_fraction = loop_config.budget_fraction
     update_on_alert = loop_config.update_on_alert

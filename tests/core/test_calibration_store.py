@@ -309,3 +309,55 @@ class TestEvictionPolicies:
         store = CalibrationStore(4, policy=EvictEven())
         store.add(features=np.zeros((6, 1)), label=np.arange(6))
         assert store.column("label").tolist() == [1, 3, 4, 5]
+
+
+class TestImmutableViews:
+    """Every view the store hands out is read-only and keeps its bytes."""
+
+    def test_views_are_read_only(self):
+        store = CalibrationStore(10)
+        _add(store, 6)
+        for view in (store.column("features"), store.arrival, store.priority):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 0
+
+    @pytest.mark.parametrize("policy", ["reservoir", "lowest_weight"])
+    def test_view_survives_slot_reuse(self, policy):
+        store = CalibrationStore(12, policy, seed=3)
+        _add(store, 12, seed=0, priority=np.linspace(0.0, 1.0, 12)[::-1])
+        views = {
+            "features": store.column("features"),
+            "label": store.column("label"),
+            "arrival": store.arrival,
+            "priority": store.priority,
+        }
+        copies = {name: view.copy() for name, view in views.items()}
+        reused = 0
+        for round_ in range(6):
+            update = _add(store, 5, seed=1 + round_, priority=np.full(5, 2.0))
+            reused += len(update.evicted_existing)
+        assert reused > 0  # slot reuse really rewrote live rows
+        for name, view in views.items():
+            assert np.array_equal(view, copies[name]), name
+
+    def test_fifo_appends_never_copy(self):
+        store = CalibrationStore(8)
+        _add(store, 4, seed=0)
+        _add(store, 4, seed=1)  # grows the buffers past capacity
+        before = store.column("features")
+        _add(store, 3, seed=2)
+        after = store.column("features")
+        # the head advanced and the tail grew in the same buffer
+        assert np.shares_memory(before, after)
+        assert np.array_equal(before[3:], after[:5])
+
+    def test_replace_column_keeps_earlier_views(self):
+        store = CalibrationStore(10, "reservoir", seed=1)
+        _add(store, 10, seed=0)
+        labels = store.column("label")
+        copy = labels.copy()
+        store.replace_column("features", np.ones((10, 4)))
+        _add(store, 4, seed=2)
+        assert np.array_equal(labels, copy)
+        assert store.column("features").shape == (10, 4)

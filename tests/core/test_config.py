@@ -1,13 +1,11 @@
 """Tests for the config-object deployment API (PR 9 redesign).
 
 Covers construction-time validation of the frozen config dataclasses,
-the ``stream_deployment`` legacy-kwarg shim (deprecation warning, exact
-equivalence with the config spelling, mixing rejection), and the
+the ``stream_deployment`` call signature (config objects only), and the
 top-level ``repro.serve`` / ``repro.deploy`` facade.
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -89,79 +87,12 @@ class TestValidation:
 
 
 class TestLegacyShim:
-    def test_legacy_keywords_warn(self):
-        interface = _trained_interface()
-        X, y = _stream()
-        with pytest.warns(DeprecationWarning, match="LoopConfig"):
-            result = stream_deployment(
-                interface, X, y, batch_size=50  # legacy-kwargs-ok
-            )
-        assert result.n_samples == len(X)
-
-    def test_legacy_positionals_warn(self):
-        interface = _trained_interface()
-        X, y = _stream()
-        with pytest.warns(DeprecationWarning):
-            result = stream_deployment(interface, X, y, 50)  # legacy-kwargs-ok
-        assert len(result.steps) == 4
-
-    def test_legacy_run_is_bit_identical_to_config_run(self):
-        X, y = _stream()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = stream_deployment(
-                _trained_interface(),
-                X,
-                y,
-                batch_size=50,  # legacy-kwargs-ok
-                budget_fraction=0.2,
-                epochs=4,
-                record_decisions=True,
-            )
-        config = stream_deployment(
-            _trained_interface(),
-            X,
-            y,
-            loop=LoopConfig(batch_size=50, budget_fraction=0.2, epochs=4),
-            serving=ServingConfig(asynchronous=False, record_decisions=True),
-        )
-        assert len(legacy.steps) == len(config.steps)
-        for legacy_step, config_step in zip(legacy.steps, config.steps):
-            assert np.array_equal(
-                legacy_step.decisions.accepted, config_step.decisions.accepted
-            )
-            assert np.array_equal(
-                legacy_step.decisions.credibility,
-                config_step.decisions.credibility,
-            )
-            assert legacy_step.calibration_size == config_step.calibration_size
-        assert legacy.final_calibration_size == config.final_calibration_size
-
-    def test_mixing_spellings_rejected(self):
-        interface = _trained_interface()
-        X, y = _stream()
-        with pytest.raises(ConfigurationError, match="mixes"):
-            stream_deployment(
-                interface,
-                X,
-                y,
-                batch_size=50,  # legacy-kwargs-ok
-                loop=LoopConfig(),
-            )
+    """The flat-keyword shim is gone; the call takes config objects only."""
 
     def test_unknown_keyword_rejected(self):
         interface = _trained_interface()
         with pytest.raises(TypeError, match="unexpected keyword"):
-            stream_deployment(
-                interface, *_stream(), window_size=7  # legacy-kwargs-ok
-            )
-
-    def test_duplicate_positional_and_keyword_rejected(self):
-        interface = _trained_interface()
-        with pytest.raises(TypeError, match="multiple values"):
-            stream_deployment(
-                interface, *_stream(), 50, batch_size=60  # legacy-kwargs-ok
-            )
+            stream_deployment(interface, *_stream(), window_size=7)
 
     def test_pool_requires_async(self):
         interface = _trained_interface()

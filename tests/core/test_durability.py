@@ -17,6 +17,7 @@ the pure writer/restore tests run in the main suite.
 import json
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -326,6 +327,23 @@ def test_config_mismatch_raises_not_falls_back(tmp_path):
     other = _classifier(n_shards=4)
     with pytest.raises(CheckpointError, match="shards"):
         restore_checkpoint(other.streaming, tmp_path)
+
+
+def test_single_store_layout_is_refused(tmp_path):
+    """A manifest in the removed single-store layout (router ``None``)
+    fails the configuration check; there is no compatibility reader."""
+    live = _classifier(n_shards=1)
+    CheckpointWriter(tmp_path).checkpoint(live.streaming)
+    (path,) = tmp_path.glob("manifest-*.json")
+    payload = json.loads(path.read_text())
+    payload.pop("payload_crc")
+    payload["router"] = None
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["payload_crc"] = zlib.crc32(canonical.encode())
+    path.write_text(json.dumps(payload))
+    restored = _classifier(n_shards=1)
+    with pytest.raises(CheckpointError, match="router"):
+        restore_checkpoint(restored.streaming, tmp_path)
 
 
 def test_writer_rejects_bad_keep(tmp_path):

@@ -10,9 +10,11 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CalibrationError,
+    CalibrationStore,
     ClusterShardRouter,
     HashShardRouter,
     LabelShardRouter,
@@ -366,11 +368,27 @@ class TestShardedClassifierEquivalence:
             streaming.evaluate(test_f, test_p), fresh.evaluate(test_f, test_p)
         )
 
-    def test_single_shard_requires_sharded_store(self):
-        streaming = StreamingPromClassifier(capacity=50)
-        streaming.calibrate(*_classification_batch(40, seed=0))
-        with pytest.raises(CalibrationError):
-            streaming.recalibrate_shards()
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_single_shard_recalibrate_matches_refresh(self, policy):
+        def streamed():
+            streaming = StreamingPromClassifier(
+                capacity=50, eviction=policy, seed=3
+            )
+            streaming.calibrate(*_classification_batch(40, seed=0))
+            for round_ in range(3):
+                streaming.update(
+                    *_classification_batch(15, seed=20 + round_, shift=1.0),
+                    retune_tau=False,
+                )
+            return streaming
+
+        rescored = streamed().recalibrate_shards()
+        refreshed = streamed().refresh()
+        assert rescored.n_shards == 1
+        test_f, test_p, _ = _classification_batch(30, seed=51)
+        _assert_decision_identical(
+            rescored.evaluate(test_f, test_p), refreshed.evaluate(test_f, test_p)
+        )
 
     def test_shard_taus_exposed(self):
         streaming = StreamingPromClassifier(
@@ -465,3 +483,99 @@ class TestShardedRegressorEquivalence:
         _assert_decision_identical(
             streaming.evaluate(test_f, test_p), reference.evaluate(test_f, test_p)
         )
+
+
+# -- one-shard sharded store == bare CalibrationStore -----------------------------
+
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(1, 14), st.integers(0, 2**16)),
+        st.tuples(st.just("evict"), st.integers(0, 5), st.integers(0, 2**16)),
+        st.tuples(st.just("replace"), st.just(0), st.integers(0, 2**16)),
+        st.tuples(st.just("rebalance"), st.just(0), st.just(0)),
+    ),
+    max_size=18,
+)
+
+
+def _assert_same_store(sharded, bare):
+    assert len(sharded) == len(bare)
+    assert sharded.n_seen == bare.n_seen
+    (shard,) = sharded.shards
+    assert shard._rng.bit_generator.state == bare._rng.bit_generator.state
+    if bare.schema() is None:
+        return
+    for name in bare.column_names:
+        ours, theirs = sharded.column(name), bare.column(name)
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+    assert np.array_equal(sharded.arrival, bare.arrival)
+    assert np.array_equal(sharded.priority, bare.priority)
+
+
+class TestOneShardStoreEquivalence:
+    """A one-shard sharded store is the bare store, bit for bit."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_STORE_OPS, seed=st.integers(0, 50))
+    def test_one_shard_store_is_bit_identical_to_bare_store(
+        self, policy, ops, seed
+    ):
+        sharded = ShardedCalibrationStore(
+            12, 1, router="cluster", policy=policy, seed=seed
+        )
+        bare = CalibrationStore(12, policy, seed=seed)
+        for op, size, op_seed in ops:
+            g = np.random.default_rng(op_seed)
+            if op == "add":
+                batch = dict(
+                    features=g.normal(size=(size, 3)),
+                    label=g.integers(0, 4, size),
+                )
+                priority = g.random(size)
+                ours = sharded.add(priority=priority, **batch)
+                theirs = bare.add(priority=priority, **batch)
+                assert np.array_equal(ours.order, theirs.order)
+                assert np.array_equal(ours.evicted, theirs.evicted)
+            elif op == "evict":
+                victims = g.choice(
+                    len(bare), size=min(size, len(bare)), replace=False
+                )
+                ours = sharded.evict(victims)
+                theirs = bare.evict(victims)
+                assert np.array_equal(ours.keep_mask, theirs.keep_mask)
+            elif op == "replace" and len(bare):
+                features = g.normal(size=(len(bare), 3))
+                sharded.replace_column("features", features)
+                bare.replace_column("features", features)
+            elif op == "rebalance":
+                update = sharded.rebalance()
+                if update is not None:
+                    assert update.touched == ()
+                    assert np.array_equal(update.order, np.arange(len(bare)))
+            _assert_same_store(sharded, bare)
+        assert not sharded.router.is_fitted  # one shard never routes
+
+    def test_fifo_column_segment_shares_the_shard_buffer(self):
+        store = ShardedCalibrationStore(16, 1, seed=0)
+        g = np.random.default_rng(0)
+        for _ in range(3):
+            store.add(features=g.normal(size=(6, 3)), label=g.integers(0, 4, 6))
+        segment = store.column_segment(0, "features")
+        assert not segment.flags.writeable
+        assert np.shares_memory(segment, store.shards[0]._buffers["features"])
+        # one shard: the global column is the segment itself
+        assert store.column("features") is segment
+
+    def test_one_shard_add_skips_routing(self):
+        class Refuses(ShardRouter):
+            name = "refuses"
+
+            def route(self, features, labels=None):
+                raise AssertionError("a one-shard store must not route")
+
+        store = ShardedCalibrationStore(8, 1, router=Refuses(1))
+        update = store.add(features=np.zeros((5, 2)), label=np.arange(5))
+        assert update.touched == (0,)
+        assert len(store) == 5

@@ -18,6 +18,7 @@ from repro.core import (
     PromRegressor,
     StreamingPromClassifier,
     StreamingPromRegressor,
+    ValidationError,
 )
 
 
@@ -164,6 +165,41 @@ class TestStreamingRegressorEquivalence:
                 reference.evaluate(test_f, test_p),
             )
 
+    @pytest.mark.parametrize("residuals", ["true", "loo"])
+    def test_fitted_clusterer_survives_slot_reuse(self, residuals):
+        """Slot-reuse eviction must not rewrite the clusterer's reference rows.
+
+        The fitted pseudo-labeller keeps the calibration features it
+        was fit on; store views are immutable, so a reservoir update
+        cannot change them under it.  The reference uses a clusterer
+        copied before any update, which a deep copy taken afterwards
+        would not guarantee.
+        """
+        streaming = StreamingPromRegressor(
+            prom=PromRegressor(
+                n_clusters=4, calibration_residuals=residuals, seed=0
+            ),
+            capacity=100,
+            eviction="reservoir",
+            seed=2,
+        )
+        streaming.calibrate(*_regression_batch(110, seed=1))
+        pristine = copy.deepcopy(streaming.prom.clusterer_)
+        g = np.random.default_rng(5)
+        test_f, test_p = g.normal(size=(30, 6)), g.normal(size=30)
+        for round_ in range(4):
+            streaming.update(*_regression_batch(20, seed=30 + round_))
+            assert np.array_equal(
+                streaming.prom.clusterer_._features, pristine._features
+            )
+            reference = copy.deepcopy(streaming)
+            reference.prom.clusterer_ = copy.deepcopy(pristine)
+            reference.refresh(refit_clusters=False)
+            _assert_decision_identical(
+                streaming.evaluate(test_f, test_p),
+                reference.evaluate(test_f, test_p),
+            )
+
     def test_loo_mode_falls_back_to_full_recompute(self):
         streaming = StreamingPromRegressor(
             prom=PromRegressor(n_clusters=3, calibration_residuals="loo", seed=0),
@@ -199,3 +235,47 @@ class TestStreamingRegressorEquivalence:
         g = np.random.default_rng(1)
         with pytest.raises(CalibrationError):
             streaming.update(g.normal(size=(5, 9)), g.normal(size=5), g.normal(size=5))
+
+
+def _eviction_wrapper(kind, n_shards):
+    if kind == "classifier":
+        streaming = StreamingPromClassifier(capacity=60, seed=0, n_shards=n_shards)
+        streaming.calibrate(*_classification_batch(40, seed=0))
+        test = _classification_batch(20, seed=9)[:2]
+    else:
+        streaming = StreamingPromRegressor(
+            prom=PromRegressor(n_clusters=3, calibration_residuals="true"),
+            capacity=60,
+            seed=0,
+            n_shards=n_shards,
+        )
+        streaming.calibrate(*_regression_batch(40, seed=0))
+        test = _regression_batch(20, seed=9)[:2]
+    return streaming, test
+
+
+class TestEvictionValidation:
+    @pytest.mark.parametrize("kind", ["classifier", "regressor"])
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize(
+        "positions",
+        [[40], [-41], [0, 79], list(range(39)) + [79]],
+        ids=["past-end", "before-start", "one-bad", "would-wrap-to-empty"],
+    )
+    def test_out_of_range_positions_raise_validation_error(
+        self, kind, n_shards, positions
+    ):
+        streaming, test = _eviction_wrapper(kind, n_shards)
+        epoch = streaming.epoch
+        before = streaming.evaluate(*test)
+        with pytest.raises(ValidationError, match="out of range"):
+            streaming.evict(positions)
+        assert streaming.epoch == epoch
+        assert len(streaming.store) == 40
+        _assert_decision_identical(streaming.evaluate(*test), before)
+
+    @pytest.mark.parametrize("kind", ["classifier", "regressor"])
+    def test_in_range_negative_positions_still_evict(self, kind):
+        streaming, _ = _eviction_wrapper(kind, 1)
+        streaming.evict([-1, 0])
+        assert len(streaming.store) == 38
