@@ -165,6 +165,18 @@ class TestShardedCalibrationStore:
         with pytest.raises(KeyError):
             store.column("nope")
 
+    def test_explicit_shard_ids_validated_before_mutation(self):
+        store = self._store(capacity=12, n_shards=3)
+        features, labels = np.zeros((4, 2)), np.arange(4)
+        for bad in ([0, 1, 3, 0], [0, -1, 0, 0], [0, 1]):
+            with pytest.raises(CalibrationError):
+                store.add(shard_ids=bad, features=features, label=labels)
+            assert len(store) == 0 and store.epoch == 0
+        update = store.add(shard_ids=[2, 0, 2, 2], features=features, label=labels)
+        assert update.touched == (0, 2)
+        assert store.shard_sizes == (1, 0, 3)
+        assert store.shards[2].column("label").tolist() == [0, 2, 3]
+
     def test_global_column_is_shard_concatenation(self):
         store = self._store()
         g = np.random.default_rng(1)
