@@ -101,14 +101,15 @@ class StoreUpdate:
         return self.evicted[self.evicted >= self.n_before]
 
 
-def check_batch_columns(columns: dict, schema: dict | None = None):
+def check_batch_columns(columns: dict, schema: dict | None = None, priority=None):
     """Validate one ``add()`` batch against an optional fixed schema.
 
     The shared validation behind :class:`CalibrationStore` and the
     sharded facade, so both accept exactly the same batches.
     ``schema`` maps the fixed column names to their trailing row shapes
     (``None`` = schema not yet established).  Returns the columns as
-    ndarrays plus the batch length.
+    ndarrays, the batch length and the batch's retention priorities
+    (``priority``, default 1.0 each).
     """
     if not columns:
         raise ValidationError("add() needs at least one column")
@@ -128,7 +129,13 @@ def check_batch_columns(columns: dict, schema: dict | None = None):
                     f"column {name!r} rows have shape {values.shape[1:]}, "
                     f"store holds {schema[name]}"
                 )
-    return arrays, next(iter(lengths.values()))
+    n_new = next(iter(lengths.values()))
+    if priority is None:
+        return arrays, n_new, np.ones(n_new, dtype=float)
+    priority = np.asarray(priority, dtype=float).ravel()
+    if len(priority) != n_new:
+        raise CalibrationError("priority must align with the added batch")
+    return arrays, n_new, priority
 
 
 class EvictionPolicy(abc.ABC):
@@ -469,9 +476,6 @@ class CalibrationStore:
         self._priority_buffer[self._tail : stop] = priority
         self._tail = stop
 
-    def _check_batch(self, columns: dict):
-        return check_batch_columns(columns, self.schema())
-
     def add(self, priority=None, **columns) -> StoreUpdate:
         """Append a batch of samples, evicting down to capacity.
 
@@ -483,15 +487,13 @@ class CalibrationStore:
         Returns:
             the :class:`StoreUpdate` describing survivors and victims.
         """
-        arrays, n_new = self._check_batch(columns)
-        n_before = len(self)
-        if priority is None:
-            new_priority = np.ones(n_new, dtype=float)
-        else:
-            new_priority = np.asarray(priority, dtype=float).ravel()
-            if len(new_priority) != n_new:
-                raise CalibrationError("priority must align with the added batch")
+        arrays, _, new_priority = check_batch_columns(columns, self.schema(), priority)
+        return self._add_checked(arrays, new_priority)
 
+    def _add_checked(self, arrays: dict, new_priority: np.ndarray) -> StoreUpdate:
+        """:meth:`add` of a batch :func:`check_batch_columns` accepted."""
+        n_new = len(new_priority)
+        n_before = len(self)
         new_arrival = self._seen + np.arange(n_new, dtype=np.int64)
         live = slice(self._head, self._tail)
         combined_arrival = np.concatenate([self._arrival_buffer[live], new_arrival])

@@ -872,16 +872,12 @@ class ShardedCalibrationStore:
         # Validate the batch against the store-wide schema before any
         # shard mutates: per-shard validation alone is not atomic — an
         # empty shard would adopt a divergent schema and earlier shards
-        # would keep rows the failing add should have rejected.  The
-        # shared helper keeps the facade and its shards accepting
-        # exactly the same batches.
-        arrays, n_new = check_batch_columns(columns, self._schema())
-        if priority is None:
-            priorities = np.ones(n_new, dtype=float)
-        else:
-            priorities = np.asarray(priority, dtype=float).ravel()
-            if len(priorities) != n_new:
-                raise CalibrationError("priority must align with the added batch")
+        # would keep rows the failing add should have rejected.  Shards
+        # share the store-wide schema, so they take the checked batch
+        # without validating it again.
+        arrays, n_new, priorities = check_batch_columns(
+            columns, self._schema(), priority
+        )
         if shard_ids is None:
             shard_ids = self.route(**arrays)
         shard_ids = np.asarray(shard_ids, dtype=int)
@@ -911,14 +907,14 @@ class ShardedCalibrationStore:
         if len(touched) == 1:
             # the whole batch goes to one shard: pass it through as is
             (s,) = touched
-            shard_updates[s] = self.shards[s].add(priority=priorities, **arrays)
+            shard_updates[s] = self.shards[s]._add_checked(arrays, priorities)
             shard_batches[s] = np.arange(n_new)
         else:
             for s in touched:
                 routed = np.flatnonzero(shard_ids == s)
-                shard_updates[s] = self.shards[s].add(
-                    priority=priorities[routed],
-                    **{name: values[routed] for name, values in arrays.items()},
+                shard_updates[s] = self.shards[s]._add_checked(
+                    {name: values[routed] for name, values in arrays.items()},
+                    priorities[routed],
                 )
                 shard_batches[s] = routed
         self._tag_mutation(shard_updates)
@@ -983,7 +979,10 @@ class ShardedCalibrationStore:
             start = 0
             for shard in self.shards:
                 stop = start + len(shard)
-                if len(shard):
+                # emptied shards that keep a schema take the new
+                # trailing shape too: every shard must hold the
+                # store-wide schema add() validates against
+                if shard.column_names:
                     shard.replace_column(name, values[start:stop])
                 start = stop
             self._tag_mutation()

@@ -177,6 +177,15 @@ class TestShardedCalibrationStore:
         assert store.shard_sizes == (1, 0, 3)
         assert store.shards[2].column("label").tolist() == [0, 2, 3]
 
+    def test_replace_column_reshapes_emptied_shards(self):
+        store = self._store(capacity=12, n_shards=3)
+        store.add(shard_ids=[0, 1, 2, 2], features=np.zeros((4, 2)), label=np.arange(4))
+        store.evict([0])  # shard 0 is empty but keeps the schema
+        store.replace_column("features", np.ones((3, 5)))
+        store.add(shard_ids=[0, 1], features=np.ones((2, 5)), label=np.arange(2))
+        assert store.shard_sizes == (1, 2, 2)
+        assert store.column("features").shape == (5, 5)
+
     def test_global_column_is_shard_concatenation(self):
         store = self._store()
         g = np.random.default_rng(1)
