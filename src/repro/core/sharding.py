@@ -540,7 +540,7 @@ class ShardedCalibrationStore:
             self._shard_epochs[shard_id] += 1
 
     def _invalidate_columns(self, shard_ids=None) -> None:
-        """Drop cached concatenations and the given shards' segment copies.
+        """Drop cached concatenations and the given shards' segment views.
 
         Called *before* a mutation with the shard ids about to be
         touched (all shards by default), so a policy raising mid-loop
@@ -899,7 +899,7 @@ class ShardedCalibrationStore:
         # is exotic (e.g. a custom policy raising mid-loop), and stale
         # cached snapshots must never outlive a partial mutation.  Only
         # the shards receiving rows can mutate, so untouched shards'
-        # segment copies stay valid (the structural-sharing invariant)
+        # segment views stay valid (the structural-sharing invariant)
         # and are not even visited.
         self._invalidate_columns(touched)
         shard_updates = {}
