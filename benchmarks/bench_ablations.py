@@ -7,12 +7,13 @@ classification ablations reuse the session's fitted models and only
 re-run the detector stage.
 """
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import write_artifact
+
 import numpy as np
 
 from repro.core import UniformWeighting, detection_metrics
 from repro.experiments import figure13_sensitivity, reevaluate_with_prom
-
-from conftest import write_artifact
 
 TASK = "vulnerability_detection"
 MODEL = "Vulde"

@@ -44,13 +44,14 @@ import argparse
 import json
 import time
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import update_bench_json
+
 import numpy as np
 
 from repro.core import AsyncServingLoop, LoopConfig, ModelInterface, ServingConfig
 from repro.experiments import stream_deployment
 from repro.ml import MLPClassifier
-
-from conftest import update_bench_json
 
 #: acceptance floor: p99 decision latency during shard recalibration,
 #: synchronous loop vs async serving loop

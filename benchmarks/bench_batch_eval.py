@@ -5,7 +5,8 @@ the batch engine goes further and amortizes scoring across a whole
 test window, the way a production drift monitor consumes traffic.
 This bench pits ``evaluate()`` (vectorized batch path) against
 ``evaluate_serial()`` (the original per-sample loop, kept as the
-reference implementation) at a realistic deployment size and asserts:
+reference implementation in ``tests/core/serial_reference.py``) at a
+realistic deployment size and asserts:
 
 * the batch path is at least 10x faster, and
 * both paths produce identical accept/reject decisions, with
@@ -31,13 +32,14 @@ import os
 import sys
 import time
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import update_bench_json
+
 import numpy as np
 
 from repro.core import AdaptiveWeighting, PromClassifier, PromRegressor
 from repro.core import assess_batch, bin_subset_by_label, pvalues_from_binning
 from repro.core.prom import _evaluation_chunk, _evaluation_view
-
-from conftest import update_bench_json
 
 # the frozen kernel oracle lives with the tests, one level up
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -48,6 +50,7 @@ from tests.core.legacy_kernels import (  # noqa: E402
     legacy_select_batch,
     oracle_grid,
 )
+from tests.core.serial_reference import evaluate_serial  # noqa: E402
 
 #: acceptance floor for the batch-vs-serial speedup (classifier,
 #: n_test=500 vs n_calibration=2000)
@@ -116,7 +119,7 @@ def test_classifier_batch_speedup():
 
     prom.evaluate(test_features[:32], test_probabilities[:32])  # warmup
     serial_seconds, serial = _time_best(
-        lambda: prom.evaluate_serial(test_features, test_probabilities), repeats=2
+        lambda: evaluate_serial(prom, test_features, test_probabilities), repeats=2
     )
     batch_seconds, batch = _time_best(
         lambda: prom.evaluate(test_features, test_probabilities), repeats=5
@@ -158,7 +161,7 @@ def test_regressor_batch_speedup():
     test_predictions = rng.normal(size=n_test)
     prom.evaluate(test_features[:16], test_predictions[:16])  # warmup
     serial_seconds, serial = _time_best(
-        lambda: prom.evaluate_serial(test_features, test_predictions), repeats=2
+        lambda: evaluate_serial(prom, test_features, test_predictions), repeats=2
     )
     batch_seconds, batch = _time_best(
         lambda: prom.evaluate(test_features, test_predictions), repeats=5
@@ -197,7 +200,7 @@ def test_weight_modes_identical_under_batching():
         prom.calibrate(features, probabilities, labels)
         _assert_identical(
             prom.evaluate(test_features, test_probabilities),
-            prom.evaluate_serial(test_features, test_probabilities),
+            evaluate_serial(prom, test_features, test_probabilities),
         )
 
 

@@ -27,11 +27,12 @@ import tempfile
 import time
 from pathlib import Path
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import update_bench_json
+
 import numpy as np
 
 from repro.core import CheckpointWriter, ModelInterface, restore_checkpoint
-
-from conftest import update_bench_json
 
 #: acceptance floor (ISSUE 6): checkpointing after a single-touched-
 #: shard fold must beat a full-store dump by at least this factor

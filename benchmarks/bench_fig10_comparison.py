@@ -1,10 +1,11 @@
 """Figure 10: Prom vs RISE / TESSERACT / naive CP (MAPIE-PUNCC)."""
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import write_artifact
+
 import numpy as np
 
 from repro.experiments import figure10_comparison, run_baseline_comparison
-
-from conftest import write_artifact
 
 #: one representative model per classification case study (keeps the
 #: bench tractable; the suite's other models behave comparably)

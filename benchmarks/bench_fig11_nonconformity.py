@@ -1,8 +1,9 @@
 """Figure 11: single nonconformity functions vs the Prom committee."""
 
-from repro.experiments import figure11_nonconformity, run_nonconformity_ablation
-
+# conftest first: it pins BLAS threads before NumPy loads
 from conftest import write_artifact
+
+from repro.experiments import figure11_nonconformity, run_nonconformity_ablation
 
 #: two contrasting case studies keep this ablation tractable
 ABLATION_PAIRS = {

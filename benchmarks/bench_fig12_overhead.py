@@ -1,8 +1,9 @@
 """Figure 12: initial training vs incremental-learning wall-clock."""
 
-from repro.experiments import figure12_overhead
-
+# conftest first: it pins BLAS threads before NumPy loads
 from conftest import write_artifact
+
+from repro.experiments import figure12_overhead
 
 
 def test_fig12_training_overhead(benchmark, suite):

@@ -6,6 +6,9 @@
 (d) coverage deviation across the case studies.
 """
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import write_artifact
+
 import numpy as np
 
 from repro.core import (
@@ -21,8 +24,6 @@ from repro.experiments import (
 )
 from repro.models import tlp
 from repro.tasks import DnnCodeGenerationTask
-
-from conftest import write_artifact
 
 
 def test_fig13a_significance_sweep(benchmark, suite):

@@ -6,12 +6,13 @@ for windows far from the training data, reproducing the paper's
 motivation plot.
 """
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import write_artifact
+
 from repro.core import f1_score
 from repro.experiments import figure13_sensitivity
 from repro.models import vulde
 from repro.tasks import VulnerabilityDetectionTask
-
-from conftest import write_artifact
 
 YEAR_WINDOWS = [
     ("12-14", range(2013, 2015)),

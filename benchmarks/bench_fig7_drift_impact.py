@@ -1,11 +1,12 @@
 """Figure 7: design-time vs deployment performance for all 12
 classification (task, model) pairs."""
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import write_artifact
+
 import numpy as np
 
 from repro.experiments import figure7_drift_impact
-
-from conftest import write_artifact
 
 
 def test_fig7_drift_impact(benchmark, suite):

@@ -1,10 +1,11 @@
 """Figure 8: Prom's drift-detection quality across case studies."""
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import write_artifact
+
 import numpy as np
 
 from repro.experiments import figure8_detection
-
-from conftest import write_artifact
 
 
 def test_fig8_detection(benchmark, suite):

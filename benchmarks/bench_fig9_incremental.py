@@ -1,10 +1,11 @@
 """Figure 9: incremental learning restores deployment performance."""
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import write_artifact
+
 import numpy as np
 
 from repro.experiments import figure9_incremental
-
-from conftest import write_artifact
 
 
 def test_fig9_incremental_learning(benchmark, suite):

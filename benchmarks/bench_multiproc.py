@@ -32,12 +32,12 @@ import json
 import os
 import time
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import update_bench_json
+
 import numpy as np
 
 from repro.core import AsyncServingLoop, ModelInterface, ProcessServingPool
-from repro.ml import MLPClassifier
-
-from conftest import update_bench_json
 
 #: acceptance floor: map_predict decisions/sec at 4 workers vs the
 #: in-process async loop, same batches, same process — asserted only

@@ -8,11 +8,12 @@ deployment-sized window.  Both numbers land in
 ``out/BENCH_batch_eval.json`` so later PRs can track the trajectory.
 """
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import update_bench_json
+
 import numpy as np
 
 from repro.core import PromClassifier
-
-from conftest import update_bench_json
 
 #: minimum acceptable batch throughput (samples/second) for the
 #: vectorized engine at 512 test samples vs 1000 calibration samples —

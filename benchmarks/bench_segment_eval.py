@@ -40,6 +40,9 @@ import argparse
 import json
 import time
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import update_bench_json
+
 import numpy as np
 
 from repro.core import (
@@ -51,8 +54,6 @@ from repro.core import (
 from repro.core.blocks import SEGMENT_DIRECT_MIN_ROWS, BlockColumn
 from repro.core.prom import _pending_bundle
 from repro.core.weighting import panel_product
-
-from conftest import update_bench_json
 
 #: acceptance floor (ISSUE 8): the segment-direct first decision after a
 #: publish vs the flat-materializing first decision, same snapshot state

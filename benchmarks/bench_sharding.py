@@ -25,6 +25,9 @@ import argparse
 import json
 import time
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import update_bench_json
+
 import numpy as np
 
 from repro.core import (
@@ -35,8 +38,6 @@ from repro.core import (
 )
 from repro.experiments import stream_deployment
 from repro.ml import MLPClassifier
-
-from conftest import update_bench_json
 
 #: acceptance floor: one-shard recalibration vs full-store recalibration
 #: at 16 shards (n_calibration=12000, n_classes=64)

@@ -37,6 +37,9 @@ import contextlib
 import json
 import time
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import update_bench_json
+
 import numpy as np
 
 from repro.core import (
@@ -51,8 +54,6 @@ from repro.core import sharding as sharding_module
 from repro.core import weighting as weighting_module
 from repro.experiments import stream_deployment
 from repro.ml import MLPClassifier
-
-from conftest import update_bench_json
 
 #: acceptance floor for incremental update() vs full recalibration
 #: (n_calibration=12000, n_classes=64, batch=32)

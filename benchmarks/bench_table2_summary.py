@@ -1,8 +1,9 @@
 """Table 2: cross-case-study summary of the main results."""
 
-from repro.experiments import table2_summary
-
+# conftest first: it pins BLAS threads before NumPy loads
 from conftest import write_artifact
+
+from repro.experiments import table2_summary
 
 
 def test_table2_summary(benchmark, suite):

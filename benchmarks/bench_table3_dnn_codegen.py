@@ -1,8 +1,9 @@
 """Table 3: the C5 cost model on BERT variants, native vs Prom-assisted."""
 
-from repro.experiments import table3_dnn_codegen
-
+# conftest first: it pins BLAS threads before NumPy loads
 from conftest import write_artifact
+
+from repro.experiments import table3_dnn_codegen
 
 
 def test_table3_dnn_codegen(benchmark, suite):

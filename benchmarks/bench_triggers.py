@@ -26,6 +26,9 @@ import argparse
 import json
 import time
 
+# conftest first: it pins BLAS threads before NumPy loads
+from conftest import update_bench_json
+
 import numpy as np
 
 from repro.core import (
@@ -36,11 +39,10 @@ from repro.core import (
     PValueDetector,
     QuantileThresholdPolicy,
     StaticThresholdPolicy,
+    TriggerConfig,
     WarmupPolicy,
-    default_trigger_stack,
+    build_trigger_stack,
 )
-
-from conftest import update_bench_json
 
 #: acceptance floor (ISSUE 10): raw significance-cut fires vs the
 #: dynamic-threshold fires on the same stream at equal recall
@@ -187,7 +189,7 @@ def measure_observe_overhead(scale, seed=0) -> dict:
     interface.calibrate(X_cal, y_cal)
 
     X_step = generator.normal(size=(scale["step_batch"], scale["n_features"]))
-    stack = default_trigger_stack(window=100)
+    stack = build_trigger_stack(TriggerConfig(window=100))
     _, decisions = interface.predict(X_step)  # warm both paths
     stack.observe_batch(decisions)
 

@@ -12,18 +12,30 @@ incremental learning.  Rendered outputs are also written to
 ``benchmarks/out/`` for inspection.
 """
 
-import json
 import os
-import pickle
-import platform
-from pathlib import Path
+import sys
 
-import numpy as np
-import pytest
+# BLAS stays on one thread, as perfbench/run.py pins it: unpinned,
+# multithreaded BLAS on a small box stalls some processes for ~16 ms
+# per streaming update().  The pin only takes if it happens before
+# NumPy loads, so every bench script imports this module first.
+assert "numpy" not in sys.modules, (
+    "benchmarks/conftest.py must be imported before numpy (it pins BLAS threads)"
+)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from repro.experiments import run_classification, run_incremental, run_regression
-from repro.models import MODEL_CATALOG
-from repro.tasks import (
+import json  # noqa: E402
+import pickle  # noqa: E402
+import platform  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.experiments import run_classification, run_incremental, run_regression  # noqa: E402
+from repro.models import MODEL_CATALOG  # noqa: E402
+from repro.tasks import (  # noqa: E402
     DnnCodeGenerationTask,
     HeterogeneousMappingTask,
     LoopVectorizationTask,

@@ -1,17 +1,23 @@
 """Operating Prom in production: drift reports and a rolling alarm.
 
 Simulates a deployment stream that starts in-distribution and then
-drifts.  A ``DriftMonitor`` watches the committee decisions and raises
-its alert when the windowed rejection rate crosses the threshold —
-the signal an operator would use to trigger the incremental-learning
-loop.  A ``DriftReport`` summarizes each phase.
+drifts.  A drift-trigger stack built from a ``TriggerConfig`` watches
+the committee decisions and raises its alert when the windowed
+rejection rate crosses the threshold — the signal an operator would
+use to trigger the incremental-learning loop.  A ``DriftReport``
+summarizes each phase.
 
 Run:  python examples/drift_monitoring.py
 """
 
 import numpy as np
 
-from repro.core import DriftMonitor, ModelInterface, summarize_decisions
+from repro.core import (
+    ModelInterface,
+    TriggerConfig,
+    build_trigger_stack,
+    summarize_decisions,
+)
 from repro.ml import MLPClassifier
 
 
@@ -35,7 +41,7 @@ def main():
     interface = MyModel(MLPClassifier(epochs=80, seed=0), calibration_ratio=0.2)
     interface.train(X_train, y_train)
 
-    monitor = DriftMonitor(window=60, alert_threshold=0.35)
+    monitor = build_trigger_stack(TriggerConfig(window=60, threshold=0.35))
     phases = [
         ("healthy traffic", make_blobs(120, seed=10)),
         ("drift begins", make_blobs(120, shift=1.5, seed=11)),

@@ -405,7 +405,7 @@ class CalibrationStore:
         eviction statistics — reservoir admission probability
         ``capacity / t`` — stay calibrated to the true stream position
         across a clear.  Pass ``lifetime=True`` to zero it too (a
-        brand-new deployment), mirroring ``DriftMonitor.reset(lifetime=)``.
+        brand-new deployment), mirroring ``TriggerStack.reset(lifetime=)``.
         """
         self._buffers = {}
         self._arrival_buffer = np.zeros(0, dtype=np.int64)

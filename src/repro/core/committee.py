@@ -119,10 +119,6 @@ class DecisionBatch(Sequence):
             votes=votes,
         )
 
-    def to_decisions(self) -> list:
-        """Materialize the batch as a plain list of :class:`Decision`."""
-        return [self[i] for i in range(len(self))]
-
     def take(self, indices) -> "DecisionBatch":
         """Gather batch rows into a new order (a permutation/gather).
 
@@ -208,30 +204,15 @@ class ExpertCommittee:
             raise ConfigurationError(f"vote_threshold must be in (0, 1], got {vote_threshold}")
         self.vote_threshold = vote_threshold
 
-    def decide(self, assessments) -> Decision:
-        """Combine per-expert assessments into one :class:`Decision`."""
-        votes = tuple(assessments)
-        if not votes:
-            raise ValidationError("committee needs at least one expert assessment")
-        accepts = sum(1 for vote in votes if vote.accept)
-        accepted = accepts > self.vote_threshold * len(votes)
-        credibility = float(np.median([vote.credibility for vote in votes]))
-        confidence = float(np.median([vote.confidence for vote in votes]))
-        return Decision(
-            accepted=accepted,
-            credibility=credibility,
-            confidence=confidence,
-            votes=votes,
-        )
-
     def decide_batch(self, assessment_batches) -> DecisionBatch:
-        """Vectorized :meth:`decide` over per-expert assessment batches.
+        """Combine per-expert assessment batches into one :class:`DecisionBatch`.
 
         ``assessment_batches`` holds one
-        :class:`~repro.core.scores.ExpertAssessmentBatch` per expert;
-        the vote count, accept threshold, and median credibility and
-        confidence are computed with array reductions for the whole
-        batch at once.
+        :class:`~repro.core.scores.ExpertAssessmentBatch` per expert; a
+        sample is accepted when more than ``vote_threshold`` of the
+        experts accept it, and reports the median credibility and
+        confidence across experts.  The vote count, accept threshold
+        and medians are array reductions over the whole batch.
         """
         batches = list(assessment_batches)
         if not batches:
@@ -252,15 +233,3 @@ class ExpertCommittee:
             ),
             expert_accept=accept_matrix,
         )
-
-
-def unanimous_assessment(assessments) -> Decision:
-    """Ablation aggregator: accept only when every expert accepts."""
-    votes = tuple(assessments)
-    accepted = all(vote.accept for vote in votes)
-    return Decision(
-        accepted=accepted,
-        credibility=float(np.median([vote.credibility for vote in votes])),
-        confidence=float(np.median([vote.confidence for vote in votes])),
-        votes=votes,
-    )

@@ -4,7 +4,7 @@
 grouped by the plane that consumes them:
 
 * :class:`LoopConfig` — the deployment loop itself (batching, relabel
-  budget, drift monitor, model-update policy);
+  budget, drift triggers, model-update policy);
 * :class:`ServingConfig` — the serving plane (sync vs async, worker
   threads, queue bound, backpressure, drain/record modes), plus an
   optional :class:`ProcessPoolConfig` for the shared-memory process
@@ -53,23 +53,17 @@ class LoopConfig:
     Args:
         batch_size: micro-batch width (the serving quantum).
         budget_fraction: share of flagged samples the oracle relabels.
-        monitor: a preconfigured
-            :class:`~repro.core.report.DriftMonitor` (or any
-            monitor-protocol object); ``None`` builds the trigger stack
-            described by ``triggers``.  Mutually exclusive with
-            ``triggers``.
         triggers: a :class:`TriggerConfig` describing the drift-trigger
             stack to assemble per run; ``None`` uses the default stack
-            (decision-identical to the legacy monitor: window 100,
-            threshold 0.3).
-        update_on_alert: retrain the model only on monitor alerts
+            (decision-identical to the historical rolling-window
+            monitor: window 100, threshold 0.3).
+        update_on_alert: retrain the model only on trigger alerts
             (default) instead of on every relabelled batch.
         epochs: partial-fit epochs per model update.
     """
 
     batch_size: int = 64
     budget_fraction: float = 0.05
-    monitor: object = None
     triggers: object = None
     update_on_alert: bool = True
     epochs: int = 20
@@ -86,11 +80,6 @@ class LoopConfig:
         if self.epochs < 1:
             raise ConfigurationError(
                 f"epochs must be >= 1, got {self.epochs}"
-            )
-        if self.monitor is not None and self.triggers is not None:
-            raise ConfigurationError(
-                "monitor and triggers are mutually exclusive: pass a "
-                "prebuilt monitor OR a TriggerConfig, not both"
             )
 
 
@@ -239,7 +228,8 @@ class TriggerConfig:
     (all sharing the same decision-policy settings), an ensemble rule,
     optional per-shard instantiation and an optional cost-aware relabel
     budget.  The all-defaults config builds the stack that is
-    property-tested decision-identical to the legacy ``DriftMonitor``.
+    property-tested decision-identical to the historical rolling-window
+    monitor (``tests/core/test_triggers.py``).
 
     Args:
         window: current detection-window span (samples or steps).

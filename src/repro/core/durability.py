@@ -303,10 +303,6 @@ def same_fingerprint(current: tuple | None, remembered: tuple | None) -> bool:
     )
 
 
-#: pre-PR 9 private spelling, kept for in-tree history/tests
-_same_fingerprint = same_fingerprint
-
-
 class CheckpointWriter:
     """Incremental, crash-consistent checkpoints of a streaming runtime.
 
@@ -399,7 +395,7 @@ class CheckpointWriter:
             remembered = self._block_memory.get(s)
             if (
                 remembered is not None
-                and _same_fingerprint(fingerprint, remembered[0])
+                and same_fingerprint(fingerprint, remembered[0])
                 and (self.directory / remembered[1]["file"]).exists()
             ):
                 entry.update(remembered[1])

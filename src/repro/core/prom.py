@@ -13,8 +13,9 @@ Workflow (paper Figures 3 and 5):
    prediction-set size) for the whole batch with a handful of NumPy
    kernels, and majority-votes the accept/reject decisions into a
    :class:`~repro.core.committee.DecisionBatch`.  ``evaluate_one`` is a
-   thin wrapper evaluating a batch of one; ``evaluate_serial`` keeps
-   the original per-sample loop as a reference implementation.
+   thin wrapper evaluating a batch of one.  The per-sample loop the
+   engine replaced is the test oracle in
+   ``tests/core/serial_reference.py``.
 3. **Streaming deployment** — when the calibration set itself churns
    (relabelled samples arrive, old ones are evicted), wrap the
    detector in :class:`~repro.core.streaming.StreamingPromClassifier`
@@ -45,10 +46,9 @@ from .nonconformity import (
 from .pvalue import (
     bin_subset_by_label,
     group_scores_by_label,
-    pvalues_all_labels,
     pvalues_from_binning,
 )
-from .scores import assess, assess_batch
+from .scores import assess_batch
 from .segments import FLAT_VIEW_SLOT, ComposedStateAttr, EvaluationView, state_is_set
 from .weighting import AdaptiveWeighting, iter_squared_distance_chunks, squared_distance_matrix
 
@@ -417,50 +417,6 @@ class PromClassifier:
             )
         return self.committee.decide_batch(assessments)
 
-    def evaluate_serial(self, features, probabilities, predicted_labels=None) -> list:
-        """Per-sample reference implementation (pre-batch engine).
-
-        Kept for the batch-vs-serial equivalence tests and throughput
-        benchmarks; production callers should use :meth:`evaluate`.
-        """
-        self._require_calibrated()
-        features, probabilities, predicted_labels = self._check_evaluate_inputs(
-            features, probabilities, predicted_labels
-        )
-        return [
-            self._evaluate_one_serial(
-                features[i], probabilities[i], int(predicted_labels[i])
-            )
-            for i in range(len(features))
-        ]
-
-    def _evaluate_one_serial(self, feature, probability_row, predicted_label) -> Decision:
-        subset = self.weighting.select(self._features, np.asarray(feature, dtype=float))
-        assessments = []
-        for function, calibration_scores in zip(self.functions, self._scores):
-            test_scores = function.score_all_labels(probability_row.reshape(1, -1))[0]
-            pvalues = pvalues_all_labels(
-                calibration_scores,
-                self._labels,
-                subset,
-                test_scores,
-                self._n_classes,
-                weight_mode=self.weight_mode,
-                tail=function.tail,
-            )
-            assessments.append(
-                assess(
-                    pvalues,
-                    predicted_label,
-                    epsilon=self.epsilon,
-                    gaussian_scale=self.gaussian_scale,
-                    credibility_threshold=self.credibility_threshold,
-                    confidence_threshold=self.confidence_threshold,
-                    function_name=function.name,
-                )
-            )
-        return self.committee.decide(assessments)
-
     def prediction_region(self, feature, probability_row) -> np.ndarray:
         """Return the committee prediction region for one sample.
 
@@ -768,7 +724,7 @@ class PromRegressor:
         for function, layout in zip(self.score_functions, state.layouts):
             test_scores = function.score(predictions, approx_targets)
             # The same residual score stands in for every candidate
-            # cluster (the scalar path's np.full, batched).
+            # cluster (the per-sample reference's np.full, batched).
             test_matrix = np.repeat(
                 np.asarray(test_scores, dtype=float)[:, None], n_clusters, axis=1
             )
@@ -790,55 +746,6 @@ class PromRegressor:
                 )
             )
         return self.committee.decide_batch(assessments)
-
-    def evaluate_serial(self, features, predictions) -> list:
-        """Per-sample reference implementation (pre-batch engine).
-
-        Kept for the batch-vs-serial equivalence tests and throughput
-        benchmarks; production callers should use :meth:`evaluate`.
-        """
-        self._require_calibrated()
-        features, predictions = self._check_evaluate_inputs(features, predictions)
-        return [
-            self._evaluate_one_serial(features[i], float(predictions[i]))
-            for i in range(len(features))
-        ]
-
-    def _evaluate_one_serial(self, feature, prediction: float) -> Decision:
-        feature = np.asarray(feature, dtype=float).ravel()
-        approx_target = self.approximate_target(feature)
-        subset = self.weighting.select(self._features, feature)
-        assigned_cluster = int(self.clusterer_.assign(feature.reshape(1, -1))[0])
-        n_clusters = self.clusterer_.k_
-
-        assessments = []
-        for function, calibration_scores in zip(self.score_functions, self._scores):
-            test_score = float(
-                function.score(
-                    np.asarray([prediction], dtype=float),
-                    np.asarray([approx_target], dtype=float),
-                )[0]
-            )
-            pvalues = pvalues_all_labels(
-                calibration_scores,
-                self._clusters,
-                subset,
-                np.full(n_clusters, test_score),
-                n_clusters,
-                weight_mode=self.weight_mode,
-            )
-            assessments.append(
-                assess(
-                    pvalues,
-                    assigned_cluster,
-                    epsilon=self.epsilon,
-                    gaussian_scale=self.gaussian_scale,
-                    credibility_threshold=self.credibility_threshold,
-                    confidence_threshold=self.confidence_threshold,
-                    function_name=function.name,
-                )
-            )
-        return self.committee.decide(assessments)
 
 
 def drifting_indices(decisions) -> np.ndarray:

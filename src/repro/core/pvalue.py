@@ -23,13 +23,12 @@ provided:
   calibration scores and over-rejects, which is why counting is the
   default here (see DESIGN.md).
 
-Two implementations are provided: the scalar reference
-(:func:`classification_pvalue` / :func:`pvalues_all_labels`, one test
-sample at a time) and the batch engine
-(:func:`group_scores_by_label` + :func:`pvalues_all_labels_batch`),
-which evaluates all labels of all test samples with label-binned
-weighted scatter-adds over a per-label-grouped calibration layout — see
-DESIGN.md for the data layout and complexity bounds.
+The engine (:func:`group_scores_by_label`, :func:`bin_subset_by_label`
+and :func:`pvalues_from_binning`) evaluates all labels of all test
+samples with label-binned weighted scatter-adds over a
+per-label-grouped calibration layout — see DESIGN.md for the data
+layout and complexity bounds.  The per-sample reference it replaced
+lives in ``tests/core/serial_reference.py``.
 """
 
 from __future__ import annotations
@@ -39,96 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import as_column
-from .weighting import CalibrationSubset, CalibrationSubsetBatch
+from .weighting import CalibrationSubsetBatch
 from .exceptions import ConfigurationError, ValidationError
 
 WEIGHT_MODES = ("count", "multiply")
-
-
-def classification_pvalue(
-    calibration_scores: np.ndarray,
-    calibration_labels: np.ndarray,
-    subset: CalibrationSubset,
-    test_score: float,
-    label: int,
-    weight_mode: str = "count",
-    tail: str = "right",
-) -> float:
-    """Return the weighted conformal p-value of ``label`` for one sample.
-
-    Args:
-        calibration_scores: per-calibration-sample nonconformity scores
-            evaluated at each sample's *true* label (full array).
-        calibration_labels: true label index of each calibration sample.
-        subset: the adaptive selection/weights for this test sample.
-        test_score: the test sample's nonconformity at ``label``.
-        label: candidate label index.
-        weight_mode: ``"count"`` or ``"multiply"`` (see module docs).
-        tail: ``"right"`` — only larger calibration scores count as
-            conforming evidence; ``"both"`` — two-sided p-value,
-            ``min(1, 2 * min(p_right, p_left))``, for score functions
-            whose strangeness shows in either tail (APS/RAPS).
-
-    Returns:
-        p-value in ``[0, 1]``; ``0.0`` when no selected calibration
-        sample carries ``label`` (maximal strangeness — the label was
-        never observed nearby).
-    """
-    if weight_mode not in WEIGHT_MODES:
-        raise ConfigurationError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
-    if tail not in ("right", "both"):
-        raise ConfigurationError(f"tail must be 'right' or 'both', got {tail!r}")
-    selected_labels = np.asarray(calibration_labels)[subset.indices]
-    mask = selected_labels == label
-    if not mask.any():
-        return 0.0
-    scores = np.asarray(calibration_scores, dtype=float)[subset.indices][mask]
-    weights = subset.weights[mask]
-    if weight_mode == "count":
-        right = float(np.sum(weights[scores >= test_score]))
-        left = float(np.sum(weights[scores <= test_score]))
-        denominator = float(np.sum(weights)) + 1.0
-    else:
-        adjusted = weights * scores
-        right = float(np.sum(adjusted >= test_score))
-        left = float(np.sum(adjusted <= test_score))
-        # Eq. 2 counts the test sample itself in the denominator (n + 1).
-        denominator = float(mask.sum()) + 1.0
-    if tail == "right":
-        numerator = right
-    else:
-        numerator = 2.0 * min(right, left)
-    return min(1.0, numerator / denominator)
-
-
-def pvalues_all_labels(
-    calibration_scores: np.ndarray,
-    calibration_labels: np.ndarray,
-    subset: CalibrationSubset,
-    test_scores_per_label: np.ndarray,
-    n_classes: int,
-    weight_mode: str = "count",
-    tail: str = "right",
-) -> np.ndarray:
-    """Return the p-value of every candidate label for one test sample.
-
-    ``test_scores_per_label`` holds the test sample's nonconformity at
-    each of the ``n_classes`` candidate labels.
-    """
-    return np.asarray(
-        [
-            classification_pvalue(
-                calibration_scores,
-                calibration_labels,
-                subset,
-                float(test_scores_per_label[label]),
-                label,
-                weight_mode=weight_mode,
-                tail=tail,
-            )
-            for label in range(n_classes)
-        ]
-    )
 
 
 @dataclass(frozen=True)
@@ -493,8 +406,7 @@ def pvalues_all_labels_batch(
 ) -> np.ndarray:
     """Return the ``(n_test, n_labels)`` p-value matrix for a batch.
 
-    Vectorized equivalent of calling :func:`pvalues_all_labels` per
-    test sample.  Convenience wrapper over :func:`bin_subset_by_label`
+    Convenience wrapper over :func:`bin_subset_by_label`
     + :func:`pvalues_from_binning`; committee evaluation builds the
     binning once and shares it across experts instead.
 
@@ -504,28 +416,4 @@ def pvalues_all_labels_batch(
     binning = bin_subset_by_label(subset_batch, layout.labels, layout.n_labels)
     return pvalues_from_binning(
         layout, binning, test_scores, weight_mode=weight_mode, tail=tail
-    )
-
-
-def regression_pvalue(
-    calibration_scores: np.ndarray,
-    calibration_clusters: np.ndarray,
-    subset: CalibrationSubset,
-    test_score: float,
-    cluster: int,
-    weight_mode: str = "count",
-) -> float:
-    """Regression p-value: identical machinery over cluster pseudo-labels.
-
-    Calibration scores are residual-based nonconformity values; the
-    cluster assignment (K-means over calibration features, paper
-    Sec. 5.1.2) plays the role of the class label.
-    """
-    return classification_pvalue(
-        calibration_scores,
-        calibration_clusters,
-        subset,
-        test_score,
-        cluster,
-        weight_mode=weight_mode,
     )

@@ -4,8 +4,9 @@ Production users of Prom want more than a per-sample bit: operators
 watch rejection rates over time, per-class rejection skew, and the
 credibility distribution to decide *when* to trigger relabelling or
 retraining.  :func:`summarize_decisions` condenses a decision stream
-into those quantities, and :class:`DriftMonitor` tracks a rolling
-window with an alert threshold.
+into those quantities.  The rolling-window alarm over a live stream is
+a trigger stack (:func:`~repro.core.triggers.build_trigger_stack`,
+DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .committee import DecisionBatch
-from .exceptions import ConfigurationError, ValidationError
-from .triggers import default_trigger_stack
+from .exceptions import ValidationError
 
 
 @dataclass(frozen=True)
@@ -114,99 +114,3 @@ def summarize_decisions(decisions, predicted_labels=None) -> DriftReport:
         per_label_rejection=per_label,
         expert_disagreement=float(disagreements.mean()),
     )
-
-
-class DriftMonitor:
-    """Rolling-window drift alarm over a live decision stream.
-
-    Feed decisions one at a time (or in batches); the monitor keeps the
-    most recent ``window`` of them and raises its ``alert`` flag when
-    the windowed rejection rate exceeds ``alert_threshold``.  The
-    threshold should sit well above the false-positive rate observed at
-    design time (e.g. 2-3x epsilon).
-
-    Since the trigger layer landed (DESIGN.md §11) this class is a thin
-    adapter over the default
-    :class:`~repro.core.triggers.TriggerStack` — a credibility detector
-    with a static threshold and the legacy warmup — which is
-    property-tested decision-identical to the historical deque
-    implementation (``tests/core/test_triggers.py``), so existing
-    callers keep the exact alert/rate semantics while gaining the
-    stack's durability (:meth:`state_dict`) and observability
-    (:attr:`last_decision`) surface.
-    """
-
-    def __init__(self, window: int = 100, alert_threshold: float = 0.3):
-        if window < 1:
-            raise ConfigurationError("window must be >= 1")
-        if not 0.0 < alert_threshold <= 1.0:
-            raise ConfigurationError("alert_threshold must be in (0, 1]")
-        self.window = window
-        self.alert_threshold = alert_threshold
-        self._stack = default_trigger_stack(
-            window=window, threshold=alert_threshold
-        )
-
-    @property
-    def triggers(self):
-        """The underlying :class:`~repro.core.triggers.TriggerStack`."""
-        return self._stack
-
-    def observe(self, decision) -> bool:
-        """Record one decision; returns the current alert state."""
-        return self._stack.observe(decision)
-
-    def observe_batch(self, decisions) -> bool:
-        """Record a batch of decisions; returns the current alert state."""
-        return self._stack.observe_batch(decisions)
-
-    def observe_stream_batch(self, decisions, raw=None, labels=None) -> bool:
-        """Deployment-loop entry point (routing context is ignored)."""
-        return self._stack.observe_stream_batch(decisions, raw=raw, labels=labels)
-
-    @property
-    def rejection_rate(self) -> float:
-        """Rejection rate over the current window (0 when empty)."""
-        return self._stack.rejection_rate
-
-    @property
-    def alert(self) -> bool:
-        """True when the windowed rejection rate crosses the threshold.
-
-        Requires a full-enough window (at least 10 samples or the whole
-        window size, whichever is smaller) so a single early rejection
-        cannot trip the alarm.
-        """
-        return self._stack.alert
-
-    @property
-    def lifetime_rejection_rate(self) -> float:
-        """Rejection rate since the monitor was created."""
-        return self._stack.lifetime_rejection_rate
-
-    @property
-    def last_decision(self):
-        """The stack's most recent :class:`~repro.core.triggers.TriggerDecision`."""
-        return self._stack.last_decision
-
-    def relabel_budget(self, base_fraction: float) -> float:
-        """The effective relabel budget (pass-through for the default stack)."""
-        return self._stack.relabel_budget(base_fraction)
-
-    def reset(self, lifetime: bool = False) -> None:
-        """Clear the rolling window (e.g. after a model update).
-
-        The lifetime counters (``lifetime_rejection_rate``) deliberately
-        survive a window reset so operators keep the whole-deployment
-        view across model updates; pass ``lifetime=True`` to zero them
-        too (a brand-new deployment, deterministically re-warmed).
-        """
-        self._stack.reset(lifetime=lifetime)
-
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot of the monitor state (DESIGN.md §7)."""
-        return self._stack.state_dict()
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (warm restart)."""
-        self._stack.load_state_dict(state)

@@ -27,16 +27,6 @@ import numpy as np
 from .exceptions import ConfigurationError
 
 
-def prediction_set(pvalues: np.ndarray, epsilon: float) -> np.ndarray:
-    """Return the label indices whose p-value exceeds ``epsilon``.
-
-    This is the standard CP prediction region at significance level
-    ``1 - epsilon``: labels that cannot be rejected at level epsilon.
-    """
-    pvalues = np.asarray(pvalues, dtype=float)
-    return np.flatnonzero(pvalues > epsilon)
-
-
 def confidence_from_set_size(set_size: int, gaussian_scale: float = 1.0) -> float:
     """Map a prediction-set size to a confidence score in ``(0, 1]``.
 
@@ -80,58 +70,6 @@ class ExpertAssessmentBatch:
     def __len__(self) -> int:
         return len(self.credibility)
 
-    def sample(self, i: int) -> ExpertAssessment:
-        """Return the ``i``-th test sample's verdict as a scalar object."""
-        return ExpertAssessment(
-            function_name=self.function_name,
-            credibility=float(self.credibility[i]),
-            confidence=float(self.confidence[i]),
-            prediction_set_size=int(self.prediction_set_size[i]),
-            accept=bool(self.accept[i]),
-        )
-
-
-def assess(
-    pvalues: np.ndarray,
-    predicted_label: int,
-    epsilon: float,
-    gaussian_scale: float = 1.0,
-    credibility_threshold: float | None = None,
-    confidence_threshold: float = 0.9,
-    require_predicted_in_set: bool = True,
-    function_name: str = "",
-) -> ExpertAssessment:
-    """Produce one expert's accept/reject verdict for one test sample.
-
-    A sample is flagged as drifting when *both* scores fall below their
-    thresholds (paper Sec. 5.3): credibility below
-    ``credibility_threshold`` (default: epsilon) and confidence below
-    ``confidence_threshold``.
-
-    When ``require_predicted_in_set`` is true (default), a prediction
-    region that does not contain the predicted label provides no
-    endorsement: the effective set size for the confidence score is
-    then 0, so a conforming-looking singleton around a *different*
-    label cannot vouch for the model's actual output.
-    """
-    if credibility_threshold is None:
-        credibility_threshold = epsilon
-    pvalues = np.asarray(pvalues, dtype=float)
-    credibility = float(pvalues[predicted_label])
-    region = prediction_set(pvalues, epsilon)
-    effective_size = len(region)
-    if require_predicted_in_set and predicted_label not in region:
-        effective_size = 0
-    confidence = confidence_from_set_size(effective_size, gaussian_scale)
-    reject = credibility < credibility_threshold and confidence < confidence_threshold
-    return ExpertAssessment(
-        function_name=function_name,
-        credibility=credibility,
-        confidence=confidence,
-        prediction_set_size=len(region),
-        accept=not reject,
-    )
-
 
 def assess_batch(
     pvalues: np.ndarray,
@@ -143,11 +81,19 @@ def assess_batch(
     require_predicted_in_set: bool = True,
     function_name: str = "",
 ) -> ExpertAssessmentBatch:
-    """Vectorized :func:`assess` over a ``(n_test, n_labels)`` p-value matrix.
+    """One expert's accept/reject verdicts over a ``(n_test, n_labels)`` p-value matrix.
 
-    Applies the same credibility/confidence thresholds as the scalar
-    path to every test sample at once and returns one
-    :class:`ExpertAssessmentBatch`.
+    A sample is flagged as drifting when *both* scores fall below their
+    thresholds (paper Sec. 5.3): credibility (the p-value of the
+    predicted label) below ``credibility_threshold`` (default: epsilon)
+    and confidence below ``confidence_threshold``.  The prediction set
+    holds the labels whose p-value exceeds ``epsilon``.
+
+    When ``require_predicted_in_set`` is true (default), a prediction
+    set that does not contain the predicted label provides no
+    endorsement: the effective set size for the confidence score is
+    then 0, so a conforming-looking singleton around a *different*
+    label cannot vouch for the model's actual output.
     """
     if gaussian_scale <= 0:
         raise ConfigurationError("gaussian_scale must be positive")

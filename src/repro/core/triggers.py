@@ -1,9 +1,10 @@
 """Pluggable drift-trigger policy layer (DESIGN.md §11).
 
-``DriftMonitor`` was the last hard-coded policy in the maintenance
-plane: one credibility threshold over one rolling window.  This module
-decomposes drift detection the way eviction, sharding and serving are
-already decomposed — into small policy objects that compose:
+The historical drift monitor was the last hard-coded policy in the
+maintenance plane: one credibility threshold over one rolling window.
+This module decomposes drift detection the way eviction, sharding and
+serving are already decomposed — into small policy objects that
+compose:
 
 * :class:`DetectionWindows` — the observation state: an amount- or
   step-based *current* window plus a seeded reservoir-sampled
@@ -23,19 +24,23 @@ already decomposed — into small policy objects that compose:
 * :class:`WarmupPolicy` — minimum window fill before any fire.
 * :class:`DriftTrigger` / :class:`TriggerStack` — one assembled
   (windows, detector, policy, warmup) unit, and an any/all/majority
-  ensemble of them behind the legacy monitor protocol
-  (``observe_batch`` / ``rejection_rate`` / ``alert`` / ``reset``).
+  ensemble of them behind the monitor protocol the deployment loop
+  calls (``observe_stream_batch`` / ``rejection_rate`` / ``alert`` /
+  ``last_decision`` / ``relabel_budget`` / ``reset``).
 * :class:`PerShardTriggerStack` — per-shard trigger instances keyed
   off a :class:`~repro.core.sharding.ShardRouter`.
 * :class:`CostAwareBudgetPolicy` — scales the relabel budget by
   trigger severity × expected coverage loss, using the PR 8
   agreement-vs-spill study (:class:`CoverageCostModel`).
 
-The default stack (:func:`default_trigger_stack`, what a bare
-``TriggerConfig()`` builds) is property-tested decision-identical to
-the historical deque-based ``DriftMonitor`` — bit-identical ``alert``
-and ``rejection_rate`` sequences under any interleaving of observes
-and resets — so the refactor inherits the repo's equivalence contract.
+:func:`build_trigger_stack` assembles a stack from a
+:class:`~repro.core.config.TriggerConfig`; it is the only way the
+library builds one.  The default stack (what a bare ``TriggerConfig()``
+builds, or ``TriggerConfig(window=w, threshold=t)`` for another window
+and threshold) is property-tested decision-identical to the historical
+deque-based monitor — bit-identical ``alert`` and ``rejection_rate``
+sequences under any interleaving of observes and resets — so the
+refactor inherits the repo's equivalence contract.
 
 Determinism: every random choice (the reference reservoir) is driven
 by an explicitly seeded generator, and "time"-based windows count
@@ -49,11 +54,12 @@ from __future__ import annotations
 import abc
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .committee import DecisionBatch
+from .config import TRIGGER_DETECTOR_CHOICES, TRIGGER_POLICY_CHOICES
 from .exceptions import ConfigurationError, ValidationError
 
 #: window modes accepted by DetectionWindows (``"steps"`` is the
@@ -318,7 +324,7 @@ class DriftDetector(abc.ABC):
 
 
 class CredibilityDetector(DriftDetector):
-    """Windowed rejection rate — the legacy ``DriftMonitor`` metric.
+    """Windowed rejection rate — the historical monitor's metric.
 
     Watches the committee's per-sample drifting verdicts (credibility
     below the calibrated threshold) and reports their rate over the
@@ -824,8 +830,8 @@ def _combine_votes(votes: tuple, ensemble: str) -> bool:
 class TriggerStack:
     """An ensemble of triggers behind the legacy monitor protocol.
 
-    This is what the deployment loop holds: it exposes exactly the
-    surface ``DriftMonitor`` exposed (``observe`` / ``observe_batch`` /
+    This is what the deployment loop holds: it exposes the historical
+    monitor's surface (``observe`` / ``observe_batch`` /
     ``rejection_rate`` / ``alert`` / ``lifetime_rejection_rate`` /
     ``reset``) plus trigger observability (:attr:`last_decision`),
     durability (:meth:`state_dict` / :meth:`load_state_dict`) and the
@@ -1312,45 +1318,15 @@ class CostAwareBudgetPolicy:
 
 # -- assembly ----------------------------------------------------------------------
 
-_DETECTOR_NAMES = ("credibility", "p_value", "accuracy_proxy")
-_POLICY_NAMES = ("static", "quantile", "ewma", "hysteresis")
-
-
 def observe_decisions(monitor, decisions, raw=None, labels=None) -> bool:
-    """Observe one batch through any monitor-protocol object.
+    """Observe one batch through a trigger stack; returns the alert verdict.
 
-    Trigger stacks take the routing-aware ``observe_stream_batch``
-    path; legacy monitors (or user-supplied objects) fall back to
-    ``observe_batch(decisions)``.  Returns the alert verdict either
-    way — the single call site both the deployment loop and the async
-    serving loop use.
+    ``raw`` / ``labels`` carry the routing context a
+    :class:`PerShardTriggerStack` keys on (a global :class:`TriggerStack`
+    ignores them).  The single call site both the deployment loop and
+    the async serving loop use.
     """
-    observe = getattr(monitor, "observe_stream_batch", None)
-    if observe is not None:
-        return observe(decisions, raw=raw, labels=labels)
-    return monitor.observe_batch(decisions)
-
-
-def default_trigger_stack(
-    window: int = 100, threshold: float = 0.3, seed: int = 0
-) -> TriggerStack:
-    """The legacy-equivalent stack: credibility + static threshold.
-
-    One :class:`CredibilityDetector` over an amount window of
-    ``window`` samples, a :class:`StaticThresholdPolicy` at
-    ``threshold`` and the legacy warmup of ``min(10, window)`` —
-    property-tested decision-identical to the historical
-    ``DriftMonitor`` (``tests/core/test_triggers.py``).
-    """
-    detector = CredibilityDetector(
-        DetectionWindows(size=window, mode="amount", seed=seed)
-    )
-    trigger = DriftTrigger(
-        detector,
-        StaticThresholdPolicy(threshold),
-        warmup=WarmupPolicy(min(10, window)),
-    )
-    return TriggerStack((trigger,), ensemble="any", window=window)
+    return monitor.observe_stream_batch(decisions, raw=raw, labels=labels)
 
 
 def _build_policy(config) -> DriftDecisionPolicy:
@@ -1369,7 +1345,7 @@ def _build_policy(config) -> DriftDecisionPolicy:
         )
         return HysteresisPolicy(config.threshold, exit_below)
     raise ConfigurationError(
-        f"policy must be one of {_POLICY_NAMES}, got {config.policy!r}"
+        f"policy must be one of {TRIGGER_POLICY_CHOICES}, got {config.policy!r}"
     )
 
 
@@ -1388,7 +1364,7 @@ def _build_detector(name: str, config, seed: int) -> DriftDetector:
     if name == "accuracy_proxy":
         return AccuracyProxyDetector(windows)
     raise ConfigurationError(
-        f"detectors must be from {_DETECTOR_NAMES}, got {name!r}"
+        f"detectors must be from {TRIGGER_DETECTOR_CHOICES}, got {name!r}"
     )
 
 

@@ -176,52 +176,41 @@ def median_pairwise_tau(
     return max(_median(distances), 1e-9)
 
 
-@dataclass(frozen=True)
-class CalibrationSubset:
-    """The per-test-sample view of the calibration data.
-
-    Attributes:
-        indices: positions of the selected calibration samples.
-        distances: Euclidean distance of each selected sample to the
-            test sample, aligned with ``indices``.
-        weights: exponential distance weights, aligned with ``indices``.
-    """
-
-    indices: np.ndarray
-    distances: np.ndarray
-    weights: np.ndarray
+def _selection_operands(calibration_features, test_features):
+    """The calibration column and 2-D test rows, with shapes checked."""
+    features = as_column(calibration_features, float)
+    test = np.asarray(test_features, dtype=float)
+    if test.ndim == 1:
+        test = test.reshape(1, -1)
+    if features.ndim != 2:
+        raise ValidationError("calibration_features must be 2-D")
+    if features.shape[1] != test.shape[1]:
+        raise ValidationError(
+            f"feature dimensionality mismatch: calibration has "
+            f"{features.shape[1]}, test has {test.shape[1]}"
+        )
+    return features, test
 
 
 @dataclass(frozen=True)
 class CalibrationSubsetBatch:
     """Per-test-sample calibration views for a whole batch at once.
 
-    Struct-of-arrays counterpart of :class:`CalibrationSubset`: every
-    test sample selects the same number ``k`` of calibration samples
-    (all of them below ``min_samples``, the nearest fraction above), so
-    the selection is three rectangular ``(n_test, k)`` arrays instead
-    of ``n_test`` ragged objects.
+    Every test sample selects the same number ``k`` of calibration
+    samples (all of them below ``min_samples``, the nearest fraction
+    above), so the selection is two rectangular ``(n_test, k)`` arrays
+    instead of ``n_test`` ragged objects.
 
     Attributes:
         indices: selected calibration positions, one row per test sample.
-        distances: Euclidean distances aligned with ``indices``.
         weights: exponential distance weights aligned with ``indices``.
     """
 
     indices: np.ndarray
-    distances: np.ndarray
     weights: np.ndarray
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def sample(self, i: int) -> CalibrationSubset:
-        """Return the ``i``-th test sample's view as a scalar subset."""
-        return CalibrationSubset(
-            indices=np.asarray(self.indices[i]),
-            distances=np.asarray(self.distances[i]),
-            weights=np.asarray(self.weights[i]),
-        )
 
 
 class AdaptiveWeighting:
@@ -304,36 +293,6 @@ class AdaptiveWeighting:
         self._resolved_tau = self.tau if self.tau is not None else float(tau)
         return self._resolved_tau
 
-    def select(self, calibration_features: np.ndarray, test_feature: np.ndarray) -> CalibrationSubset:
-        """Return the weighted nearest subset for one test feature vector."""
-        features = np.asarray(calibration_features, dtype=float)
-        test = np.asarray(test_feature, dtype=float).ravel()
-        if features.ndim != 2:
-            raise ValidationError("calibration_features must be 2-D")
-        if features.shape[1] != test.shape[0]:
-            raise ValidationError(
-                f"feature dimensionality mismatch: calibration has "
-                f"{features.shape[1]}, test has {test.shape[0]}"
-            )
-        n = len(features)
-        squared = np.sum((features - test) ** 2, axis=1)
-        distances = np.sqrt(squared)
-
-        if n < self.min_samples:
-            indices = np.arange(n)
-        else:
-            keep = max(1, int(round(n * self.fraction)))
-            indices = np.argpartition(distances, keep - 1)[:keep]
-        tau = self._resolved_tau
-        if tau is None:
-            tau = self.resolve_tau(features)
-        weights = np.maximum(np.exp(-squared[indices] / tau), self.weight_floor)
-        return CalibrationSubset(
-            indices=indices,
-            distances=distances[indices],
-            weights=weights,
-        )
-
     def select_batch(
         self,
         calibration_features: np.ndarray,
@@ -346,24 +305,13 @@ class AdaptiveWeighting:
         memory-bounded chunks via the dot-product identity; selection
         and weighting are then a per-row ``argpartition`` plus one
         vectorized ``exp``, so the whole batch costs a handful of NumPy
-        kernels instead of ``n_test`` Python iterations of
-        :meth:`select`.
+        kernels instead of ``n_test`` Python iterations.
 
         ``calibration_features`` is a
         :class:`~repro.core.blocks.BlockColumn` or an array (read as a
         one-block column); see DESIGN.md §9.
         """
-        features = as_column(calibration_features, float)
-        test = np.asarray(test_features, dtype=float)
-        if test.ndim == 1:
-            test = test.reshape(1, -1)
-        if features.ndim != 2:
-            raise ValidationError("calibration_features must be 2-D")
-        if features.shape[1] != test.shape[1]:
-            raise ValidationError(
-                f"feature dimensionality mismatch: calibration has "
-                f"{features.shape[1]}, test has {test.shape[1]}"
-            )
+        features, test = _selection_operands(calibration_features, test_features)
         n = len(features)
         n_test = len(test)
         keep = n if n < self.min_samples else max(1, int(round(n * self.fraction)))
@@ -391,21 +339,7 @@ class AdaptiveWeighting:
         weights = squared / -tau
         np.exp(weights, out=weights)
         np.maximum(weights, self.weight_floor, out=weights)
-        np.sqrt(squared, out=squared)
-        return CalibrationSubsetBatch(
-            indices=indices,
-            distances=squared,
-            weights=weights,
-        )
-
-    def adjusted_scores(self, scores: np.ndarray, subset: CalibrationSubset) -> np.ndarray:
-        """Return the distance-weighted scores of the selected subset.
-
-        ``scores`` is the full per-calibration-sample score array; the
-        result is aligned with ``subset.indices``.
-        """
-        scores = np.asarray(scores, dtype=float)
-        return subset.weights * scores[subset.indices]
+        return CalibrationSubsetBatch(indices=indices, weights=weights)
 
 
 class UniformWeighting(AdaptiveWeighting):
@@ -419,28 +353,12 @@ class UniformWeighting(AdaptiveWeighting):
     def __init__(self):
         super().__init__(fraction=1.0, min_samples=1, tau=1.0)
 
-    def select(self, calibration_features, test_feature) -> CalibrationSubset:
-        features = np.asarray(calibration_features, dtype=float)
-        test = np.asarray(test_feature, dtype=float).ravel()
-        n = len(features)
-        distances = np.sqrt(np.sum((features - test) ** 2, axis=1))
-        return CalibrationSubset(
-            indices=np.arange(n),
-            distances=distances,
-            weights=np.ones(n),
-        )
-
     def select_batch(
         self, calibration_features, test_features, chunk_size=None
     ) -> CalibrationSubsetBatch:
-        features = as_column(calibration_features, float)
-        test = np.asarray(test_features, dtype=float)
-        if test.ndim == 1:
-            test = test.reshape(1, -1)
+        features, test = _selection_operands(calibration_features, test_features)
         n = len(features)
-        squared = squared_distance_matrix(test, features, chunk_size)
         return CalibrationSubsetBatch(
             indices=np.broadcast_to(np.arange(n), (len(test), n)),
-            distances=np.sqrt(squared),
             weights=np.ones((len(test), n)),
         )

@@ -45,7 +45,7 @@ from ..core.config import (
     TriggerConfig,
 )
 from ..core.durability import CheckpointWriter, restore_checkpoint
-from ..core.exceptions import CheckpointError, ConfigurationError
+from ..core.exceptions import CheckpointError, ConfigurationError, ValidationError
 from ..core.multiproc import ProcessServingPool
 from ..core.nonconformity import default_classification_functions
 from ..core.pruning import CandidatePruner
@@ -497,10 +497,10 @@ class StreamResult:
     ``n_shards_pruned`` total the per-step pruning counters (0 unless
     pruned segment-direct evaluation was in effect).
 
-    ``monitor`` is the run's drift monitor — a
-    :class:`~repro.core.triggers.TriggerStack` (or the legacy-protocol
-    object passed via ``LoopConfig.monitor``); ``n_trigger_fires``
-    counts the steps whose trigger ensemble fired, and
+    ``monitor`` is the run's drift-trigger stack, built from
+    ``LoopConfig.triggers`` (a :class:`~repro.core.triggers.TriggerStack`
+    or :class:`~repro.core.triggers.PerShardTriggerStack`);
+    ``n_trigger_fires`` counts the steps whose trigger ensemble fired, and
     ``trigger_restored`` reports whether a warm restart recovered the
     trigger window state from the checkpoint (``False`` on cold starts
     and on restores from pre-trigger-era manifests, which re-warm
@@ -554,13 +554,13 @@ def stream_deployment(
     2. the drift-trigger stack ingests the verdicts (a
        :class:`~repro.core.triggers.TriggerStack` built from
        ``loop.triggers``; the default is decision-identical to the
-       legacy :class:`~repro.core.report.DriftMonitor`);
+       historical rolling-window monitor);
     3. :func:`~repro.core.incremental.select_relabel_budget` picks the
        lowest-credibility flagged samples, which the oracle relabels
        (a cost-aware budget policy may raise the budget on fires);
     4. the relabelled samples flow back in: a **model update**
-       (``incremental_update``) when the monitor alerts — full model +
-       calibration rebuild, then the window resets — otherwise an
+       (``incremental_update``) when the trigger stack alerts — full
+       model + calibration rebuild, then the window resets — otherwise an
        amortized **calibration-only** ``extend_calibration``;
     5. the bounded calibration store evicts down to
        ``max_calibration`` either way.
@@ -575,8 +575,7 @@ def stream_deployment(
             budget (the user/profiler answering flagged queries).
         loop: :class:`~repro.core.config.LoopConfig` — batching,
             relabel budget, drift triggers
-            (:class:`~repro.core.config.TriggerConfig` or a prebuilt
-            monitor), update policy.
+            (:class:`~repro.core.config.TriggerConfig`), update policy.
         serving: :class:`~repro.core.config.ServingConfig` — the
             serving plane.  ``asynchronous=True`` serves from an
             :class:`~repro.core.serving.AsyncServingLoop` (lock-free
@@ -637,33 +636,29 @@ def stream_deployment(
     X_stream = np.asarray(X_stream)
     oracle_labels = np.asarray(oracle_labels)
     if len(X_stream) != len(oracle_labels):
-        raise ValueError("X_stream and oracle_labels must align")
-    if loop_config.monitor is not None:
-        monitor = loop_config.monitor
-    else:
-        streaming = getattr(interface, "streaming", None)
-        monitor = build_trigger_stack(
-            loop_config.triggers or TriggerConfig(),
-            router=getattr(getattr(streaming, "store", None), "router", None),
-            n_shards=getattr(streaming, "n_shards", 1),
-            featurizer=getattr(interface, "feature_extraction", None),
-        )
-    # the durability plane checkpoints/restores trigger state alongside
-    # the calibration shards when the monitor supports it (DESIGN.md §11)
-    trigger_target = monitor if hasattr(monitor, "state_dict") else None
+        raise ValidationError("X_stream and oracle_labels must align")
+    streaming = getattr(interface, "streaming", None)
+    monitor = build_trigger_stack(
+        loop_config.triggers or TriggerConfig(),
+        router=getattr(getattr(streaming, "store", None), "router", None),
+        n_shards=getattr(streaming, "n_shards", 1),
+        featurizer=getattr(interface, "feature_extraction", None),
+    )
     writer = None
     restore_errors = []
     restored_generation = None
     restore_fallbacks = ()
     trigger_restored = False
     if checkpoint_dir is not None:
+        # the durability plane checkpoints/restores trigger state
+        # alongside the calibration shards (DESIGN.md §11)
         writer = CheckpointWriter(
-            checkpoint_dir, keep=checkpoint_keep, triggers=trigger_target
+            checkpoint_dir, keep=checkpoint_keep, triggers=monitor
         )
         if restore_from_checkpoint and writer.latest_generation is not None:
             try:
                 report = restore_checkpoint(
-                    interface.streaming, checkpoint_dir, triggers=trigger_target
+                    interface.streaming, checkpoint_dir, triggers=monitor
                 )
             except CheckpointError as err:
                 # Restart must never block on bad state: record the
@@ -783,8 +778,7 @@ def stream_deployment(
             scored_total += step_scored
             pruned_total += step_pruned
             # raw inputs + predicted labels carry the routing context
-            # per-shard trigger stacks key on (ignored by global stacks
-            # and legacy monitors)
+            # per-shard trigger stacks key on (ignored by global stacks)
             alert = observe_decisions(
                 monitor,
                 decisions,
@@ -793,12 +787,8 @@ def stream_deployment(
             )
             # captured before any post-update reset clears the window
             window_rate = monitor.rejection_rate
-            trigger_decision = getattr(monitor, "last_decision", None)
-            effective_budget = (
-                monitor.relabel_budget(budget_fraction)
-                if hasattr(monitor, "relabel_budget")
-                else budget_fraction
-            )
+            trigger_decision = monitor.last_decision
+            effective_budget = monitor.relabel_budget(budget_fraction)
             chosen = select_relabel_budget(decisions, effective_budget)
             updating_model = alert or not update_on_alert
             # In-place model updates keep their class head, and

@@ -2,8 +2,8 @@
 
 The batch engine must be a pure optimization: for every weight mode,
 tail, and calibration regime, ``evaluate()`` has to reproduce the
-decisions of the per-sample paths (``evaluate_one`` and the legacy
-``evaluate_serial`` loop) exactly, with credibilities and confidences
+decisions of the per-sample paths (``evaluate_one`` and the reference
+loop in ``serial_reference.py``) exactly, with credibilities and confidences
 equal up to the floating-point reassociation inherent in BLAS-backed
 distance computation (~1e-12).
 """
@@ -17,17 +17,19 @@ from repro.core import (
     DecisionBatch,
     PromClassifier,
     PromRegressor,
+    TriggerConfig,
     UniformWeighting,
+    build_trigger_stack,
     drifting_indices,
     group_scores_by_label,
-    pvalues_all_labels,
     pvalues_all_labels_batch,
     select_relabel_budget,
     squared_distance_matrix,
     summarize_decisions,
 )
-from repro.core.report import DriftMonitor
 from repro.core.weighting import iter_squared_distance_chunks
+
+from .serial_reference import evaluate_serial, pvalues_all_labels, select
 
 
 def _classification_setup(
@@ -140,15 +142,12 @@ class TestSelectBatch:
         )
         batch = weighting.select_batch(features, test)
         for i in range(len(test)):
-            scalar = weighting.select(features, test[i])
+            scalar = select(weighting, features, test[i])
             assert set(batch.indices[i].tolist()) == set(scalar.indices.tolist())
             order_b = np.argsort(batch.indices[i])
             order_s = np.argsort(scalar.indices)
             np.testing.assert_allclose(
                 batch.weights[i][order_b], scalar.weights[order_s], atol=1e-9
-            )
-            np.testing.assert_allclose(
-                batch.distances[i][order_b], scalar.distances[order_s], atol=1e-9
             )
 
     def test_uniform_weighting_batch(self):
@@ -160,12 +159,11 @@ class TestSelectBatch:
         assert np.all(batch.weights == 1.0)
         np.testing.assert_array_equal(batch.indices[0], np.arange(50))
 
-    def test_sample_view_roundtrip(self):
+    def test_batch_shapes(self):
         rng = np.random.default_rng(2)
         features = rng.normal(size=(30, 3))
         batch = AdaptiveWeighting(tau=1.0).select_batch(features, features[:4])
-        view = batch.sample(2)
-        assert view.indices.shape == view.weights.shape == view.distances.shape
+        assert batch.indices.shape == batch.weights.shape
         assert len(batch) == 4
 
     def test_dimension_mismatch_raises(self):
@@ -206,7 +204,7 @@ class TestPvalueBatchKernel:
             scalar_p = pvalues_all_labels(
                 scores,
                 labels,
-                weighting.select(features, test_features[i]),
+                select(weighting, features, test_features[i]),
                 test_scores[i],
                 n_labels,
                 weight_mode=weight_mode,
@@ -277,7 +275,7 @@ class TestWeightModeEquations:
 
 
 class TestClassifierBatchIdentity:
-    """Property: batch evaluate() == per-sample evaluate_one()/serial."""
+    """Property: batch evaluate() == per-sample evaluate_one()/reference."""
 
     @given(
         seed=st.integers(0, 30),
@@ -294,7 +292,7 @@ class TestClassifierBatchIdentity:
             min_calibration=200 if small_calibration else 40,
         )
         batch = prom.evaluate(test_features, test_probabilities)
-        serial = prom.evaluate_serial(test_features, test_probabilities)
+        serial = evaluate_serial(prom, test_features, test_probabilities)
         ones = [
             prom.evaluate_one(test_features[i], test_probabilities[i])
             for i in range(len(test_features))
@@ -308,14 +306,14 @@ class TestClassifierBatchIdentity:
             n_cal=60, n_classes=5, present_classes=2, seed=7
         )
         batch = prom.evaluate(test_features, test_probabilities)
-        serial = prom.evaluate_serial(test_features, test_probabilities)
+        serial = evaluate_serial(prom, test_features, test_probabilities)
         _assert_batch_matches_decisions(batch, serial)
 
     def test_explicit_predicted_labels(self):
         prom, test_features, test_probabilities = _classification_setup(seed=3)
         predicted = np.zeros(len(test_features), dtype=int)
         batch = prom.evaluate(test_features, test_probabilities, predicted)
-        serial = prom.evaluate_serial(test_features, test_probabilities, predicted)
+        serial = evaluate_serial(prom, test_features, test_probabilities, predicted)
         _assert_batch_matches_decisions(batch, serial)
 
     def test_chunked_evaluation_matches_single_chunk(self):
@@ -360,7 +358,7 @@ class TestRegressorBatchIdentity:
         )
         test_predictions = rng.normal(size=16)
         batch = prom.evaluate(test_features, test_predictions)
-        serial = prom.evaluate_serial(test_features, test_predictions)
+        serial = evaluate_serial(prom, test_features, test_predictions)
         ones = [
             prom.evaluate_one(test_features[i], float(test_predictions[i]))
             for i in range(len(test_features))
@@ -397,7 +395,7 @@ class TestDecisionBatchSequence:
     def batch_and_list(self):
         prom, test_features, test_probabilities = _classification_setup(seed=13)
         batch = prom.evaluate(test_features, test_probabilities)
-        return batch, batch.to_decisions()
+        return batch, list(batch)
 
     def test_sequence_protocol(self, batch_and_list):
         batch, decisions = batch_and_list
@@ -436,10 +434,10 @@ class TestDecisionBatchSequence:
             from_list.expert_disagreement
         )
 
-    def test_drift_monitor_fast_path(self, batch_and_list):
+    def test_trigger_stack_fast_path(self, batch_and_list):
         batch, decisions = batch_and_list
-        fast = DriftMonitor(window=50, alert_threshold=0.2)
-        slow = DriftMonitor(window=50, alert_threshold=0.2)
+        fast = build_trigger_stack(TriggerConfig(window=50, threshold=0.2))
+        slow = build_trigger_stack(TriggerConfig(window=50, threshold=0.2))
         fast.observe_batch(batch)
         slow.observe_batch(decisions)
         assert fast.rejection_rate == slow.rejection_rate

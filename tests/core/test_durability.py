@@ -28,12 +28,12 @@ from repro.core import (
     CheckpointError,
     CheckpointWriter,
     ConfigurationError,
-    DriftMonitor,
     LoopConfig,
     ModelInterface,
     RegressionModelInterface,
     RetryPolicy,
     ServingConfig,
+    TriggerConfig,
     list_generations,
     restore_checkpoint,
 )
@@ -500,7 +500,7 @@ def test_stream_deployment_warm_restart_sync(tmp_path):
         y,
         loop=LoopConfig(
             batch_size=50,
-            monitor=DriftMonitor(alert_threshold=1.0),  # folds only
+            triggers=TriggerConfig(threshold=1.0),  # folds only
         ),
         checkpointing=CheckpointConfig(directory=tmp_path),
     )
@@ -532,7 +532,7 @@ def test_stream_deployment_warm_restart_async(tmp_path):
         X,
         y,
         loop=LoopConfig(
-            batch_size=50, monitor=DriftMonitor(alert_threshold=1.0)
+            batch_size=50, triggers=TriggerConfig(threshold=1.0)
         ),
         serving=ServingConfig(drain_each_step=True),
         checkpointing=CheckpointConfig(

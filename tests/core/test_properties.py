@@ -7,15 +7,28 @@ from hypothesis.extra import numpy as hnp
 from repro.core import (
     AdaptiveWeighting,
     PromClassifier,
+    assess_batch,
     default_classification_functions,
+    group_scores_by_label,
+    pvalues_all_labels_batch,
 )
-from repro.core.pvalue import classification_pvalue
-from repro.core.scores import confidence_from_set_size, prediction_set
+from repro.core.scores import confidence_from_set_size
+
+from .serial_reference import prediction_set
 
 
 def _probabilities(draw_raw):
     raw = np.abs(draw_raw) + 1e-3
     return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def _label0_pvalue(scores, subset, test_score, mode="count", tail="right"):
+    """Label 0's p-value for a batch of one through the batch kernel."""
+    layout = group_scores_by_label(scores, np.zeros(len(scores), dtype=int), 1)
+    pvalues = pvalues_all_labels_batch(
+        layout, subset, np.array([[test_score]]), weight_mode=mode, tail=tail
+    )
+    return float(pvalues[0, 0])
 
 
 class TestPvalueInvariants:
@@ -28,13 +41,10 @@ class TestPvalueInvariants:
     @settings(max_examples=60, deadline=None)
     def test_pvalue_always_in_unit_interval(self, scores, test_score, mode, tail):
         features = np.zeros((25, 2))
-        subset = AdaptiveWeighting(min_samples=30, tau=1e6).select(
-            features, np.zeros(2)
+        subset = AdaptiveWeighting(min_samples=30, tau=1e6).select_batch(
+            features, np.zeros((1, 2))
         )
-        labels = np.zeros(25, dtype=int)
-        p = classification_pvalue(
-            scores, labels, subset, test_score, 0, weight_mode=mode, tail=tail
-        )
+        p = _label0_pvalue(scores, subset, test_score, mode=mode, tail=tail)
         assert 0.0 <= p <= 1.0
 
     @given(st.integers(3, 40))
@@ -43,13 +53,12 @@ class TestPvalueInvariants:
         rng = np.random.default_rng(n)
         scores = rng.random(n)
         features = np.zeros((n, 2))
-        subset = AdaptiveWeighting(min_samples=n + 1, tau=1e6).select(
-            features, np.zeros(2)
+        subset = AdaptiveWeighting(min_samples=n + 1, tau=1e6).select_batch(
+            features, np.zeros((1, 2))
         )
-        labels = np.zeros(n, dtype=int)
         test_score = float(rng.random())
-        right = classification_pvalue(scores, labels, subset, test_score, 0, tail="right")
-        both = classification_pvalue(scores, labels, subset, test_score, 0, tail="both")
+        right = _label0_pvalue(scores, subset, test_score, tail="right")
+        both = _label0_pvalue(scores, subset, test_score, tail="both")
         assert both <= 2.0 * min(right, 1.0) + 1e-9
 
 
@@ -63,6 +72,12 @@ class TestPredictionSetInvariants:
         small = prediction_set(pvalues, epsilon)
         large = prediction_set(pvalues, min(0.9, epsilon * 2))
         assert set(large.tolist()) <= set(small.tolist())
+        # the batch kernel's set sizes shrink the same way
+        sizes = [
+            int(assess_batch(pvalues[None, :], [0], eps).prediction_set_size[0])
+            for eps in (epsilon, min(0.9, epsilon * 2))
+        ]
+        assert sizes == [len(small), len(large)]
 
     @given(st.integers(0, 10), st.floats(0.5, 4.0))
     @settings(max_examples=50, deadline=None)

@@ -1,9 +1,9 @@
-"""Tests for drift reports and the rolling drift monitor."""
+"""Tests for drift reports and the rolling drift alarm (a trigger stack)."""
 
 import numpy as np
 import pytest
 
-from repro.core import DriftMonitor, summarize_decisions
+from repro.core import TriggerConfig, build_trigger_stack, summarize_decisions
 from repro.core.committee import Decision
 from repro.core.scores import ExpertAssessment
 
@@ -15,6 +15,11 @@ def _decision(drifting, credibility=0.5, confidence=0.8, votes=()):
         confidence=confidence,
         votes=votes,
     )
+
+
+def _monitor(window=100, threshold=0.3):
+    """The rolling rejection-rate alarm, built from its config."""
+    return build_trigger_stack(TriggerConfig(window=window, threshold=threshold))
 
 
 def _vote(accept):
@@ -71,48 +76,48 @@ class TestSummarizeDecisions:
         assert "label 0" in text
 
 
-class TestDriftMonitor:
+class TestRollingAlarm:
     def test_no_alert_on_clean_stream(self):
-        monitor = DriftMonitor(window=20, alert_threshold=0.3)
+        monitor = _monitor(window=20, threshold=0.3)
         for _ in range(20):
             assert not monitor.observe(_decision(False))
 
     def test_alert_on_sustained_rejections(self):
-        monitor = DriftMonitor(window=20, alert_threshold=0.3)
+        monitor = _monitor(window=20, threshold=0.3)
         monitor.observe_batch([_decision(False)] * 10)
         assert not monitor.alert
         monitor.observe_batch([_decision(True)] * 10)
         assert monitor.alert
 
     def test_minimum_samples_before_alert(self):
-        monitor = DriftMonitor(window=100, alert_threshold=0.1)
+        monitor = _monitor(window=100, threshold=0.1)
         # a few early rejections cannot trip the alarm
         for _ in range(5):
             assert not monitor.observe(_decision(True))
 
     def test_window_forgets_old_rejections(self):
-        monitor = DriftMonitor(window=10, alert_threshold=0.3)
+        monitor = _monitor(window=10, threshold=0.3)
         monitor.observe_batch([_decision(True)] * 10)
         assert monitor.alert
         monitor.observe_batch([_decision(False)] * 10)
         assert not monitor.alert
 
     def test_lifetime_rate_is_cumulative(self):
-        monitor = DriftMonitor(window=5)
+        monitor = _monitor(window=5)
         monitor.observe_batch([_decision(True)] * 5)
         monitor.observe_batch([_decision(False)] * 5)
         assert monitor.lifetime_rejection_rate == pytest.approx(0.5)
         assert monitor.rejection_rate == pytest.approx(0.0)
 
     def test_reset_clears_window_only(self):
-        monitor = DriftMonitor(window=10)
+        monitor = _monitor(window=10)
         monitor.observe_batch([_decision(True)] * 10)
         monitor.reset()
         assert monitor.rejection_rate == 0.0
         assert monitor.lifetime_rejection_rate == pytest.approx(1.0)
 
     def test_reset_drops_alert_until_window_refills(self):
-        monitor = DriftMonitor(window=10, alert_threshold=0.3)
+        monitor = _monitor(window=10, threshold=0.3)
         monitor.observe_batch([_decision(True)] * 10)
         assert monitor.alert
         monitor.reset()
@@ -123,14 +128,14 @@ class TestDriftMonitor:
         assert monitor.observe(_decision(True))
 
     def test_lifetime_counters_accumulate_across_resets(self):
-        monitor = DriftMonitor(window=5)
+        monitor = _monitor(window=5)
         monitor.observe_batch([_decision(True)] * 5)
         monitor.reset()
         monitor.observe_batch([_decision(False)] * 5)
         assert monitor.lifetime_rejection_rate == pytest.approx(0.5)
 
     def test_reset_lifetime_true_zeroes_everything(self):
-        monitor = DriftMonitor(window=5)
+        monitor = _monitor(window=5)
         monitor.observe_batch([_decision(True)] * 5)
         monitor.reset(lifetime=True)
         assert monitor.lifetime_rejection_rate == 0.0
@@ -138,9 +143,9 @@ class TestDriftMonitor:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            DriftMonitor(window=0)
+            TriggerConfig(window=0)
         with pytest.raises(ValueError):
-            DriftMonitor(alert_threshold=0.0)
+            TriggerConfig(threshold=0.0)
 
     def test_integration_with_prom(self, blob_data, fitted_mlp, calibrated_prom):
         X_drift, _ = blob_data["drift"]
@@ -148,7 +153,7 @@ class TestDriftMonitor:
         decisions = calibrated_prom.evaluate(
             fitted_mlp.hidden_embedding(X_drift), probs
         )
-        monitor = DriftMonitor(window=50, alert_threshold=0.3)
+        monitor = _monitor(window=50, threshold=0.3)
         monitor.observe_batch(decisions)
         # Heavy drift should trip the alarm.
         assert monitor.alert

@@ -22,13 +22,13 @@ import pytest
 
 from repro.core import (
     AsyncServingLoop,
-    DriftMonitor,
     LoopConfig,
     ModelInterface,
     PromClassifier,
     RegressionModelInterface,
     ServingConfig,
     ServingError,
+    TriggerConfig,
 )
 from repro.experiments import stream_deployment
 from repro.ml import MLPClassifier, MLPRegressor
@@ -454,7 +454,7 @@ class TestStalenessBounds:
                 batch_size=50,
                 budget_fraction=0.3,
                 # never alert: every relabelled batch takes the fold path
-                monitor=DriftMonitor(window=100, alert_threshold=1.0),
+                triggers=TriggerConfig(window=100, threshold=1.0),
             ),
             serving=ServingConfig(queue_capacity=1, backpressure="drop"),
         )
@@ -529,7 +529,7 @@ class TestWorkerCrash:
                 # a maximal alert threshold keeps the model-update path
                 # out of the way so every relabelled batch takes the
                 # fold path
-                monitor=DriftMonitor(window=100, alert_threshold=1.0),
+                triggers=TriggerConfig(window=100, threshold=1.0),
             ),
             serving=ServingConfig(drain_each_step=True),
         )

@@ -1,11 +1,10 @@
 """Tests for the pluggable drift-trigger layer (DESIGN.md §11).
 
-The acceptance property: the default ``TriggerConfig`` stack (and the
-``DriftMonitor`` adapter over it) is **decision-identical** to the
-legacy deque-based monitor — a verbatim copy of which lives here as
-the oracle — under any interleaving of observes and resets (hypothesis
-property test), and across every shard router × eviction policy in the
-deployment loop, sync and async.  On top of that: the oversensitivity
+The acceptance property: the default ``TriggerConfig`` stack is
+**decision-identical** to the legacy deque-based monitor — a verbatim
+copy of which lives here as the oracle — under any interleaving of
+observes and resets (hypothesis property test), and across every shard
+router × eviction policy in the deployment loop, sync and async.  On top of that: the oversensitivity
 reproduction (raw hypothesis-testing triggers fire ≥3x more than the
 dynamic-threshold policy at equal recall, Modyn's finding), the
 trigger-state durability round-trip, per-shard triggers under async
@@ -29,7 +28,6 @@ from repro.core import (
     Decision,
     DecisionBatch,
     DetectionWindows,
-    DriftMonitor,
     DriftTrigger,
     EWMAThresholdPolicy,
     HysteresisPolicy,
@@ -48,10 +46,9 @@ from repro.core import (
     ValidationError,
     WarmupPolicy,
     build_trigger_stack,
-    default_trigger_stack,
     restore_checkpoint,
 )
-from repro.experiments import stream_deployment
+from repro.experiments import runner, stream_deployment
 from repro.ml import MLPClassifier
 
 from ..conftest import make_blobs
@@ -61,7 +58,11 @@ POLICIES = ("fifo", "reservoir", "lowest_weight")
 
 
 class _LegacyDriftMonitor:
-    """The pre-trigger-layer DriftMonitor, copied verbatim as the oracle."""
+    """The pre-trigger-layer DriftMonitor, copied verbatim as the oracle.
+
+    Below the verbatim part, the three members the deployment loop
+    calls on its trigger stack that the old monitor did not have.
+    """
 
     def __init__(self, window: int = 100, alert_threshold: float = 0.3):
         self.window = window
@@ -111,6 +112,19 @@ class _LegacyDriftMonitor:
         if lifetime:
             self._total_seen = 0
             self._total_rejected = 0
+
+    def observe_stream_batch(self, decisions, raw=None, labels=None) -> bool:
+        return self.observe_batch(decisions)
+
+    last_decision = None
+
+    def relabel_budget(self, base_fraction: float) -> float:
+        return base_fraction
+
+
+def _stack(window=100, threshold=0.3):
+    """The default stack for one window and threshold, built from its config."""
+    return build_trigger_stack(TriggerConfig(window=window, threshold=threshold))
 
 
 def _decision(drifting, credibility=0.5):
@@ -193,57 +207,46 @@ class TestLegacyEquivalenceProperty:
         self, window, threshold, events
     ):
         legacy = _LegacyDriftMonitor(window, threshold)
-        stack = default_trigger_stack(window=window, threshold=threshold)
-        adapter = DriftMonitor(window, threshold)
+        stack = _stack(window=window, threshold=threshold)
         for event in events:
             if event[0] == "observe":
                 returned = (
                     legacy.observe(_decision(event[1])),
                     stack.observe(_decision(event[1])),
-                    adapter.observe(_decision(event[1])),
                 )
-                assert returned[0] == returned[1] == returned[2]
+                assert returned[0] == returned[1]
             elif event[0] == "batch":
                 decisions = [_decision(f) for f in event[1]]
                 returned = (
                     legacy.observe_batch(decisions),
                     stack.observe_batch(decisions),
-                    adapter.observe_batch(decisions),
                 )
-                assert returned[0] == returned[1] == returned[2]
+                assert returned[0] == returned[1]
             elif event[0] == "decision_batch":
                 batch = _decision_batch(event[1])
                 returned = (
                     legacy.observe_batch(batch),
                     stack.observe_batch(batch),
-                    adapter.observe_batch(batch),
                 )
-                assert returned[0] == returned[1] == returned[2]
+                assert returned[0] == returned[1]
             elif event[0] == "reset":
                 legacy.reset()
                 stack.reset()
-                adapter.reset()
             else:
                 legacy.reset(lifetime=True)
                 stack.reset(lifetime=True)
-                adapter.reset(lifetime=True)
-            assert legacy.alert == stack.alert == adapter.alert
-            assert (
-                legacy.rejection_rate
-                == stack.rejection_rate
-                == adapter.rejection_rate
-            )
+            assert legacy.alert == stack.alert
+            assert legacy.rejection_rate == stack.rejection_rate
             assert (
                 legacy.lifetime_rejection_rate
                 == stack.lifetime_rejection_rate
-                == adapter.lifetime_rejection_rate
             )
 
 
 # -- stream-level equivalence: every router × eviction, sync + async ---------------
 
 
-def _stream_run(monitor, router, eviction, asynchronous):
+def _stream_run(router, eviction, asynchronous):
     interface = _trained_interface(n_shards=3, router=router, eviction=eviction)
     X_stream, y_stream = _drift_stream()
     serving = (
@@ -255,11 +258,20 @@ def _stream_run(monitor, router, eviction, asynchronous):
         interface,
         X_stream,
         y_stream,
-        loop=LoopConfig(
-            batch_size=50, budget_fraction=0.1, epochs=5, monitor=monitor
-        ),
+        loop=LoopConfig(batch_size=50, budget_fraction=0.1, epochs=5),
         serving=serving,
     )
+
+
+def _legacy_stream_run(monkeypatch, router, eviction, asynchronous):
+    """A whole run with the legacy monitor in place of the trigger stack."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            runner, "build_trigger_stack", lambda *a, **k: _LegacyDriftMonitor()
+        )
+        run = _stream_run(router, eviction, asynchronous)
+    assert isinstance(run.monitor, _LegacyDriftMonitor)
+    return run
 
 
 def _assert_runs_identical(legacy_run, default_run):
@@ -285,11 +297,11 @@ def _assert_runs_identical(legacy_run, default_run):
 class TestStreamEquivalence:
     @pytest.mark.parametrize("router", ROUTERS)
     @pytest.mark.parametrize("eviction", POLICIES)
-    def test_sync_stream_matches_legacy_monitor(self, router, eviction):
-        legacy_run = _stream_run(
-            _LegacyDriftMonitor(), router, eviction, asynchronous=False
+    def test_sync_stream_matches_legacy_monitor(self, monkeypatch, router, eviction):
+        legacy_run = _legacy_stream_run(
+            monkeypatch, router, eviction, asynchronous=False
         )
-        default_run = _stream_run(None, router, eviction, asynchronous=False)
+        default_run = _stream_run(router, eviction, asynchronous=False)
         _assert_runs_identical(legacy_run, default_run)
         assert default_run.n_trigger_fires == sum(
             1 for step in default_run.steps if step.alert
@@ -298,15 +310,15 @@ class TestStreamEquivalence:
     @pytest.mark.concurrency
     @pytest.mark.parametrize("router", ROUTERS)
     @pytest.mark.parametrize("eviction", POLICIES)
-    def test_async_stream_matches_legacy_monitor(self, router, eviction):
-        legacy_run = _stream_run(
-            _LegacyDriftMonitor(), router, eviction, asynchronous=True
+    def test_async_stream_matches_legacy_monitor(self, monkeypatch, router, eviction):
+        legacy_run = _legacy_stream_run(
+            monkeypatch, router, eviction, asynchronous=True
         )
-        default_run = _stream_run(None, router, eviction, asynchronous=True)
+        default_run = _stream_run(router, eviction, asynchronous=True)
         _assert_runs_identical(legacy_run, default_run)
 
     def test_trigger_observability_on_steps(self):
-        run = _stream_run(None, "hash", "fifo", asynchronous=False)
+        run = _stream_run("hash", "fifo", asynchronous=False)
         assert all(s.trigger_detector == "credibility" for s in run.steps)
         for step in run.steps:
             assert step.trigger_metric >= 0.0
@@ -623,12 +635,12 @@ class TestCostAwareBudget:
     def test_budget_passthrough_without_fire(self):
         policy = CostAwareBudgetPolicy(ceiling=0.5, spill=0.0)
         assert policy.budget(0.05, None) == 0.05
-        stack = default_trigger_stack(window=10)
+        stack = _stack(window=10)
         assert stack.relabel_budget(0.05) == 0.05
 
     def test_budget_rises_toward_ceiling_on_fire(self):
         policy = CostAwareBudgetPolicy(ceiling=0.5, spill=0.0)
-        fired = default_trigger_stack(window=10, threshold=0.3)
+        fired = _stack(window=10, threshold=0.3)
         fired.observe_batch([_decision(True) for _ in range(10)])
         decision = fired.last_decision
         assert decision.fired
@@ -722,9 +734,9 @@ class TestTriggerConfig:
         stack = build_trigger_stack(TriggerConfig(per_shard=True))
         assert isinstance(stack, TriggerStack)
 
-    def test_monitor_and_triggers_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            LoopConfig(monitor=DriftMonitor(), triggers=TriggerConfig())
+    def test_loop_config_takes_no_prebuilt_monitor(self):
+        with pytest.raises(TypeError):
+            LoopConfig(monitor=_LegacyDriftMonitor())
 
     def test_invalid_values_rejected(self):
         for bad in (
@@ -754,7 +766,7 @@ class TestTriggerConfig:
 
 class TestTriggerDurability:
     def _observed_stack(self, interface, window=30):
-        stack = default_trigger_stack(window=window)
+        stack = _stack(window=window)
         X_stream, _ = _drift_stream(200)
         for start in range(0, 200, 50):
             _, decisions = interface.predict(X_stream[start : start + 50])
@@ -768,7 +780,7 @@ class TestTriggerDurability:
         writer.checkpoint(interface.streaming)
 
         fresh_interface = _trained_interface()
-        fresh_stack = default_trigger_stack(window=30)
+        fresh_stack = _stack(window=30)
         report = restore_checkpoint(
             fresh_interface.streaming, tmp_path, triggers=fresh_stack
         )
@@ -788,14 +800,14 @@ class TestTriggerDurability:
         interface = _trained_interface()
         # a writer with no trigger target: the manifest carries no state
         CheckpointWriter(tmp_path).checkpoint(interface.streaming)
-        stack = default_trigger_stack(window=30)
+        stack = _stack(window=30)
         stack.observe_batch([_decision(True) for _ in range(20)])
         report = restore_checkpoint(
             _trained_interface().streaming, tmp_path, triggers=stack
         )
         assert not report.trigger_restored
         # deterministic re-warm: bit-identical to a fresh stack
-        assert stack.state_dict() == default_trigger_stack(window=30).state_dict()
+        assert stack.state_dict() == _stack(window=30).state_dict()
         assert not stack.alert
 
     def test_incompatible_trigger_state_rewarms(self, tmp_path):
@@ -804,7 +816,7 @@ class TestTriggerDurability:
         CheckpointWriter(tmp_path, triggers=stack).checkpoint(
             interface.streaming
         )
-        mismatched = default_trigger_stack(window=40)
+        mismatched = _stack(window=40)
         mismatched.observe_batch([_decision(True) for _ in range(20)])
         report = restore_checkpoint(
             _trained_interface().streaming, tmp_path, triggers=mismatched
@@ -813,7 +825,7 @@ class TestTriggerDurability:
         assert any("trigger state" in f for f in report.fallbacks)
         assert (
             mismatched.state_dict()
-            == default_trigger_stack(window=40).state_dict()
+            == _stack(window=40).state_dict()
         )
 
     def test_monitor_reset_lifetime_matches_fresh_after_restore(self, tmp_path):
@@ -822,12 +834,12 @@ class TestTriggerDurability:
         CheckpointWriter(tmp_path, triggers=stack).checkpoint(
             interface.streaming
         )
-        restored = default_trigger_stack(window=30)
+        restored = _stack(window=30)
         restore_checkpoint(
             _trained_interface().streaming, tmp_path, triggers=restored
         )
         restored.reset(lifetime=True)
-        assert restored.state_dict() == default_trigger_stack(window=30).state_dict()
+        assert restored.state_dict() == _stack(window=30).state_dict()
 
     def test_stream_deployment_warm_restart_restores_triggers(self, tmp_path):
         X_stream, y_stream = _drift_stream()
@@ -915,7 +927,7 @@ class TestPerShardConcurrency:
 
     def test_loop_counts_trigger_fires(self):
         interface = _trained_interface()
-        stack = default_trigger_stack(window=40)
+        stack = _stack(window=40)
         loop = AsyncServingLoop(interface, triggers=stack)
         X_drifted, _ = make_blobs(200, shift=4.0, seed=11)
         for start in range(0, 200, 40):

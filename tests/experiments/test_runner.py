@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     CalibrationError,
-    DriftMonitor,
     LoopConfig,
     ModelInterface,
+    ServingConfig,
+    TriggerConfig,
+    ValidationError,
     split_calibration,
 )
 from repro.experiments import (
@@ -221,7 +224,7 @@ class TestStreamDeployment:
             loop=LoopConfig(
                 batch_size=50,
                 budget_fraction=0.2,
-                monitor=DriftMonitor(window=100, alert_threshold=0.3),
+                triggers=TriggerConfig(window=100, threshold=0.3),
                 epochs=10,
             ),
         )
@@ -257,6 +260,23 @@ class TestStreamDeployment:
                 loop=LoopConfig(batch_size=0),
             )
 
+    @pytest.mark.parametrize("asynchronous", [False, True])
+    def test_misaligned_deploy_raises_validation_error(
+        self, trained_interface, asynchronous
+    ):
+        X, y = _make_blobs(30, seed=7)
+        epoch = trained_interface.epoch
+        calibration_size = trained_interface.calibration_size
+        with pytest.raises(ValidationError, match="must align"):
+            repro.deploy(
+                trained_interface,
+                X,
+                y[:-1],
+                serving=ServingConfig(asynchronous=asynchronous),
+            )
+        assert trained_interface.epoch == epoch
+        assert trained_interface.calibration_size == calibration_size
+
     def test_sharded_interface_routes_through_shard_layer(self):
         from repro.ml import MLPClassifier
 
@@ -282,7 +302,7 @@ class TestStreamDeployment:
             loop=LoopConfig(
                 batch_size=50,
                 budget_fraction=0.2,
-                monitor=DriftMonitor(window=100, alert_threshold=0.3),
+                triggers=TriggerConfig(window=100, threshold=0.3),
                 epochs=10,
             ),
         )
