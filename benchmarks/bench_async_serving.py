@@ -32,9 +32,9 @@ publish (DESIGN.md §6: untouched shards' blocks are referenced, not
 copied) for a 1-of-N-shards-touched update against an all-shards
 rescoring and against the PR 4 full-flat-copy reference — asserting
 the shared-block publish is at least **3x** cheaper than the flat
-copy at 12k rows x 16 shards.  The one-off cost that moved off the
-publish path (the lazy flat materialization paid by the first
-decision after a publish) is recorded alongside for honesty.
+copy at 12k rows x 16 shards.  The first decision after a publish
+(which repairs nothing the worker's prewarm did not) is recorded
+alongside for honesty.
 
 Results go to ``out/BENCH_async_serving.json``; ``--smoke`` runs a
 seconds-long, assertion-free pass for CI.
@@ -252,20 +252,19 @@ def measure_segment_publish(scale, seed=0, rounds=5) -> dict:
       ``n_shards - 1`` shards' blocks by reference;
     * ``publish_all_touched_ms`` — publish after a whole-store
       rescoring (every shard's score blocks rebuilt);
-    * ``flat_copy_reference_ms`` — the PR 4 publish kernel: one deep
-      copy of every store-aliased array (features, labels, and every
-      expert layout's scores/labels/counts), timed on the same state.
+    * ``flat_copy_reference_ms`` — the PR 4 publish kernel: one flat
+      copy of every state column (features, labels, and every expert
+      layout's scores/labels/counts), built by concatenating the
+      bundle's segments on the same state.
 
-    ``first_decision_after_publish_ms`` records where the deferred
-    ``O(n)`` went: the first decision after a publish materializes the
-    snapshot's flat arrays once; ``warm_decision_ms`` is the same batch
-    on the already-materialized snapshot.
+    ``first_decision_after_publish_ms`` is the first decision on a
+    fresh snapshot; ``warm_decision_ms`` is the same batch again.
     """
     interface = _make_interface(scale, seed=seed)
     generator = np.random.default_rng(seed + 7)
     X_warm = _batch(scale["latency_batch"], scale["n_features"], seed=41)
     with AsyncServingLoop(interface) as loop:
-        loop.predict(X_warm)  # materialize the initial snapshot
+        loop.predict(X_warm)  # warm the initial snapshot
 
         # a fold batch the hash router sends to exactly one shard
         store = interface.streaming.store
@@ -281,7 +280,7 @@ def measure_segment_publish(scale, seed=0, rounds=5) -> dict:
             loop.drain(timeout=120)
             single_ms.append(loop.stats.last_publish_seconds * 1e3)
             shared_per_publish.append(loop.snapshot.blocks_shared)
-            loop.predict(X_warm)  # materialize before the next round
+            loop.predict(X_warm)  # a decision before the next round
 
         all_ms = []
         for _ in range(rounds):
@@ -290,22 +289,23 @@ def measure_segment_publish(scale, seed=0, rounds=5) -> dict:
             all_ms.append(loop.stats.last_publish_seconds * 1e3)
             loop.predict(X_warm)
 
-        # the PR 4 reference publish: deep-copy every store-aliased
-        # array of the (materialized) detector state
-        prom = interface.streaming.prom
-        n_rows = len(prom._features)
+        # the PR 4 reference publish: a flat copy of every column of
+        # the detector state (features, labels, each expert's scores
+        # and group counts)
+        bundle = interface.streaming.prom._segment_bundle
+        n_rows = len(bundle.fields["_features"])
         reference_ms = []
         for _ in range(rounds):
             started = time.perf_counter()
-            np.array(prom._features)
-            np.array(prom._labels)
-            for layout in prom._layouts:
-                np.array(layout.scores)
-                np.array(layout.labels)
-                np.array(layout.group_counts)
+            np.concatenate(bundle.fields["_features"].segments)
+            labels = np.concatenate(bundle.fields["_labels"].segments)
+            for field, counts in zip(bundle.score_fields, bundle.group_counts):
+                np.concatenate(field.segments)
+                np.array(labels)
+                np.array(counts)
             reference_ms.append((time.perf_counter() - started) * 1e3)
 
-        # where the deferred O(n) went: the publish-following decision
+        # the publish-following decision vs the same batch again
         loop.submit_fold(single, y_single)
         loop.drain(timeout=120)
         started = time.perf_counter()

@@ -145,7 +145,7 @@ def measure_throughput_scaling(scale, seed=0, rounds=3) -> dict:
     n_decisions = scale["throughput_batch"] * scale["throughput_batches"]
 
     with AsyncServingLoop(interface) as loop:
-        loop.predict(batches[0])  # materialize the snapshot
+        loop.predict(batches[0])  # warm the snapshot
         in_process_seconds = float("inf")
         for _ in range(rounds):
             started = time.perf_counter()

@@ -9,10 +9,10 @@ bench measures both fixes at the ISSUE 8 acceptance scale (12k
 calibration rows x 16 shards, 48 features, 32 classes):
 
 * **first_decision_after_publish** — the decision that lands right
-  behind a single-touched-shard publish, segment-direct (the bundle
-  stays pending; the evaluate iterates the canonical GEMM panels over
-  the blocks) vs the pre-ISSUE-8 path (fire the compose hook, pay the
-  flat concat, then evaluate).  Asserts the segment-direct first
+  behind a single-touched-shard publish, segment-direct (the evaluate
+  iterates the canonical GEMM panels over the blocks) vs the
+  pre-ISSUE-8 path (concatenate the snapshot's segments into flat
+  arrays, then evaluate them as a plain flat detector).  Asserts the segment-direct first
   decision improves on the flat-path first decision by at least **2x**
   and sits within **1.2x** of the warm-path figure — the flat-concat
   tax is gone from the decision path, not merely reduced; and
@@ -37,6 +37,7 @@ bit-identity tripwire still applies — it is deterministic).
 """
 
 import argparse
+import copy
 import json
 import time
 
@@ -48,11 +49,11 @@ import numpy as np
 from repro.core import (
     AsyncServingLoop,
     CandidatePruner,
+    LabelGroupedScores,
     ModelInterface,
     StreamingPromClassifier,
 )
 from repro.core.blocks import SEGMENT_DIRECT_MIN_ROWS, BlockColumn
-from repro.core.prom import _pending_bundle
 from repro.core.weighting import panel_product
 
 #: acceptance floor (ISSUE 8): the segment-direct first decision after a
@@ -171,6 +172,32 @@ def _single_shard_fold(interface, scale, seed=0):
     return single, y_single
 
 
+def _flat_detector(prom):
+    """A plain flat ``PromClassifier`` over ``prom``'s bundle state.
+
+    Concatenates every field's segments and rebuilds the per-expert
+    layouts over them (group counts are the bundle's own) — the flat
+    state a detector without segment-direct kernels had to build before
+    it could evaluate.
+    """
+    bundle = prom._segment_bundle
+    flat = copy.copy(prom)
+    del flat._segment_bundle
+    flat._features = np.concatenate(bundle.fields["_features"].segments)
+    flat._labels = np.concatenate(bundle.fields["_labels"].segments)
+    flat._scores = [np.concatenate(field.segments) for field in bundle.score_fields]
+    flat._layouts = [
+        LabelGroupedScores(
+            scores=scores,
+            labels=flat._labels,
+            group_counts=counts,
+            n_labels=bundle.n_labels,
+        )
+        for scores, counts in zip(flat._scores, bundle.group_counts)
+    ]
+    return flat
+
+
 def measure_first_decision(scale, seed=0) -> dict:
     """First decision behind a publish: segment-direct vs flat concat.
 
@@ -178,14 +205,13 @@ def measure_first_decision(scale, seed=0) -> dict:
     times the first evaluate against it, alternating the two worlds on
     identical state:
 
-    * *segment-direct* — evaluate with the compose bundle pending; the
-      kernels iterate the canonical GEMM panels over the blocks, and
-      the bundle **stays pending afterwards** (verified each round);
+    * *segment-direct* — evaluate the snapshot as published; the
+      kernels iterate the canonical GEMM panels over the blocks;
     * *flat* — the cost before segment-direct evaluation, reproduced
-      by firing the snapshot's compose hook inside the timed region
-      (the ``O(n)`` concat of every column) before the same evaluate.
-      Evaluation reads the bundle's view either way, so this world
-      adds exactly the concat tax to the decision.
+      inside the timed region by concatenating the snapshot's segments
+      (the ``O(n)`` concat of every column) and evaluating them as a
+      plain flat detector, whose first evaluate builds its one-block
+      view and panels.
 
     Decision traffic keeps flowing against the *previous* snapshot
     while each publish drains — the steady-serving regime, so the
@@ -208,7 +234,6 @@ def measure_first_decision(scale, seed=0) -> dict:
     fold_X, fold_y = _single_shard_fold(interface, scale, seed=seed)
 
     segment_ms, flat_ms, warm_ms = [], [], []
-    stayed_pending = True
     with AsyncServingLoop(interface) as loop:
         loop.predict(X_eval)  # warm the initial snapshot
         for round_id in range(scale["rounds"]):
@@ -222,7 +247,6 @@ def measure_first_decision(scale, seed=0) -> dict:
             started = time.perf_counter()
             prom.evaluate(X_eval, proba)
             segment_ms.append((time.perf_counter() - started) * 1e3)
-            stayed_pending &= _pending_bundle(prom) is not None
             for _ in range(6):
                 started = time.perf_counter()
                 prom.evaluate(X_eval, proba)
@@ -236,8 +260,7 @@ def measure_first_decision(scale, seed=0) -> dict:
                 previous.evaluate(X_eval, proba)
             prom = loop.snapshot.interface.prom
             started = time.perf_counter()
-            prom._compose_hook()  # the pre-ISSUE-8 flat concat
-            prom.evaluate(X_eval, proba)
+            _flat_detector(prom).evaluate(X_eval, proba)
             flat_ms.append((time.perf_counter() - started) * 1e3)
         prewarm_ms = loop.stats.total_prewarm_seconds * 1e3 / max(
             1, loop.stats.snapshots_published
@@ -257,7 +280,6 @@ def measure_first_decision(scale, seed=0) -> dict:
         "first_decision_speedup": round(med_flat / med_segment, 2),
         "first_decision_vs_warm_ratio": round(med_segment / med_warm, 3),
         "view_prewarm_per_publish_ms": round(prewarm_ms, 4),
-        "bundle_stayed_pending": stayed_pending,
     }
 
 
@@ -267,7 +289,7 @@ def measure_pruned_evaluate(scale, seed=0) -> dict:
     The pruner restricts each test sample's distance GEMM and p-value
     gather to its primary shard's blocks, so the kernel scores
     ~``1/n_shards`` of the calibration set.  Both paths run against the
-    same pending-bundle snapshot, warmed first so the view, panel and
+    same post-fold snapshot, warmed first so the view, panel and
     candidate-restriction caches are populated (the steady-state
     serving regime); best-of-rounds each.
     """
@@ -278,7 +300,7 @@ def measure_pruned_evaluate(scale, seed=0) -> dict:
 
     with AsyncServingLoop(interface) as loop:
         loop.predict(X_eval[:1])
-        loop.submit_fold(fold_X, fold_y)  # leave a bundle pending
+        loop.submit_fold(fold_X, fold_y)
         loop.drain(timeout=300)
         prom = loop.snapshot.interface.prom
         pruner = CandidatePruner(
@@ -462,10 +484,6 @@ def test_first_decision_after_publish():
     """ISSUE 8 acceptance: flat-concat tax gone from the decision path."""
     outcome = measure_first_decision(FULL_SCALE)
     update_bench_json("BENCH_segment_eval.json", {"first_decision": outcome})
-    assert outcome["bundle_stayed_pending"], (
-        "segment-direct evaluate materialized the flat state — the "
-        "deferred concat fired on the decision path"
-    )
     assert outcome["first_decision_speedup"] >= FIRST_DECISION_SPEEDUP_FLOOR, (
         f"segment-direct first decision only "
         f"{outcome['first_decision_speedup']:.2f}x faster than the "

@@ -131,14 +131,13 @@ def measure_update_latency(scale, shard_counts=(1, 4, 16), repeats=10):
     """Steady-state ``update()`` latency across shard counts.
 
     Since the segment compose layer (DESIGN.md §6), a sharded
-    ``update()`` is ``O(touched shards)`` and defers the flat-array
-    concatenation to the next detector read — so two numbers are
-    recorded per shard count: ``update_seconds`` (the fold + segment
-    recomposition alone, what an async maintenance worker pays) and
-    ``update_materialized_seconds`` (fold plus the lazy flat
-    materialization a subsequent evaluate would trigger, the honest
-    sync-loop cost).  For ``n_shards=1`` the two nearly coincide: the
-    one-shard bundle materializes without a concatenation.
+    ``update()`` is ``O(touched shards)`` and builds no flat array —
+    so two numbers are recorded per shard count: ``update_seconds``
+    (the fold + segment recomposition alone, what the deployment pays)
+    and ``update_materialized_seconds`` (fold plus the flat
+    concatenation of every bundle field, the cost of the eager flat
+    rebuild the compose layer replaced).  For ``n_shards=1`` the two
+    nearly coincide: a one-segment field is its block, no copy.
     """
     new = _classification_batch(
         scale["batch"], scale["n_classes"], scale["n_features"], seed=1
@@ -151,8 +150,8 @@ def measure_update_latency(scale, shard_counts=(1, 4, 16), repeats=10):
 
         def update_and_materialize():
             streaming.update(*new)
-            # reading any state attribute forces the deferred concat
-            len(streaming.prom._features)
+            for field in streaming.prom._segment_bundle.iter_fields():
+                field.flat()
 
         materialized = _time_best(update_and_materialize, repeats)
         latencies[str(n_shards)] = {

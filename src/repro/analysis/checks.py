@@ -32,15 +32,14 @@ from .visitor import (
 )
 
 # Calls whose results are frozen snapshot/segment state (PL001).
-# evaluation_view()/pending_bundle()/restrict() hand out the published
+# evaluation_view()/restrict() hand out the published
 # segment-direct evaluation state, and panels()/row_norms() return the
 # shared kernel caches behind it (DESIGN.md §9) — all are read by
 # lock-free evaluates and must never be written through.
 SNAPSHOT_SOURCES = frozenset(
     {
         "detector_snapshot", "column_segment", "column_segments", "snapshot",
-        "evaluation_view", "pending_bundle", "restrict", "panels", "row_norms",
-        "gather_base",
+        "evaluation_view", "restrict", "panels", "row_norms", "gather_base",
     }
 )
 SNAPSHOT_CONSTRUCTORS = frozenset(

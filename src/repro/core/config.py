@@ -198,7 +198,9 @@ class PruningConfig:
             its candidate shards.
         spill: fraction of the non-primary active shards each sample
             additionally scores, in ``[0, 1]`` (1.0 keeps decisions
-            bit-identical to the unpruned path).
+            bit-identical to the unpruned path).  It is also the spill
+            the cost-aware relabel budget prices coverage loss at; a
+            run with pruning disabled budgets at 1.0 (exact mode).
         chunk_size: evaluate-kernel test-row chunk width (``None``
             keeps the adaptive cell-budget default).
     """
@@ -260,9 +262,9 @@ class TriggerConfig:
             per-detector seeds derive from it deterministically).
         budget_ceiling: when set, attach a
             :class:`~repro.core.triggers.CostAwareBudgetPolicy` that
-            raises the relabel budget toward this ceiling on fires.
-        spill: the deployment's prune-spill setting, fed to the
-            coverage cost model (1.0 = exact mode, no expected loss).
+            raises the relabel budget toward this ceiling on fires;
+            its coverage cost model reads the deployment's effective
+            prune spill (:class:`PruningConfig`).
     """
 
     window: int = 100
@@ -281,7 +283,6 @@ class TriggerConfig:
     per_shard: bool = False
     seed: int = 0
     budget_ceiling: float | None = None
-    spill: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "detectors", tuple(self.detectors))
@@ -352,8 +353,4 @@ class TriggerConfig:
         ):
             raise ConfigurationError(
                 f"budget_ceiling must be in (0, 1], got {self.budget_ceiling}"
-            )
-        if not 0.0 <= self.spill <= 1.0:
-            raise ConfigurationError(
-                f"spill must be in [0, 1], got {self.spill}"
             )

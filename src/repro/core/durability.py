@@ -613,9 +613,7 @@ def _install(streaming, payload: dict, shard_blobs, global_arrays) -> None:
         )
     store._epoch = int(payload["store_epoch"])
     streaming._shard_states = states
-    streaming._bundle = None
-    streaming._build_bundle(fresh=False)
-    streaming._materialize_composed()
+    streaming._build_bundle()
     streaming._epoch = int(payload["epoch"])
 
 

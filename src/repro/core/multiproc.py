@@ -43,12 +43,8 @@ from multiprocessing.connection import wait as _connection_wait
 import numpy as np
 
 from .exceptions import ConfigurationError, ServingError, SharedSegmentError
-from .segments import (
-    BundleComposeHook,
-    bundle_from_manifest,
-    bundle_manifest,
-    manifest_refs,
-)
+from .prom import FLAT_STATE
+from .segments import bundle_from_manifest, bundle_manifest, manifest_refs
 from .serving import ServingStats
 from .shm import (
     SegmentAttacher,
@@ -132,14 +128,9 @@ class _WorkerRuntime:
         interface = copy.copy(self._spec)
         prom = copy.copy(self._spec.prom)
         interface.prom = prom
-        bundle = bundle_from_manifest(manifest["bundle"], self.attacher.get)
-        prom._compose_hook = BundleComposeHook(prom, bundle)
-        prom._segment_bundle = bundle
-        # Calibration marker: `is_calibrated` checks the backing slot
-        # hook-free, so seed it with a placeholder.  The placeholder is
-        # never observed — the descriptor fires the compose hook (which
-        # overwrites every slot from the bundle) before reading it.
-        prom._features = None
+        prom._segment_bundle = bundle_from_manifest(
+            manifest["bundle"], self.attacher.get
+        )
         return interface
 
     def close(self) -> None:
@@ -304,12 +295,8 @@ class ProcessServingPool:
         spec.__dict__.pop("_X_train", None)
         spec.__dict__.pop("_y_train", None)
         prom = copy.copy(self.interface.prom)
-        for key in list(prom.__dict__):
-            if key.startswith("_composed") or key in (
-                "_compose_hook",
-                "_segment_bundle",
-            ):
-                del prom.__dict__[key]
+        for key in ("_segment_bundle",) + FLAT_STATE:
+            prom.__dict__.pop(key, None)
         spec.prom = prom
         return pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
 

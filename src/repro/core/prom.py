@@ -24,6 +24,13 @@ Workflow (paper Figures 3 and 5):
    proportional to the batch, not the calibration-set size, and is
    decision-identical to a fresh ``calibrate()`` on the surviving
    samples (DESIGN.md §3).
+
+A detector holds its calibration state in one of two forms, never both:
+the flat arrays a plain ``calibrate()`` sets, or — under a streaming
+wrapper, in its snapshots and in pool workers — the wrapper's
+:class:`~repro.core.segments.SegmentBundle` of per-shard blocks, held
+as ``_segment_bundle``.  Either way the kernels read one
+:class:`~repro.core.segments.EvaluationView` (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -49,12 +56,28 @@ from .pvalue import (
     pvalues_from_binning,
 )
 from .scores import assess_batch
-from .segments import FLAT_VIEW_SLOT, ComposedStateAttr, EvaluationView, state_is_set
+from .segments import EvaluationView
 from .weighting import AdaptiveWeighting, iter_squared_distance_chunks, squared_distance_matrix
 
 #: soft bound on the number of float64 cells one evaluation chunk's
 #: largest temporary may hold (~16 MB).
 _EVALUATE_CELL_BUDGET = 2_000_000
+
+#: instance slot of a plain detector's cached one-block
+#: :class:`EvaluationView`, built on first use after a calibration.
+FLAT_VIEW_SLOT = "_composed_view"
+
+#: every instance attribute a plain ``calibrate()`` derives from the
+#: calibration set; a bundle-backed detector holds none of them.
+FLAT_STATE = (
+    "_features",
+    "_labels",
+    "_targets",
+    "_clusters",
+    "_scores",
+    "_layouts",
+    FLAT_VIEW_SLOT,
+)
 
 
 def _evaluation_chunk(n_calibration: int, chunk_size: int | None, n_labels: int = 1) -> int:
@@ -73,30 +96,15 @@ def _evaluation_chunk(n_calibration: int, chunk_size: int | None, n_labels: int 
     return max(1, _EVALUATE_CELL_BUDGET // widest)
 
 
-def _pending_bundle(prom):
-    """The un-materialized compose bundle behind ``prom``, or ``None``.
-
-    Hook-free: inspects the installed ``_compose_hook`` without firing
-    it, so asking never triggers the deferred flat concatenation.
-    """
-    hook = prom.__dict__.get("_compose_hook")
-    pending = getattr(hook, "pending_bundle", None)
-    return pending() if pending is not None else None
-
-
 def _evaluation_view(prom) -> EvaluationView:
     """The evaluation state every kernel reads (DESIGN.md §9).
 
     A detector composed from per-shard blocks evaluates through its
-    compose bundle's view, pending or materialized, so each live block
-    set has exactly one panel cache and evaluating never fires the
-    deferred flat concat.  A plain detector evaluates through a
-    one-block view of its flat arrays, built on first use after a
-    calibration and retired by any write to its state slots
-    (:class:`~repro.core.segments.ComposedStateAttr`).
+    bundle's view, so each live block set has exactly one panel cache.
+    A plain detector evaluates through a one-block view of its flat
+    arrays, built on first use after a calibration.
     """
-    hook = prom.__dict__.get("_compose_hook")
-    bundle = hook.bundle() if hook is not None else None
+    bundle = prom._segment_bundle
     if bundle is not None:
         return bundle.evaluation_view()
     view = prom.__dict__.get(FLAT_VIEW_SLOT)
@@ -109,14 +117,14 @@ def _evaluation_view(prom) -> EvaluationView:
 def _active_pruner(prom, view):
     """The installed ``_pruner`` when it applies to ``view``, else ``None``.
 
-    A :class:`~repro.core.pruning.CandidatePruner` engages only over a
-    pending compose bundle of at least
+    A :class:`~repro.core.pruning.CandidatePruner` engages whenever the
+    detector evaluates through a bundle of at least
     :data:`~repro.core.blocks.SEGMENT_DIRECT_MIN_ROWS` rows.
     """
     pruner = prom.__dict__.get("_pruner")
-    if pruner is None or len(view.features) < SEGMENT_DIRECT_MIN_ROWS:
+    if pruner is None or prom._segment_bundle is None:
         return None
-    return pruner if _pending_bundle(prom) is not None else None
+    return pruner if len(view.features) >= SEGMENT_DIRECT_MIN_ROWS else None
 
 
 def _all_finite(*arrays) -> bool:
@@ -145,7 +153,39 @@ def _check_calibration_inputs(features, outputs, targets):
     return features, outputs, targets
 
 
-class PromClassifier:
+class _CalibrationState:
+    """Calibration-state accessors shared by both detectors."""
+
+    #: the composed per-shard state a streaming wrapper sets on every
+    #: compose (carried by snapshots and pool workers); ``None`` for a
+    #: plain detector, which holds flat arrays instead
+    _segment_bundle = None
+
+    @property
+    def is_calibrated(self) -> bool:
+        """Whether the detector holds calibration state."""
+        return self._segment_bundle is not None or "_features" in self.__dict__
+
+    @property
+    def calibration_size(self) -> int:
+        """Number of calibration samples backing the detector (0 before
+        ``calibrate()``)."""
+        if self._segment_bundle is not None:
+            return len(self._segment_bundle.fields["_features"])
+        return len(self._features) if self.is_calibrated else 0
+
+    def _require_calibrated(self):
+        if not self.is_calibrated:
+            raise NotCalibratedError("call calibrate() before evaluating samples")
+
+    def _reset_state(self) -> None:
+        """Retire the composed bundle and the cached flat view before a
+        plain ``calibrate()`` sets new flat state."""
+        self.__dict__.pop("_segment_bundle", None)
+        self.__dict__.pop(FLAT_VIEW_SLOT, None)
+
+
+class PromClassifier(_CalibrationState):
     """Drift detector for probabilistic classifiers.
 
     Args:
@@ -162,16 +202,6 @@ class PromClassifier:
         vote_threshold: committee acceptance fraction (0.5 = majority,
             ties reject).
     """
-
-    # Calibration state attributes behind compose-aware descriptors: a
-    # streaming wrapper may hold this state as per-shard segments
-    # (core/segments.py) and install a ``_compose_hook`` that
-    # materializes the flat arrays on first read.  Plain (non-streaming)
-    # use assigns and reads them exactly like ordinary attributes.
-    _features = ComposedStateAttr()
-    _labels = ComposedStateAttr()
-    _scores = ComposedStateAttr()
-    _layouts = ComposedStateAttr()
 
     def __init__(
         self,
@@ -225,6 +255,7 @@ class PromClassifier:
             raise CalibrationError("probabilities must be (n, n_classes)")
         if labels.max(initial=0) >= probabilities.shape[1]:
             raise CalibrationError("label index exceeds probability columns")
+        self._reset_state()
         self._features = features
         self._labels = labels
         self._n_classes = probabilities.shape[1]
@@ -240,27 +271,6 @@ class PromClassifier:
             for scores in self._scores
         ]
         return self
-
-    @property
-    def is_calibrated(self) -> bool:
-        # hook-free check: must not trigger lazy compose materialization
-        return state_is_set(self, "_features")
-
-    @property
-    def calibration_size(self) -> int:
-        """Number of calibration samples backing the detector (0 before
-        ``calibrate()``).  Counted from the pending compose bundle when
-        one exists, so asking never forces the flat materialization."""
-        if not self.is_calibrated:
-            return 0
-        bundle = _pending_bundle(self)
-        if bundle is not None:
-            return len(bundle.fields["_features"])
-        return len(self._features)
-
-    def _require_calibrated(self):
-        if not self.is_calibrated:
-            raise NotCalibratedError("call calibrate() before evaluating samples")
 
     def _flat_view(self) -> EvaluationView:
         """One-block evaluation view over the flat calibration state."""
@@ -337,11 +347,10 @@ class PromClassifier:
 
         When the detector's state is composed from per-shard blocks (a
         streaming detector or snapshot), the kernels read the blocks
-        directly and the ``O(n)`` flat concatenation never happens
-        (DESIGN.md §9).  A :class:`~repro.core.pruning.CandidatePruner`
-        installed as ``_pruner`` additionally restricts each test
-        sample to its router-affine candidate shards while the bundle
-        is pending.  ``chunk_size=None`` falls back to the instance
+        directly (DESIGN.md §9), and a
+        :class:`~repro.core.pruning.CandidatePruner` installed as
+        ``_pruner`` restricts each test sample to its router-affine
+        candidate shards.  ``chunk_size=None`` falls back to the instance
         default ``_chunk_size`` (when set) before the automatic
         memory-bounded choice.
         """
@@ -468,7 +477,7 @@ class PromClassifier:
         return membership
 
 
-class PromRegressor:
+class PromRegressor(_CalibrationState):
     """Drift detector for regression models (paper Sec. 5.1.1/5.1.2).
 
     Ground truth is unavailable at deployment, so the test residual is
@@ -485,13 +494,6 @@ class PromRegressor:
     ``"true"`` uses the known calibration ground truth (the paper's
     literal formulation).
     """
-
-    # compose-aware state descriptors — see PromClassifier
-    _features = ComposedStateAttr()
-    _targets = ComposedStateAttr()
-    _clusters = ComposedStateAttr()
-    _scores = ComposedStateAttr()
-    _layouts = ComposedStateAttr()
 
     def __init__(
         self,
@@ -549,6 +551,7 @@ class PromRegressor:
         )
         predictions = predictions.astype(float).ravel()
         targets = np.asarray(targets, dtype=float).ravel()
+        self._reset_state()
         self._features = features
         self._targets = targets
         self.weighting.resolve_tau(features)
@@ -568,27 +571,6 @@ class PromRegressor:
             for scores in self._scores
         ]
         return self
-
-    @property
-    def is_calibrated(self) -> bool:
-        # hook-free check: must not trigger lazy compose materialization
-        return state_is_set(self, "_features")
-
-    @property
-    def calibration_size(self) -> int:
-        """Number of calibration samples backing the detector (0 before
-        ``calibrate()``).  Counted from the pending compose bundle when
-        one exists, so asking never forces the flat materialization."""
-        if not self.is_calibrated:
-            return 0
-        bundle = _pending_bundle(self)
-        if bundle is not None:
-            return len(bundle.fields["_features"])
-        return len(self._features)
-
-    def _require_calibrated(self):
-        if not self.is_calibrated:
-            raise NotCalibratedError("call calibrate() before evaluating samples")
 
     def _flat_view(self) -> EvaluationView:
         """One-block evaluation view over the flat calibration state."""
@@ -623,15 +605,6 @@ class PromRegressor:
         np.fill_diagonal(squared, np.inf)
         nearest = np.argpartition(squared, k - 1, axis=1)[:, :k]
         return targets[nearest].mean(axis=1)
-
-    def approximate_target(self, feature) -> float:
-        """k-NN estimate of the unseen ground truth for one test sample."""
-        self._require_calibrated()
-        feature = np.asarray(feature, dtype=float).ravel()
-        distances = np.sqrt(np.sum((self._features - feature) ** 2, axis=1))
-        k = min(self.k_neighbors, len(distances))
-        nearest = np.argpartition(distances, k - 1)[:k]
-        return float(self._targets[nearest].mean())
 
     def approximate_target_batch(self, features, chunk_size=None) -> np.ndarray:
         """k-NN ground-truth estimates for a batch of test samples.

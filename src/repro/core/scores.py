@@ -11,8 +11,8 @@
 Position in the evaluation pipeline (see README architecture map): the
 p-value kernels of :mod:`repro.core.pvalue` reduce each test batch to a
 ``(n_test, n_labels)`` p-value matrix per expert — computed against the
-calibration state the streaming runtime maintains (flat arrays, or the
-lazily materialized segment composition of :mod:`repro.core.segments`);
+calibration state the detector holds (flat arrays, or the per-shard
+segment bundle of :mod:`repro.core.segments`);
 :func:`assess_batch` turns each matrix into per-expert verdicts, which
 :mod:`repro.core.committee` then votes into decisions.  This module is
 deliberately state-free: it only ever sees p-values, so it is identical

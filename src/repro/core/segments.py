@@ -11,24 +11,21 @@ readers could never observe an in-place rewrite.
 This module replaces both copies with a **segment compose layer**:
 
 * :class:`SegmentedField` — one logical calibration column held as an
-  ordered tuple of immutable per-shard blocks, with the flat
-  concatenation materialized lazily (and cached) only when a consumer
-  actually needs it;
+  ordered tuple of immutable per-shard blocks;
 * :class:`SegmentBundle` — the full composed detector state (every
   field, every expert's scores, the integer-exact summed group counts),
   built in ``O(touched shards)`` after a mutation because untouched
-  shards contribute the *same block objects* as the previous bundle;
-* :class:`ComposedStateAttr` — the descriptor the Prom detectors use
-  for their state attributes, so any read (an ``evaluate()``, a test
-  poking ``prom._features``) transparently materializes the current
-  bundle first.  Writes behave like plain attribute assignment, which
-  keeps the non-streaming ``calibrate()`` path untouched;
-* :class:`BundleComposeHook` — the one-shot materializer installed on
-  frozen detector snapshots, giving the serving plane
-  **structural-sharing publishes**: a snapshot references the live
-  bundle's blocks instead of deep-copying them, so publish cost drops
-  from ``O(store)`` to ``O(touched shards)`` and consecutive snapshots
-  share (``np.shares_memory``) every untouched shard's blocks.
+  shards contribute the *same block objects* as the previous bundle.
+
+A bundle is the *only* calibration state of a streaming detector, its
+snapshots and its pool workers: the detector holds it as
+``_segment_bundle`` and evaluates through its
+:class:`EvaluationView`, so no flat copy of the state exists.  That
+also gives the serving plane **structural-sharing publishes**: a
+snapshot references the live bundle's blocks instead of deep-copying
+them, so publish cost drops from ``O(store)`` to ``O(touched shards)``
+and consecutive snapshots share (``np.shares_memory``) every untouched
+shard's blocks.
 
 The safety contract is copy-on-write: a block handed to a bundle is
 never mutated in place — folds and rescores *replace* a shard's blocks
@@ -37,94 +34,29 @@ views (:meth:`~repro.core.sharding.ShardedCalibrationStore.
 column_segment`), whose buffers are copied before any slot-reuse write.
 Under that discipline sharing blocks between the live detector and any
 number of published snapshots is free.
-
-Materialization is idempotent and tolerates benign races: concurrent
-first readers of one snapshot may each build the flat arrays, but every
-build produces equal values from the same immutable blocks, attribute
-stores are atomic under the GIL, and the done flag is only set after a
-full apply — so a reader either materializes for itself or observes a
-completed apply, never a torn one.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BlockColumn
-from .pvalue import LabelGroupedScores
 from .weighting import TAU_MAX_ROWS, TAU_SEED
-
-
-#: instance slot of a plain detector's cached one-block
-#: :class:`EvaluationView`.  The ``_composed`` prefix keeps it with the
-#: other derived state slots, which snapshot pickling strips.
-FLAT_VIEW_SLOT = "_composed_view"
-
-
-class ComposedStateAttr:
-    """Data descriptor for a lazily composable detector state attribute.
-
-    Reads first invoke the instance's ``_compose_hook`` (when one is
-    set), letting a compose layer install the current flat arrays on
-    first access after a mutation; without a hook, reads and writes
-    behave exactly like a plain instance attribute, including raising
-    ``AttributeError`` before the first assignment (``calibrate()``).
-    """
-
-    def __set_name__(self, owner, name):
-        self._name = name
-        self._slot = "_composed" + name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        hook = instance.__dict__.get("_compose_hook")
-        if hook is not None:
-            hook()
-        try:
-            return instance.__dict__[self._slot]
-        except KeyError:
-            raise AttributeError(self._name) from None
-
-    def __set__(self, instance, value):
-        instance.__dict__[self._slot] = value
-        # the detector's cached one-block evaluation view is derived
-        # from these slots: any write retires it
-        instance.__dict__.pop(FLAT_VIEW_SLOT, None)
-
-    def __delete__(self, instance):
-        instance.__dict__.pop(self._slot, None)
-        instance.__dict__.pop(FLAT_VIEW_SLOT, None)
-
-
-def state_is_set(instance, name: str) -> bool:
-    """Whether ``instance``'s composed-state attribute ``name`` holds a value.
-
-    The hook-free form of ``hasattr``: it inspects the descriptor's
-    backing slot without triggering materialization, so calibration
-    checks on the streaming hot path stay O(1).
-    """
-    return ("_composed" + name) in instance.__dict__
 
 
 class SegmentedField:
     """An ordered tuple of immutable array blocks for one state field.
 
     ``segments`` holds one block per shard (empty blocks for empty
-    shards), in global exposed order.  :meth:`flat` materializes the
-    concatenation lazily and caches it; because blocks are immutable,
-    the cached flat array is itself immutable and may be shared freely
-    between the live detector and published snapshots.
+    shards), in global exposed order.
     """
 
-    __slots__ = ("segments", "_flat")
+    __slots__ = ("segments",)
 
-    def __init__(self, segments, flat: np.ndarray | None = None):
+    def __init__(self, segments):
         self.segments = tuple(segments)
-        self._flat = flat
 
     def __len__(self) -> int:
         return sum(len(segment) for segment in self.segments)
@@ -134,27 +66,17 @@ class SegmentedField:
         """Per-row shape of the field (``()`` for scalar columns)."""
         return self.segments[0].shape[1:] if self.segments else ()
 
-    @property
-    def cached_flat(self) -> np.ndarray | None:
-        """The materialized concatenation, or ``None`` when not built yet."""
-        return self._flat
-
     def flat(self) -> np.ndarray:
-        """The flat concatenation of the segments (materialized once).
+        """The flat concatenation of the segments.
 
         A single-segment field returns its block directly — the block
         is immutable, so no defensive copy is needed.
         """
-        flat = self._flat
-        if flat is None:
-            if not self.segments:
-                flat = np.zeros(0)
-            elif len(self.segments) == 1:
-                flat = self.segments[0]
-            else:
-                flat = np.concatenate(self.segments)
-            self._flat = flat
-        return flat
+        if not self.segments:
+            return np.zeros(0)
+        if len(self.segments) == 1:
+            return self.segments[0]
+        return np.concatenate(self.segments)
 
     def same_segments(self, segments) -> bool:
         """Whether ``segments`` are exactly this field's blocks (by identity)."""
@@ -168,10 +90,7 @@ def make_field(segments, previous: SegmentedField | None = None) -> SegmentedFie
     """Build a :class:`SegmentedField`, reusing ``previous`` when unchanged.
 
     Reuse is by block identity: when every segment is the same object as
-    in the previous field, the previous field itself is returned — which
-    carries its materialized flat cache across the mutation for free
-    (e.g. a shard rescoring leaves the feature field's flat array
-    valid).
+    in the previous field, the previous field itself is returned.
     """
     segments = tuple(segments)
     if previous is not None and previous.same_segments(segments):
@@ -328,36 +247,11 @@ class SegmentBundle:
         yield from self.fields.values()
         yield from self.score_fields
 
-    def apply(self, prom) -> None:
-        """Materialize the bundle's flat arrays onto ``prom``.
-
-        Sets every state attribute, the per-expert score arrays and the
-        composed :class:`~repro.core.pvalue.LabelGroupedScores` layouts.
-        Idempotent, and safe under the benign-race contract described in
-        the module docstring: every write installs an array whose values
-        are fully determined by the immutable blocks.
-        """
-        for name, field in self.fields.items():
-            setattr(prom, name, field.flat())
-        labels = self.fields[self.label_key].flat()
-        scores = [field.flat() for field in self.score_fields]
-        prom._scores = scores
-        prom._layouts = [
-            LabelGroupedScores(
-                scores=expert_scores,
-                labels=labels,
-                group_counts=counts,
-                n_labels=self.n_labels,
-            )
-            for expert_scores, counts in zip(scores, self.group_counts)
-        ]
-
     def evaluation_view(self) -> EvaluationView:
         """The :class:`EvaluationView` over this bundle's blocks.
 
-        Built once and cached on the (immutable) bundle, whether or not
-        its flat arrays were ever materialized, so every evaluate
-        against one block set reads one panel cache.  The feature
+        Built once and cached on the (immutable) bundle, so every
+        evaluate against one block set reads one panel cache.  The feature
         column inherits the predecessor bundle's panels and norms
         (``_inherit_view``, wired by the streaming compose) wherever
         their block slices survived the mutation, so a publish rebuilds
@@ -413,51 +307,6 @@ class SegmentBundle:
         return shared
 
 
-class BundleComposeHook:
-    """One-shot compose hook for frozen detector snapshots.
-
-    Installed as the frozen detector's ``_compose_hook``: the first
-    state read applies the captured bundle (building the flat arrays —
-    or reusing flats the live detector already materialized from the
-    same blocks), later reads are a flag check.  ``done=True`` marks a
-    snapshot frozen while the live detector's flat state already
-    matched the bundle, so nothing needs rebuilding at all.
-
-    The hook refers to its detector weakly: a strong reference would
-    make detector and hook a cycle, and a retired snapshot — with its
-    bundle's panel cache — would then outlive its last user until the
-    cyclic collector happened to run.
-    """
-
-    __slots__ = ("_prom", "_bundle", "_done")
-
-    def __init__(self, prom, bundle: SegmentBundle, done: bool = False):
-        self._prom = weakref.ref(prom)
-        self._bundle = bundle
-        self._done = done
-
-    def __call__(self) -> None:
-        if self._done:
-            return
-        self._bundle.apply(self._prom())
-        self._done = True
-
-    def bundle(self) -> SegmentBundle:
-        """The captured bundle, materialized or not."""
-        return self._bundle
-
-    def pending_bundle(self) -> SegmentBundle | None:
-        """The captured bundle while flat state is *not* materialized.
-
-        Evaluation always reads the bundle's view and never fires the
-        hook; this accessor answers whether the ``O(n)`` flat concat
-        is still deferred — what ``calibration_size`` and the
-        candidate pruner key on.  ``None`` once materialized (or
-        frozen already-fresh).
-        """
-        return None if self._done else self._bundle
-
-
 def bundle_manifest(bundle: SegmentBundle, export) -> dict:
     """Serialize a bundle as a name-table manifest (parent side).
 
@@ -504,8 +353,8 @@ def bundle_from_manifest(manifest: dict, attach) -> SegmentBundle:
     ``attach`` is the worker's ref resolver
     (:meth:`~repro.core.shm.SegmentAttacher.get`); the rebuilt bundle's
     blocks are read-only zero-copy views of the shared segments, so
-    applying it — or evaluating segment-direct against it — touches the
-    same physical pages the parent exported.
+    evaluating against it touches the same physical pages the parent
+    exported.
     """
     return SegmentBundle(
         fields={

@@ -28,16 +28,15 @@ batch touched — untouched shards' state is not even copied — and the
 global detector state is re-composed *segment-aware* (:mod:`repro.core.segments`): per-shard
 score/feature/label blocks stay immutable segments in a
 :class:`~repro.core.segments.SegmentBundle`, group counts are summed
-integer-exactly per segment, tau is re-resolved from a per-segment row
-gather, and the flat arrays the p-value scatter-adds consume are
-materialized lazily on the next detector read — so a fold costs
-``O(touched shards)``, never ``O(store)``.  The equivalence guarantee
-is unchanged: the materialized state is bit-identical to the old eager
-concatenation.  :meth:`detector_snapshot` builds structural-sharing
-snapshots from the same bundle — untouched shards' blocks are shared
-(not copied) between consecutive publishes, which is what makes the
-async serving plane's snapshot publish ``O(touched shards)`` too
-(DESIGN.md §6).  Full shard recalibrations
+integer-exactly per segment, and tau is re-resolved from a per-segment
+row gather — so a fold costs ``O(touched shards)``, never ``O(store)``.
+The bundle is the detector's only calibration state: every compose
+installs it as ``prom._segment_bundle``, and the flat arrays a full
+rebuild computes are dropped as soon as they are sliced into shards.
+:meth:`detector_snapshot` builds structural-sharing snapshots from the
+same bundle — untouched shards' blocks are shared (not copied) between
+consecutive publishes, which is what makes the async serving plane's
+snapshot publish ``O(touched shards)`` too (DESIGN.md §6).  Full shard recalibrations
 (:meth:`recalibrate_shards`) run in a ``ThreadPoolExecutor`` when
 ``parallel`` workers are configured (the NumPy kernels release the
 GIL); micro-batch folds stay serial — their per-shard work is far
@@ -66,19 +65,13 @@ import numpy as np
 
 from .calibration_store import StoreUpdate
 from .exceptions import CalibrationError, ValidationError
-from .prom import PromClassifier, PromRegressor, _check_calibration_inputs
+from .prom import FLAT_STATE, PromClassifier, PromRegressor, _check_calibration_inputs
 from .pvalue import (
     group_scores_by_label,
     merge_group_counts,
     update_committee_groups,
 )
-from .segments import (
-    BundleComposeHook,
-    SegmentBundle,
-    SegmentedField,
-    TauSketch,
-    make_field,
-)
+from .segments import SegmentBundle, TauSketch, make_field
 from .sharding import ShardedCalibrationStore
 from .weighting import median_pairwise_tau
 
@@ -144,49 +137,13 @@ class _ShardState:
     clusters: np.ndarray | None = field(default=None)
 
 
-class _LiveComposeHook:
-    """The live detector's compose hook, with a pending-bundle probe.
-
-    Calling it materializes the current bundle's flat arrays (the
-    descriptor protocol of
-    :class:`~repro.core.segments.ComposedStateAttr`); the extra
-    :meth:`bundle` and :meth:`pending_bundle` accessors let the
-    evaluate kernels read the bundle's blocks *without* triggering the
-    flat concatenation — the same protocol
-    :class:`~repro.core.segments.BundleComposeHook` gives frozen
-    snapshots.
-    """
-
-    __slots__ = ("_wrapper",)
-
-    def __init__(self, wrapper):
-        self._wrapper = wrapper
-
-    def __call__(self) -> None:
-        self._wrapper._materialize_composed()
-
-    def bundle(self):
-        """The current compose bundle (``None`` before calibration)."""
-        return self._wrapper._bundle
-
-    def pending_bundle(self):
-        """The bundle whose flat arrays are not materialized yet, or ``None``."""
-        wrapper = self._wrapper
-        bundle = wrapper._bundle
-        if bundle is None or wrapper._bundle_fresh:
-            return None
-        return bundle
-
-
 class _ShardMixin:
     """Shard, segment-compose and snapshot bookkeeping shared by both
     streaming wrappers.
 
     The wrappers hold the detector's global state as a
     :class:`~repro.core.segments.SegmentBundle` of immutable per-shard
-    blocks (``self._bundle``); the detector's flat arrays are
-    materialized from it lazily on first read (``self._bundle_fresh``
-    tracks whether they currently match).
+    blocks, installed on the detector as ``prom._segment_bundle``.
     """
 
     #: compose spec, set per wrapper class: detector attribute ->
@@ -197,38 +154,10 @@ class _ShardMixin:
     _compose_state_fields: tuple = ()
     _compose_label_key: str = "_labels"
 
-    def _init_compose(self) -> None:
-        """Wire the detector to the lazy segment compose layer."""
-        self._bundle = None
-        self._bundle_fresh = True
-        self._tau_sketch = TauSketch()
-        # Installed as the detector's compose hook: any state read
-        # (e.g. a direct prom._features access) materializes the
-        # current bundle first, so laziness is never observable.  The
-        # hook object additionally exposes the bundle, so evaluate
-        # reads its blocks without firing it.
-        self.prom._compose_hook = _LiveComposeHook(self)
-
-    def _materialize_composed(self) -> None:
-        """Install the current bundle's flat arrays on the detector.
-
-        The lazy half of the segment compose: no-op before calibration
-        or when the detector already reflects the bundle;
-        otherwise one ``O(store)`` concatenation per mutated epoch,
-        paid by the first consumer that actually needs flat state
-        (and shared with snapshots built from the same bundle).
-
-        Full-rebuild paths (``calibrate``/``refresh``) call this
-        *before* overwriting the detector: a pending bundle must be
-        applied (or rendered moot) first, or the rebuild's own state
-        reads would trigger the hook and clobber the fresh arrays with
-        the stale composition.
-        """
-        bundle = self._bundle
-        if bundle is None or self._bundle_fresh:
-            return
-        bundle.apply(self.prom)
-        self._bundle_fresh = True
+    @property
+    def _bundle(self):
+        """The detector's compose bundle (``None`` before calibration)."""
+        return self.prom._segment_bundle
 
     def _retune_composed_tau(self, retune_tau: bool, feature_field) -> None:
         """Re-resolve the detector's tau from the feature segments.
@@ -246,49 +175,40 @@ class _ShardMixin:
 
     @property
     def _feature_dim(self) -> int:
-        """Calibrated feature dimensionality, without materializing."""
+        """Calibrated feature dimensionality."""
         return int(self._bundle.fields["_features"].trailing_shape[0])
 
-    def _build_bundle(self, fresh: bool, before=None) -> dict:
+    def _build_bundle(self, before=None) -> dict:
         """Assemble the :class:`SegmentBundle` from the current shard
-        states, per the class compose spec; returns the field dict.
+        states, per the class compose spec, and install it on the
+        detector; returns the field dict.
 
-        ``fresh=True`` is the seed mode used right after a full
-        rebuild: the detector's flat arrays were just computed, so
-        every field's flat cache is pre-populated from them (score and
-        state blocks are zero-copy slices of those arrays) and the
-        detector is marked as already reflecting the bundle.
-        ``fresh=False`` is the incremental mode used after a fold or
-        rescore: fields whose every block is identical to the previous
-        bundle's are reused outright (flat caches carried along), and
-        the flat arrays are left to lazy materialization.
-
-        ``before`` maps each shard the mutation touched to its layouts
-        from before it.  Given a previous bundle, only those shards'
-        blocks are fetched — every other block is the previous
-        bundle's — and each expert's group counts move by the touched
-        shards' count deltas (integers, so exactly the per-shard sum).
+        Without ``before`` the bundle is built from scratch (after a
+        full rebuild or a restore) and the detector's flat state is
+        dropped: the bundle is its only state from here on.  ``before``
+        maps each shard a fold or rescore touched to its layouts from
+        before it: only those shards' blocks are fetched — every other
+        block is the previous bundle's — and each expert's group counts
+        move by the touched shards' count deltas (integers, so exactly
+        the per-shard sum).
         """
         prom = self.prom
         states = self._shard_states
-        previous = None if fresh else self._bundle
+        previous = None if before is None else self._bundle
         n_experts = len(self._compose_experts())
         n_labels = self._compose_n_labels()
-        touched = None if previous is None or before is None else sorted(before)
+        touched = None if previous is None else sorted(before)
 
-        def build_field(old, block_of, flat):
+        def build_field(old, block_of):
             if touched is None:
-                blocks = tuple(block_of(s) for s in range(len(states)))
-                if fresh:
-                    return SegmentedField(blocks, flat=flat())
-                return make_field(blocks, old)
+                return make_field(block_of(s) for s in range(len(states)))
             blocks = list(old.segments)
             changed = False
             for s in touched:
                 block = block_of(s)
                 changed = changed or block is not blocks[s]
                 blocks[s] = block
-            return SegmentedField(blocks) if changed else old
+            return make_field(blocks) if changed else old
 
         old_fields = {} if previous is None else previous.fields
         old_scores = (None,) * n_experts if previous is None else previous.score_fields
@@ -297,20 +217,14 @@ class _ShardMixin:
             fields[name] = build_field(
                 old_fields.get(name),
                 lambda s, column=column: self.store.column_segment(s, column),
-                lambda name=name: getattr(prom, name),
             )
         for name in self._compose_state_fields:
             fields[name] = build_field(
                 old_fields.get(name),
                 lambda s, attr=name.lstrip("_"): getattr(states[s], attr),
-                lambda name=name: getattr(prom, name),
             )
         score_fields = tuple(
-            build_field(
-                old_scores[e],
-                lambda s, e=e: states[s].scores[e],
-                lambda e=e: prom._scores[e],
-            )
+            build_field(old_scores[e], lambda s, e=e: states[s].scores[e])
             for e in range(n_experts)
         )
         if touched is None:
@@ -325,36 +239,37 @@ class _ShardMixin:
                     group_counts[e] = group_counts[e] + (
                         new.group_counts - old.group_counts
                     )
-        self._bundle = SegmentBundle(
+        prom._segment_bundle = SegmentBundle(
             fields=fields,
             score_fields=score_fields,
             group_counts=tuple(group_counts),
             label_key=self._compose_label_key,
             n_labels=n_labels,
         )
-        if previous is not None:
+        if previous is None:
+            for name in FLAT_STATE:
+                prom.__dict__.pop(name, None)
+        else:
             # Carry the newest built evaluation view across the
             # mutation (at most one generation is kept alive): panels
             # over untouched shards are inherited instead of
             # re-gathered when the new bundle's view is built.
-            self._bundle._inherit_view = (
+            prom._segment_bundle._inherit_view = (
                 previous._view
                 if previous._view is not None
                 else previous._inherit_view
             )
-        self._bundle_fresh = fresh
         return fields
 
     def _rebuild_shard_states(self) -> None:
         """Slice the detector's freshly calibrated state into per-shard
-        states and seed the compose bundle.
+        states and build the compose bundle, which replaces it.
 
         Runs right after a full ``calibrate()``/``refresh()``: the flat
-        arrays exist and match the store, so the bundle is built with
-        its flat caches pre-populated (score blocks are zero-copy
-        slices of the flat arrays; feature/label blocks come from the
+        arrays exist and match the store.  Score blocks are zero-copy
+        slices of the flat scores; feature/label blocks come from the
         store's segment cache so later folds can reuse them by
-        identity).  A shard holding every row adopts the detector's own
+        identity.  A shard holding every row adopts the detector's own
         scores and layouts, which the same kernel just built.
         """
         prom = self.prom
@@ -375,7 +290,7 @@ class _ShardMixin:
             )
             states.append(_ShardState(scores=scores, layouts=layouts, clusters=clusters))
         self._shard_states = states
-        self._build_bundle(fresh=True)
+        self._build_bundle()
 
     def _compose_global(self, retune_tau: bool, before=None) -> None:
         """Recompose the detector's global state from per-shard segments.
@@ -386,12 +301,10 @@ class _ShardMixin:
         shards contribute the same block objects as the previous bundle
         (segment order is the store's global exposed order, and group
         counts add integer-exactly), tau is re-resolved from a row
-        gather over the segments, and the flat arrays are *not* rebuilt
-        here — the next detector state read materializes them,
-        bit-identical to the eager concatenation a fresh ``calibrate()``
-        would produce.
+        gather over the segments.  No flat array is rebuilt: the
+        detector evaluates through the bundle.
         """
-        fields = self._build_bundle(fresh=False, before=before)
+        fields = self._build_bundle(before)
         self._retune_composed_tau(retune_tau, fields["_features"])
 
     @property
@@ -425,20 +338,12 @@ class _ShardMixin:
         consecutive snapshots; folds replace touched shards' blocks
         instead of mutating them, and store-backed blocks are immutable
         store views, so shared blocks can never change under a
-        published snapshot.  Flat arrays are materialized on the
-        snapshot's first evaluate (or reused from the live detector
-        when it already materialized the same bundle).
+        published snapshot.  The copy carries the live detector's
+        ``_segment_bundle``, its only calibration state.
         """
         self.prom._require_calibrated()
         prom = copy.copy(self.prom)
         prom.weighting = copy.copy(self.prom.weighting)
-        bundle = self._bundle
-        # The one-shot hook materializes the bundle on first read.
-        # When the live detector's flat state already reflects the
-        # bundle, the copied attributes are current and the hook starts
-        # done — zero copies.
-        prom._compose_hook = BundleComposeHook(prom, bundle, done=self._bundle_fresh)
-        prom._segment_bundle = bundle
         return prom
 
     @property
@@ -557,21 +462,17 @@ class StreamingPromClassifier(_ShardMixin):
         self.parallel = parallel
         self._shard_states = []
         self._epoch = 0
-        self._init_compose()
+        self._tau_sketch = TauSketch()
 
     # -- state --------------------------------------------------------------------
     @property
     def is_calibrated(self) -> bool:
-        """Whether the wrapped detector has been calibrated (hook-free)."""
+        """Whether the wrapped detector has been calibrated."""
         return self.prom.is_calibrated
 
     @property
     def calibration_size(self) -> int:
-        """Number of calibration samples backing the detector.
-
-        Reading this on a lazily composed wrapper materializes the
-        flat state first (the value is always the store size).
-        """
+        """Number of calibration samples backing the detector."""
         return self.prom.calibration_size
 
     def _check_update_inputs(self, features, probabilities, labels):
@@ -601,9 +502,6 @@ class StreamingPromClassifier(_ShardMixin):
         features, probabilities, labels = _check_calibration_inputs(
             features, probabilities, labels
         )
-        # Apply any pending lazy composition before the rebuild
-        # overwrites the detector (see _materialize_composed).
-        self._materialize_composed()
         # Build the new store aside and swap it in only once the
         # detector accepted the batch — a validation failure inside
         # prom.calibrate must not leave store and detector desynced.
@@ -747,7 +645,6 @@ class StreamingPromClassifier(_ShardMixin):
         The batch-path reference the incremental path must match; also
         the escape hatch after ``retune_tau=False`` updates.
         """
-        self._materialize_composed()
         self.prom.calibrate(
             self.store.column("features"),
             self.store.column("probabilities"),
@@ -781,8 +678,7 @@ class StreamingPromClassifier(_ShardMixin):
     # -- deployment (delegation) --------------------------------------------------
     def evaluate(self, features, probabilities, predicted_labels=None, chunk_size=None):
         """Batch-evaluate via the wrapped detector (see
-        :meth:`~repro.core.prom.PromClassifier.evaluate`); materializes
-        any pending lazy composition first."""
+        :meth:`~repro.core.prom.PromClassifier.evaluate`)."""
         return self.prom.evaluate(features, probabilities, predicted_labels, chunk_size)
 
     def evaluate_one(self, feature, probability_row, predicted_label=None):
@@ -851,20 +747,16 @@ class StreamingPromRegressor(_ShardMixin):
         self.parallel = parallel
         self._shard_states = []
         self._epoch = 0
-        self._init_compose()
+        self._tau_sketch = TauSketch()
 
     @property
     def is_calibrated(self) -> bool:
-        """Whether the wrapped detector has been calibrated (hook-free)."""
+        """Whether the wrapped detector has been calibrated."""
         return self.prom.is_calibrated
 
     @property
     def calibration_size(self) -> int:
-        """Number of calibration samples backing the detector.
-
-        Reading this on a lazily composed wrapper materializes the
-        flat state first (the value is always the store size).
-        """
+        """Number of calibration samples backing the detector."""
         return self.prom.calibration_size
 
     # -- lifecycle ----------------------------------------------------------------
@@ -875,9 +767,6 @@ class StreamingPromRegressor(_ShardMixin):
         features, predictions, targets = _check_calibration_inputs(
             features, predictions, targets
         )
-        # Apply any pending lazy composition before the rebuild
-        # overwrites the detector (see _materialize_composed).
-        self._materialize_composed()
         # Staged swap, as in the classifier: a calibration failure must
         # not leave store and detector desynced.
         staged = self.store.clone_empty()
@@ -900,7 +789,6 @@ class StreamingPromRegressor(_ShardMixin):
 
     def _full_calibrate(self):
         """Recalibrate from the store (fits clusters) and rebuild state."""
-        self._materialize_composed()
         self.prom.calibrate(
             self.store.column("features"),
             self.store.column("prediction"),
@@ -1064,7 +952,6 @@ class StreamingPromRegressor(_ShardMixin):
             return self
         prom = self.prom
         prom._require_calibrated()
-        self._materialize_composed()
         features = self.store.column("features")
         predictions = self.store.column("prediction")
         targets = self.store.column("target")
@@ -1112,8 +999,7 @@ class StreamingPromRegressor(_ShardMixin):
     # -- deployment (delegation) --------------------------------------------------
     def evaluate(self, features, predictions, chunk_size=None):
         """Batch-evaluate via the wrapped detector (see
-        :meth:`~repro.core.prom.PromRegressor.evaluate`); materializes
-        any pending lazy composition first."""
+        :meth:`~repro.core.prom.PromRegressor.evaluate`)."""
         return self.prom.evaluate(features, predictions, chunk_size)
 
     def evaluate_one(self, feature, prediction):

@@ -1368,7 +1368,7 @@ def _build_detector(name: str, config, seed: int) -> DriftDetector:
     )
 
 
-def _build_single_stack(config, seed: int) -> TriggerStack:
+def _build_single_stack(config, seed: int, spill: float) -> TriggerStack:
     """One TriggerStack from a TriggerConfig (ignoring per_shard)."""
     warmup_samples = (
         config.warmup
@@ -1386,7 +1386,7 @@ def _build_single_stack(config, seed: int) -> TriggerStack:
     budget_policy = None
     if config.budget_ceiling is not None:
         budget_policy = CostAwareBudgetPolicy(
-            ceiling=config.budget_ceiling, spill=config.spill
+            ceiling=config.budget_ceiling, spill=spill
         )
     return TriggerStack(
         triggers,
@@ -1397,7 +1397,7 @@ def _build_single_stack(config, seed: int) -> TriggerStack:
 
 
 def build_trigger_stack(
-    config, router=None, n_shards: int = 1, featurizer=None
+    config, router=None, n_shards: int = 1, featurizer=None, spill: float = 1.0
 ):
     """Assemble the trigger stack a :class:`~repro.core.config.TriggerConfig` describes.
 
@@ -1407,15 +1407,17 @@ def build_trigger_stack(
     stack otherwise — a one-shard deployment has nothing to key on).
     Per-shard member stacks derive their reservoir seeds from
     ``config.seed`` and the shard id, so assembly is deterministic.
+    ``spill`` is the deployment's effective prune spill, priced by the
+    cost-aware budget policy (1.0 = exact mode, no expected loss).
     """
     if config.per_shard and router is not None and n_shards > 1:
         return PerShardTriggerStack(
             factory=lambda shard: _build_single_stack(
-                config, config.seed + 7919 * (shard + 1)
+                config, config.seed + 7919 * (shard + 1), spill
             ),
             router=router,
             n_shards=n_shards,
             featurizer=featurizer,
             window=config.window,
         )
-    return _build_single_stack(config, config.seed)
+    return _build_single_stack(config, config.seed, spill)

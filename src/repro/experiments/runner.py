@@ -643,6 +643,7 @@ def stream_deployment(
         router=getattr(getattr(streaming, "store", None), "router", None),
         n_shards=getattr(streaming, "n_shards", 1),
         featurizer=getattr(interface, "feature_extraction", None),
+        spill=prune_spill if prune else 1.0,
     )
     writer = None
     restore_errors = []

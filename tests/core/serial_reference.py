@@ -11,8 +11,10 @@ is the per-sample path they replaced, one test sample at a time:
 3. :func:`assess` / :func:`prediction_set` — one expert's verdict;
 4. :func:`decide` — the committee's majority vote.
 
-:func:`evaluate_serial` chains them for a calibrated detector.  The
-batch == serial suites (``test_batch_engine.py``) and
+:func:`evaluate_serial` chains them for a calibrated detector;
+:func:`approximate_target` is the regressor's per-sample k-NN target
+estimate, the oracle for ``PromRegressor.approximate_target_batch``.
+The batch == serial suites (``test_batch_engine.py``) and
 ``benchmarks/bench_batch_eval.py`` compare and time the batch engine
 against it.  The function bodies are verbatim copies of the library
 code; each method became a function that takes its object (detector,
@@ -337,9 +339,19 @@ def _regressor_evaluate_serial(self, features, predictions) -> list:
     ]
 
 
+def approximate_target(self, feature) -> float:
+    """k-NN estimate of the unseen ground truth for one test sample."""
+    self._require_calibrated()
+    feature = np.asarray(feature, dtype=float).ravel()
+    distances = np.sqrt(np.sum((self._features - feature) ** 2, axis=1))
+    k = min(self.k_neighbors, len(distances))
+    nearest = np.argpartition(distances, k - 1)[:k]
+    return float(self._targets[nearest].mean())
+
+
 def _regressor_evaluate_one_serial(self, feature, prediction: float) -> Decision:
     feature = np.asarray(feature, dtype=float).ravel()
-    approx_target = self.approximate_target(feature)
+    approx_target = approximate_target(self, feature)
     subset = select(self.weighting, self._features, feature)
     assigned_cluster = int(self.clusterer_.assign(feature.reshape(1, -1))[0])
     n_clusters = self.clusterer_.k_

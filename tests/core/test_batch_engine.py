@@ -29,7 +29,12 @@ from repro.core import (
 )
 from repro.core.weighting import iter_squared_distance_chunks
 
-from .serial_reference import evaluate_serial, pvalues_all_labels, select
+from .serial_reference import (
+    approximate_target,
+    evaluate_serial,
+    pvalues_all_labels,
+    select,
+)
 
 
 def _classification_setup(
@@ -374,7 +379,7 @@ class TestRegressorBatchIdentity:
         prom.calibrate(features, targets + 0.1, targets)
         test = rng.normal(size=(9, 4))
         batched = prom.approximate_target_batch(test)
-        scalars = [prom.approximate_target(test[i]) for i in range(len(test))]
+        scalars = [approximate_target(prom, test[i]) for i in range(len(test))]
         np.testing.assert_allclose(batched, scalars, rtol=1e-9, atol=1e-12)
 
     def test_loo_targets_match_naive_broadcast(self):

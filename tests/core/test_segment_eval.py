@@ -10,16 +10,16 @@ Four properties:
    never change values.
 2. **Segment-direct equivalence** — for every router x eviction-policy
    combination (classifier and regressor), evaluating against a
-   pending compose bundle is bit-identical to a fresh flat
-   calibration, and the evaluate itself never triggers the deferred
-   flat concatenation.
+   compose bundle is bit-identical to a fresh flat calibration, and
+   the bundle is the detector's only state (no flat copy exists).
 3. **Incremental tau** — the :class:`TauSketch` resolves taus
    bit-identical to the flat ``resolve_tau`` and skips the median
    kernel when no sampled row changed.
 4. **Router-aware pruning** — ``spill=1.0`` is bit-identical with full
    counters; ``spill<1`` scores strictly fewer candidates with bounded
-   decision disagreement on a clustered drifted stream; counters ride
-   ``DecisionBatch`` through take/concatenate and the stream runner.
+   decision disagreement on a clustered drifted stream, after every
+   kind of state mutation; counters ride ``DecisionBatch`` through
+   take/concatenate and the stream runner.
 """
 
 import dataclasses
@@ -47,7 +47,7 @@ from repro.core.blocks import (
     SEGMENT_DIRECT_MIN_ROWS,
     panel_product,
 )
-from repro.core.prom import _evaluation_view, _pending_bundle
+from repro.core.prom import _evaluation_view
 from repro.core.weighting import AdaptiveWeighting, squared_distance_matrix
 
 ROUTERS = ("hash", "label", "cluster")
@@ -95,7 +95,7 @@ def _assert_decisions_identical(a, b):
 
 def _large_classifier(router="hash", policy="fifo", n_shards=4, seed=1):
     """A streaming classifier whose composed set exceeds the segment-
-    direct threshold, left with a pending (un-materialized) bundle."""
+    direct threshold, after a few folds."""
     streaming = StreamingPromClassifier(
         capacity=N_LARGE,
         eviction=policy,
@@ -108,7 +108,6 @@ def _large_classifier(router="hash", policy="fifo", n_shards=4, seed=1):
         batch = _classification_batch(80, seed=100 + seed + round_id, shift=0.4)
         streaming.update(*batch)
     assert len(streaming.store) >= SEGMENT_DIRECT_MIN_ROWS
-    assert not streaming._bundle_fresh
     return streaming
 
 
@@ -126,7 +125,6 @@ def _large_regressor(router="hash", policy="fifo", n_shards=3, seed=1):
         batch = _regression_batch(70, seed=200 + seed + round_id, shift=0.3)
         streaming.update(*batch)
     assert len(streaming.store) >= SEGMENT_DIRECT_MIN_ROWS
-    assert not streaming._bundle_fresh
     return streaming
 
 
@@ -293,10 +291,8 @@ class TestSegmentDirectEquivalence:
         streaming = _large_classifier(router=router, policy=policy)
         test = _classification_batch(40, seed=99, shift=0.8)
         decisions = streaming.evaluate(test[0], test[1])
-        # the tentpole property: evaluate ran segment-direct — the
-        # deferred flat concatenation never happened
-        assert not streaming._bundle_fresh
-        assert _pending_bundle(streaming.prom) is not None
+        # evaluate ran segment-direct: the bundle is the only state
+        assert "_features" not in streaming.prom.__dict__
         fresh = PromClassifier().calibrate(
             streaming.store.column("features"),
             streaming.store.column("probabilities"),
@@ -314,8 +310,7 @@ class TestSegmentDirectEquivalence:
         streaming = _large_regressor(router=router, policy=policy)
         test_features, test_predictions, _ = _regression_batch(30, seed=88)
         incremental = streaming.evaluate(test_features, test_predictions)
-        assert not streaming._bundle_fresh
-        assert _pending_bundle(streaming.prom) is not None
+        assert "_features" not in streaming.prom.__dict__
         streaming.refresh(refit_clusters=False)
         reference = streaming.evaluate(test_features, test_predictions)
         _assert_decisions_identical(incremental, reference)
@@ -326,14 +321,12 @@ class TestSegmentDirectEquivalence:
         )
         streaming.calibrate(*_classification_batch(250, seed=5))
         streaming.update(*_classification_batch(20, seed=6))
-        assert not streaming._bundle_fresh
         view = streaming._bundle.evaluation_view()
         assert _evaluation_view(streaming.prom) is view
         # below the threshold the partition is one panel, still no concat
         assert len(view.features.panels()) == 1
         test = _classification_batch(10, seed=7)
         decisions = streaming.evaluate(test[0], test[1])
-        assert not streaming._bundle_fresh
         fresh = PromClassifier().calibrate(
             streaming.store.column("features"),
             streaming.store.column("probabilities"),
@@ -341,11 +334,9 @@ class TestSegmentDirectEquivalence:
         )
         _assert_decisions_identical(decisions, fresh.evaluate(test[0], test[1]))
 
-    def test_materialized_bundle_keeps_one_panel_cache(self):
+    def test_live_and_snapshot_share_one_panel_cache(self):
         streaming = _large_classifier()
         view = streaming._bundle.evaluation_view()
-        streaming.prom._features  # fires the compose hook: flat arrays exist
-        assert streaming._bundle_fresh
         assert _evaluation_view(streaming.prom) is view
         snapshot = streaming.detector_snapshot()
         assert _evaluation_view(snapshot) is view
@@ -355,7 +346,6 @@ class TestSegmentDirectEquivalence:
         snapshot = streaming.detector_snapshot()
         test = _classification_batch(3, seed=12)
         snapshot.evaluate(test[0], test[1])
-        snapshot._features  # fires the snapshot's hook as well
         retired = weakref.ref(snapshot)
         gc.disable()
         try:
@@ -379,12 +369,11 @@ class TestSegmentDirectEquivalence:
         prom.calibrate(features, probabilities, labels)
         _assert_decisions_identical(first, prom.evaluate(test[0], test[1]))
 
-    def test_snapshot_evaluates_segment_direct_and_stays_pending(self):
+    def test_snapshot_evaluates_segment_direct(self):
         streaming = _large_classifier()
         snapshot = streaming.detector_snapshot()
         test = _classification_batch(25, seed=55, shift=0.5)
         snap_decisions = snapshot.evaluate(test[0], test[1])
-        assert _pending_bundle(snapshot) is not None  # still not concat'ed
         _assert_decisions_identical(
             snap_decisions, streaming.evaluate(test[0], test[1])
         )
@@ -573,7 +562,7 @@ class TestCandidatePruner:
             seed=0,
         )
         streaming.calibrate(*_clustered_batch(N_LARGE, seed=11))
-        # a drifted micro-batch leaves the bundle pending
+        # a drifted micro-batch
         streaming.update(*_clustered_batch(60, seed=12, shift=1.5))
         features, probabilities, _ = _clustered_batch(80, seed=13, shift=1.5)
         unpruned = streaming.evaluate(features, probabilities)
@@ -597,6 +586,37 @@ class TestCandidatePruner:
         assert agreements[0] >= 0.4
         assert agreements[2] >= 0.8
         assert agreements[0] <= agreements[1] <= agreements[2]
+
+    def test_low_spill_prunes_after_every_mutation(self):
+        # full rebuilds leave the detector on a bundle too, so the
+        # pruner engages after each kind of state change, and the live
+        # detector decides bitwise like its snapshot (same bundle,
+        # same pruner)
+        streaming = StreamingPromClassifier(
+            capacity=N_LARGE + 400, n_shards=4, router="cluster", seed=0
+        )
+        streaming.prom._pruner = CandidatePruner(spill=0.0)
+        features, probabilities, _ = _clustered_batch(60, seed=14, shift=0.5)
+        mutations = {
+            "calibrate": lambda: streaming.calibrate(
+                *_clustered_batch(N_LARGE, seed=11)
+            ),
+            "update": lambda: streaming.update(
+                *_clustered_batch(60, seed=12, shift=0.5)
+            ),
+            "evict": lambda: streaming.evict(np.arange(30)),
+            "recalibrate_shards": lambda: streaming.recalibrate_shards([0, 2]),
+            "refresh": streaming.refresh,
+        }
+        for name, mutate in mutations.items():
+            mutate()
+            assert len(streaming.store) >= SEGMENT_DIRECT_MIN_ROWS
+            live = streaming.evaluate(features, probabilities)
+            assert (live.n_shards_pruned or 0) > 0, name
+            snapshot = streaming.detector_snapshot()
+            frozen = snapshot.evaluate(features, probabilities)
+            _assert_decisions_identical(live, frozen)
+            assert frozen.n_candidates_scored == live.n_candidates_scored
 
     def test_regressor_full_spill_bit_identical(self):
         streaming = _large_regressor(router="cluster", policy="fifo")
@@ -687,8 +707,8 @@ class TestStreamPlumbing:
         assert interface.prom._chunk_size == 512
         assert isinstance(interface.prom._pruner, CandidatePruner)
         assert interface.prom._pruner.router is interface.streaming.store.router
-        # once the first fold leaves a pending bundle, evaluates run
-        # segment-direct through the pruner and the counters accumulate
+        # evaluates run segment-direct through the pruner and the
+        # counters accumulate
         assert result.n_candidates_scored > 0
         assert result.n_candidates_scored == sum(
             step.n_candidates_scored for step in result.steps

@@ -146,13 +146,11 @@ class TestSegmentPrimitives:
     def test_make_field_reuses_identical_segments(self):
         blocks = (np.arange(3.0), np.arange(4.0))
         first = make_field(blocks)
-        first.flat()  # materialize the cache
         again = make_field(blocks, first)
         assert again is first
-        assert again.cached_flat is not None
         changed = make_field((blocks[0], np.arange(5.0)), first)
         assert changed is not first
-        assert changed.cached_flat is None
+        assert changed.segments[0] is blocks[0]
 
     def test_single_segment_flat_is_the_block(self):
         block = np.arange(6.0)
@@ -205,13 +203,19 @@ class TestSegmentedEquivalence:
             streaming.store.column("label"),
         )
         prom = streaming.prom
-        assert np.array_equal(prom._features, fresh._features)
-        assert np.array_equal(prom._labels, fresh._labels)
+        bundle = prom._segment_bundle
+        labels = np.concatenate(bundle.fields["_labels"].segments)
+        assert np.array_equal(
+            np.concatenate(bundle.fields["_features"].segments), fresh._features
+        )
+        assert np.array_equal(labels, fresh._labels)
         assert prom.weighting.effective_tau == fresh.weighting.effective_tau
-        for mine, theirs in zip(prom._layouts, fresh._layouts):
-            assert np.array_equal(mine.scores, theirs.scores)
-            assert np.array_equal(mine.labels, theirs.labels)
-            assert np.array_equal(mine.group_counts, theirs.group_counts)
+        for field, counts, theirs in zip(
+            bundle.score_fields, bundle.group_counts, fresh._layouts
+        ):
+            assert np.array_equal(np.concatenate(field.segments), theirs.scores)
+            assert np.array_equal(labels, theirs.labels)
+            assert np.array_equal(counts, theirs.group_counts)
         test = _classification_batch(30, seed=99, shift=1.0)
         _assert_decisions_identical(
             streaming.evaluate(test[0], test[1]),
@@ -241,14 +245,6 @@ class TestSegmentedEquivalence:
             snapshot.evaluate(test[0], test[1]),
             streaming.evaluate(test[0], test[1]),
         )
-
-    def test_direct_state_reads_materialize_lazily(self):
-        streaming = _calibrated_classifier()
-        streaming.update(*_classification_batch(10, seed=51))
-        assert not streaming._bundle_fresh  # composed lazily...
-        n = len(streaming.store)
-        assert len(streaming.prom._features) == n  # ...until read
-        assert streaming._bundle_fresh
 
 
 class TestStructuralSharing:
@@ -360,16 +356,20 @@ class TestSnapshotImmutability:
         snapshot = streaming.detector_snapshot()
         test = _classification_batch(30, seed=81, shift=1.0)
         before_decisions = snapshot.evaluate(test[0], test[1])
-        frozen_features = np.array(snapshot._features)
-        frozen_scores = [np.array(scores) for scores in snapshot._scores]
+        bundle = snapshot._segment_bundle
+        frozen_features = np.concatenate(bundle.fields["_features"].segments)
+        frozen_scores = [np.concatenate(f.segments) for f in bundle.score_fields]
         # churn hard: every add overflows capacity, forcing slot-reuse
         # evictions that rewrite the store's buffers in place
         for round_id in range(8):
             batch = _classification_batch(40, seed=90 + round_id, shift=2.0)
             streaming.update(*batch)
-        assert np.array_equal(snapshot._features, frozen_features)
-        for held, frozen in zip(snapshot._scores, frozen_scores):
-            assert np.array_equal(held, frozen)
+        bundle = snapshot._segment_bundle
+        assert np.array_equal(
+            np.concatenate(bundle.fields["_features"].segments), frozen_features
+        )
+        for field, frozen in zip(bundle.score_fields, frozen_scores):
+            assert np.array_equal(np.concatenate(field.segments), frozen)
         _assert_decisions_identical(
             snapshot.evaluate(test[0], test[1]), before_decisions
         )

@@ -330,13 +330,19 @@ class TestShardedClassifierEquivalence:
             streaming.store.column("label"),
         )
         prom = streaming.prom
-        assert np.array_equal(prom._features, fresh._features)
-        assert np.array_equal(prom._labels, fresh._labels)
+        bundle = prom._segment_bundle
+        labels = np.concatenate(bundle.fields["_labels"].segments)
+        assert np.array_equal(
+            np.concatenate(bundle.fields["_features"].segments), fresh._features
+        )
+        assert np.array_equal(labels, fresh._labels)
         assert prom.weighting.effective_tau == fresh.weighting.effective_tau
-        for mine, theirs in zip(prom._layouts, fresh._layouts):
-            assert np.array_equal(mine.scores, theirs.scores)
-            assert np.array_equal(mine.labels, theirs.labels)
-            assert np.array_equal(mine.group_counts, theirs.group_counts)
+        for field, counts, theirs in zip(
+            bundle.score_fields, bundle.group_counts, fresh._layouts
+        ):
+            assert np.array_equal(np.concatenate(field.segments), theirs.scores)
+            assert np.array_equal(labels, theirs.labels)
+            assert np.array_equal(counts, theirs.group_counts)
 
     def test_update_touches_only_routed_shards(self):
         streaming = StreamingPromClassifier(

@@ -90,13 +90,19 @@ class TestStreamingClassifierEquivalence:
             streaming.store.column("label"),
         )
         prom = streaming.prom
-        assert np.array_equal(prom._features, fresh._features)
-        assert np.array_equal(prom._labels, fresh._labels)
+        bundle = prom._segment_bundle
+        labels = np.concatenate(bundle.fields["_labels"].segments)
+        assert np.array_equal(
+            np.concatenate(bundle.fields["_features"].segments), fresh._features
+        )
+        assert np.array_equal(labels, fresh._labels)
         assert prom.weighting.effective_tau == fresh.weighting.effective_tau
-        for mine, theirs in zip(prom._layouts, fresh._layouts):
-            assert np.array_equal(mine.scores, theirs.scores)
-            assert np.array_equal(mine.labels, theirs.labels)
-            assert np.array_equal(mine.group_counts, theirs.group_counts)
+        for field, counts, theirs in zip(
+            bundle.score_fields, bundle.group_counts, fresh._layouts
+        ):
+            assert np.array_equal(np.concatenate(field.segments), theirs.scores)
+            assert np.array_equal(labels, theirs.labels)
+            assert np.array_equal(counts, theirs.group_counts)
 
     def test_initial_calibrate_respects_capacity(self):
         streaming = StreamingPromClassifier(capacity=50, seed=0)
@@ -224,7 +230,9 @@ class TestStreamingRegressorEquivalence:
         )
         # LOO residuals really were recomputed over the merged set, not
         # carried over: they differ from the pre-update scores' length
-        assert all(len(s) == 60 for s in streaming.prom._scores)
+        assert all(
+            len(field) == 60 for field in streaming.prom._segment_bundle.score_fields
+        )
 
     def test_dimensionality_mismatch_rejected(self):
         streaming = StreamingPromRegressor(

@@ -37,6 +37,7 @@ from repro.core import (
     PValueDetector,
     AccuracyProxyDetector,
     PerShardTriggerStack,
+    PruningConfig,
     QuantileThresholdPolicy,
     ServingConfig,
     CheckpointConfig,
@@ -662,9 +663,10 @@ class TestCostAwareBudget:
                 batch_size=50,
                 budget_fraction=0.05,
                 epochs=5,
-                triggers=TriggerConfig(budget_ceiling=0.5, spill=0.0),
+                triggers=TriggerConfig(budget_ceiling=0.5),
             ),
             serving=ServingConfig(asynchronous=False),
+            pruning=PruningConfig(spill=0.0),
         )
         alert_steps = [s for s in run.steps if s.alert]
         assert alert_steps
@@ -676,6 +678,45 @@ class TestCostAwareBudget:
             for s in run.steps
             if not s.alert
         )
+
+    def test_stream_budget_prices_the_effective_spill(self, monkeypatch):
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(build_trigger_stack(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(runner, "build_trigger_stack", build)
+        X_stream, y_stream = _drift_stream()
+        loop = LoopConfig(
+            batch_size=50,
+            budget_fraction=0.05,
+            epochs=5,
+            triggers=TriggerConfig(budget_ceiling=0.5),
+        )
+        runs = [
+            stream_deployment(
+                _trained_interface(),
+                X_stream,
+                y_stream,
+                loop=loop,
+                serving=ServingConfig(asynchronous=False),
+                **extra,
+            )
+            for extra in (
+                {},
+                {"pruning": PruningConfig(enabled=False, spill=0.0)},
+                {"pruning": PruningConfig(spill=0.0)},
+            )
+        ]
+        # pruning off budgets in exact mode, whatever its spill says
+        assert [stack.budget_policy.spill for stack in built] == [1.0, 1.0, 0.0]
+        exact, disabled, pruned = (
+            [step.effective_budget_fraction for step in run.steps] for run in runs
+        )
+        assert exact == disabled
+        assert all(a <= b for a, b in zip(exact, pruned))
+        assert exact != pruned
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -755,7 +796,6 @@ class TestTriggerConfig:
             dict(hysteresis_exit=0.9),
             dict(ensemble="quorum"),
             dict(budget_ceiling=0.0),
-            dict(spill=2.0),
         ):
             with pytest.raises(ConfigurationError):
                 TriggerConfig(**bad)
