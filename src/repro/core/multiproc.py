@@ -311,7 +311,7 @@ class ProcessServingPool:
         an unchanged spec is detected by checksum and not re-exported.
         """
         self._require_open()
-        bundle = self.interface.streaming._bundle
+        bundle = self.interface.prom._segment_bundle
         spec_bytes = self._pickle_spec()
         token = (zlib.crc32(spec_bytes), len(spec_bytes))
         if token != self._spec_token or self._spec_ref is None:

@@ -154,11 +154,6 @@ class _ShardMixin:
     _compose_state_fields: tuple = ()
     _compose_label_key: str = "_labels"
 
-    @property
-    def _bundle(self):
-        """The detector's compose bundle (``None`` before calibration)."""
-        return self.prom._segment_bundle
-
     def _retune_composed_tau(self, retune_tau: bool, feature_field) -> None:
         """Re-resolve the detector's tau from the feature segments.
 
@@ -176,7 +171,7 @@ class _ShardMixin:
     @property
     def _feature_dim(self) -> int:
         """Calibrated feature dimensionality."""
-        return int(self._bundle.fields["_features"].trailing_shape[0])
+        return int(self.prom._segment_bundle.fields["_features"].trailing_shape[0])
 
     def _build_bundle(self, before=None) -> dict:
         """Assemble the :class:`SegmentBundle` from the current shard
@@ -194,7 +189,7 @@ class _ShardMixin:
         """
         prom = self.prom
         states = self._shard_states
-        previous = None if before is None else self._bundle
+        previous = None if before is None else prom._segment_bundle
         n_experts = len(self._compose_experts())
         n_labels = self._compose_n_labels()
         touched = None if previous is None else sorted(before)

@@ -321,7 +321,7 @@ class TestSegmentDirectEquivalence:
         )
         streaming.calibrate(*_classification_batch(250, seed=5))
         streaming.update(*_classification_batch(20, seed=6))
-        view = streaming._bundle.evaluation_view()
+        view = streaming.prom._segment_bundle.evaluation_view()
         assert _evaluation_view(streaming.prom) is view
         # below the threshold the partition is one panel, still no concat
         assert len(view.features.panels()) == 1
@@ -336,7 +336,7 @@ class TestSegmentDirectEquivalence:
 
     def test_live_and_snapshot_share_one_panel_cache(self):
         streaming = _large_classifier()
-        view = streaming._bundle.evaluation_view()
+        view = streaming.prom._segment_bundle.evaluation_view()
         assert _evaluation_view(streaming.prom) is view
         snapshot = streaming.detector_snapshot()
         assert _evaluation_view(snapshot) is view
@@ -385,12 +385,12 @@ class TestSegmentDirectEquivalence:
             capacity=N_LARGE + 400, n_shards=4, router="label", seed=0
         )
         streaming.calibrate(*_classification_batch(N_LARGE, seed=8))
-        view = streaming._bundle.evaluation_view()
+        view = streaming.prom._segment_bundle.evaluation_view()
         view.prewarm()
         before = [panel for _, panel in view.features.panels()]
         features, probabilities, labels = _classification_batch(30, seed=500)
         streaming.update(features, probabilities, np.full(len(labels), 3))
-        after_view = streaming._bundle.evaluation_view()
+        after_view = streaming.prom._segment_bundle.evaluation_view()
         assert after_view is not view
         assert after_view.features._previous is view.features
         after_view.prewarm()
