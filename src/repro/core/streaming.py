@@ -36,11 +36,11 @@ rebuild computes are dropped as soon as they are sliced into shards.
 :meth:`detector_snapshot` builds structural-sharing snapshots from the
 same bundle — untouched shards' blocks are shared (not copied) between
 consecutive publishes, which is what makes the async serving plane's
-snapshot publish ``O(touched shards)`` too (DESIGN.md §6).  Full shard recalibrations
-(:meth:`recalibrate_shards`) run in a ``ThreadPoolExecutor`` when
-``parallel`` workers are configured (the NumPy kernels release the
-GIL); micro-batch folds stay serial — their per-shard work is far
-below the pool-spawn cost.  See DESIGN.md §4.
+snapshot publish ``O(touched shards)`` too (DESIGN.md §6).  Full shard
+recalibrations (:meth:`recalibrate_shards`) run in a
+``ThreadPoolExecutor`` when ``parallel`` workers are configured (the
+NumPy kernels release the GIL); micro-batch folds stay serial — their
+per-shard work is far below the pool-spawn cost.  See DESIGN.md §4.
 
 The invariant, property-tested in ``tests/core/test_streaming.py`` and
 ``tests/core/test_sharding.py``: after ANY sequence of

@@ -13,6 +13,8 @@ Everything here spawns real processes, so the module carries the
 with fault handlers enabled.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.core import (
     RegressionModelInterface,
     ServingConfig,
 )
+from repro.core.prom import FLAT_STATE
 from repro.core.shm import _HEADER
 from repro.experiments import stream_deployment
 from repro.ml import MLPClassifier, MLPRegressor
@@ -112,6 +115,16 @@ class TestBitIdentity:
             pool_predictions, pool_decisions = pool.predict(X_test)
             assert np.array_equal(live_predictions, pool_predictions)
             _assert_decisions_identical(live_decisions, pool_decisions)
+
+    def test_pickled_spec_carries_no_calibration_state(self):
+        # workers take calibration state from the shared segments only
+        interface = _trained_interface(n_shards=4)
+        with ProcessServingPool(interface, n_workers=1) as pool:
+            spec = pickle.loads(pool._pickle_spec())
+        assert spec.streaming is None
+        assert not set(spec.prom.__dict__) & {"_segment_bundle", *FLAT_STATE}
+        assert not spec.prom.is_calibrated
+        assert interface.prom.is_calibrated
 
     def test_map_predict_preserves_input_order(self):
         interface = _trained_interface(n_shards=4)

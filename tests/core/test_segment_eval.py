@@ -562,7 +562,6 @@ class TestCandidatePruner:
             seed=0,
         )
         streaming.calibrate(*_clustered_batch(N_LARGE, seed=11))
-        # a drifted micro-batch
         streaming.update(*_clustered_batch(60, seed=12, shift=1.5))
         features, probabilities, _ = _clustered_batch(80, seed=13, shift=1.5)
         unpruned = streaming.evaluate(features, probabilities)
