@@ -252,7 +252,7 @@ def measure_segment_publish(scale, seed=0, rounds=5) -> dict:
       ``n_shards - 1`` shards' blocks by reference;
     * ``publish_all_touched_ms`` — publish after a whole-store
       rescoring (every shard's score blocks rebuilt);
-    * ``flat_copy_reference_ms`` — the PR 4 publish kernel: one flat
+    * ``flat_copy_reference_ms`` — the deep-copy publish kernel: one flat
       copy of every state column (features, labels, and every expert
       layout's scores/labels/counts), built by concatenating the
       bundle's segments on the same state.
@@ -289,7 +289,7 @@ def measure_segment_publish(scale, seed=0, rounds=5) -> dict:
             all_ms.append(loop.stats.last_publish_seconds * 1e3)
             loop.predict(X_warm)
 
-        # the PR 4 reference publish: a flat copy of every column of
+        # the deep-copy reference publish: a flat copy of every column of
         # the detector state (features, labels, each expert's scores
         # and group counts)
         bundle = interface.streaming.prom._segment_bundle

@@ -11,11 +11,12 @@ calibration rows x 16 shards, 48 features, 32 classes):
 * **first_decision_after_publish** — the decision that lands right
   behind a single-touched-shard publish, segment-direct (the evaluate
   iterates the canonical GEMM panels over the blocks) vs the
-  pre-ISSUE-8 path (concatenate the snapshot's segments into flat
-  arrays, then evaluate them as a plain flat detector).  Asserts the segment-direct first
-  decision improves on the flat-path first decision by at least **2x**
-  and sits within **1.2x** of the warm-path figure — the flat-concat
-  tax is gone from the decision path, not merely reduced; and
+  flat-state path (concatenate the snapshot's segments into flat
+  arrays, then evaluate them as a plain flat detector).  Asserts the
+  segment-direct first decision improves on the flat-path first
+  decision by at least **2x** and sits within **1.2x** of the
+  warm-path figure — the flat-concat tax is gone from the decision
+  path, not merely reduced; and
 * **pruned evaluate** — ``CandidatePruner(spill=0)`` restricts each
   test sample's distance GEMM and p-value gather to its own shard's
   blocks.  Asserts the pruned evaluate beats the full-store evaluate by
