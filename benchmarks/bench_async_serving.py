@@ -253,9 +253,9 @@ def measure_segment_publish(scale, seed=0, rounds=5) -> dict:
     * ``publish_all_touched_ms`` — publish after a whole-store
       rescoring (every shard's score blocks rebuilt);
     * ``flat_copy_reference_ms`` — the deep-copy publish kernel: one flat
-      copy of every state column (features, labels, and every expert
-      layout's scores/labels/counts), built by concatenating the
-      bundle's segments on the same state.
+      copy of every state column (features, labels and every expert's
+      scores), built by concatenating the bundle's segments on the
+      same state.
 
     ``first_decision_after_publish_ms`` is the first decision on a
     fresh snapshot; ``warm_decision_ms`` is the same batch again.
@@ -290,19 +290,14 @@ def measure_segment_publish(scale, seed=0, rounds=5) -> dict:
             loop.predict(X_warm)
 
         # the deep-copy reference publish: a flat copy of every column of
-        # the detector state (features, labels, each expert's scores
-        # and group counts)
+        # the detector state (features, labels, each expert's scores)
         bundle = interface.streaming.prom._segment_bundle
         n_rows = len(bundle.fields["_features"])
         reference_ms = []
         for _ in range(rounds):
             started = time.perf_counter()
-            np.concatenate(bundle.fields["_features"].segments)
-            labels = np.concatenate(bundle.fields["_labels"].segments)
-            for field, counts in zip(bundle.score_fields, bundle.group_counts):
+            for field in bundle.iter_fields():
                 np.concatenate(field.segments)
-                np.array(labels)
-                np.array(counts)
             reference_ms.append((time.perf_counter() - started) * 1e3)
 
         # the publish-following decision vs the same batch again

@@ -44,6 +44,7 @@ from repro.core.prom import _evaluation_chunk, _evaluation_view
 # the frozen kernel oracle lives with the tests, one level up
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from tests.core.legacy_kernels import (  # noqa: E402
+    LegacyLayout,
     check_bit_identity,
     legacy_bin_subset_by_label,
     legacy_pvalues_from_binning,
@@ -69,13 +70,17 @@ KERNEL_SMOKE_SCALE = dict(
 
 STAGES = ("select", "bin", "pvalues", "vote")
 
+
+
+def _legacy_pvalues(calibration_scores, binning, test_scores, **kwargs):
+    """The frozen p-value kernel, fed one expert's scores as its layout."""
+    layout = LegacyLayout(calibration_scores, binning.n_labels)
+    return legacy_pvalues_from_binning(layout, binning, test_scores, **kwargs)
+
+
 #: (select, bin, p-values) kernel triples under comparison
 LIVE_KERNELS = (AdaptiveWeighting.select_batch, bin_subset_by_label, pvalues_from_binning)
-LEGACY_KERNELS = (
-    legacy_select_batch,
-    legacy_bin_subset_by_label,
-    legacy_pvalues_from_binning,
-)
+LEGACY_KERNELS = (legacy_select_batch, legacy_bin_subset_by_label, _legacy_pvalues)
 
 
 def _classification_setup(n_calibration, n_classes, n_features, seed=0):
@@ -243,9 +248,9 @@ def _stage_pass(prom, features, probabilities, kernels):
         t2 = time.perf_counter()
         pvalues = [
             pvalues_of(
-                layout, binning, scores, weight_mode=prom.weight_mode, tail=f.tail
+                column, binning, scores, weight_mode=prom.weight_mode, tail=f.tail
             )
-            for f, layout, scores in zip(prom.functions, state.layouts, test_scores)
+            for f, column, scores in zip(prom.functions, state.scores, test_scores)
         ]
         t3 = time.perf_counter()
         prom.committee.decide_batch(

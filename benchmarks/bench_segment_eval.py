@@ -50,7 +50,6 @@ import numpy as np
 from repro.core import (
     AsyncServingLoop,
     CandidatePruner,
-    LabelGroupedScores,
     ModelInterface,
     StreamingPromClassifier,
 )
@@ -174,28 +173,18 @@ def _single_shard_fold(interface, scale, seed=0):
 
 
 def _flat_detector(prom):
-    """A plain flat ``PromClassifier`` over ``prom``'s bundle state.
+    """A plain ``PromClassifier`` over ``prom``'s bundle state, flattened.
 
-    Concatenates every field's segments and rebuilds the per-expert
-    layouts over them (group counts are the bundle's own) — the flat
-    state a detector without segment-direct kernels had to build before
-    it could evaluate.
+    Concatenates every field's segments and installs them as a
+    one-segment bundle — the flat state a detector without
+    segment-direct kernels had to build before it could evaluate.
     """
     bundle = prom._segment_bundle
     flat = copy.copy(prom)
-    del flat._segment_bundle
-    flat._features = np.concatenate(bundle.fields["_features"].segments)
-    flat._labels = np.concatenate(bundle.fields["_labels"].segments)
-    flat._scores = [np.concatenate(field.segments) for field in bundle.score_fields]
-    flat._layouts = [
-        LabelGroupedScores(
-            scores=scores,
-            labels=flat._labels,
-            group_counts=counts,
-            n_labels=bundle.n_labels,
-        )
-        for scores, counts in zip(flat._scores, bundle.group_counts)
-    ]
+    flat._install_state(
+        {name: np.concatenate(field.segments) for name, field in bundle.fields.items()},
+        [np.concatenate(field.segments) for field in bundle.score_fields],
+    )
     return flat
 
 
@@ -304,9 +293,7 @@ def measure_pruned_evaluate(scale, seed=0) -> dict:
         loop.submit_fold(fold_X, fold_y)
         loop.drain(timeout=300)
         prom = loop.snapshot.interface.prom
-        pruner = CandidatePruner(
-            router=interface.streaming.store.router, spill=0.0
-        )
+        pruner = CandidatePruner(spill=0.0)
 
         prom.evaluate(X_eval, proba)  # warm the unpruned path
         prom._pruner = pruner
@@ -388,9 +375,7 @@ def measure_coverage_vs_spill(n_test=200, seed=0) -> dict:
         total = n_test * len(streaming.store)
         agreement, scored, acceptance = [], [], []
         for spill in SPILL_SWEEP:
-            streaming.prom._pruner = CandidatePruner(
-                router=streaming.store.router, spill=spill
-            )
+            streaming.prom._pruner = CandidatePruner(spill=spill)
             pruned = streaming.evaluate(features, proba)
             agreement.append(
                 round(float(np.mean(pruned.accepted == unpruned.accepted)), 4)

@@ -39,6 +39,10 @@ GATED_MODULES = (
     "src/repro/core/durability.py",
     "src/repro/core/faults.py",
     "src/repro/core/multiproc.py",
+    "src/repro/core/prom.py",
+    "src/repro/core/pruning.py",
+    "src/repro/core/pvalue.py",
+    "src/repro/core/segments.py",
     "src/repro/core/serving.py",
     "src/repro/core/shm.py",
     "src/repro/core/sharding.py",

@@ -45,7 +45,7 @@ SNAPSHOT_SOURCES = frozenset(
 SNAPSHOT_CONSTRUCTORS = frozenset(
     {
         "ComposeSnapshot", "SegmentBundle", "SegmentedField",
-        "BlockColumn", "EvaluationView", "SegmentLayout",
+        "BlockColumn", "EvaluationView",
     }
 )
 # Methods that mutate their receiver in place (ndarray + container set).

@@ -47,10 +47,9 @@ trained model (its own persistence problem) and a matching runtime
 configuration, then :func:`restore_checkpoint` installs the
 calibration/detector state into it.  Restored decisions are
 bit-identical to the pre-crash detector because every input of the
-decision function is persisted exactly: flat state is rebuilt by
-concatenating the restored blocks in store order, per-label groupings
-are pure functions of ``(scores, labels, n_labels)``, and the resolved
-tau and RNG states are carried as scalars.
+decision function is persisted exactly: the detector's segment bundle
+is rebuilt from the restored per-shard blocks in store order, and the
+resolved tau and RNG states are carried as scalars.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ import numpy as np
 
 from .clustering import CalibrationClusterer
 from .exceptions import CheckpointError, ConfigurationError, ValidationError
-from .pvalue import group_scores_by_label
 from .streaming import StreamingPromClassifier, _ShardState
 from ..ml.cluster import KMeans
 
@@ -599,15 +597,9 @@ def _install(streaming, payload: dict, shard_blobs, global_arrays) -> None:
         shard._seen = int(entry["n_seen"])
         _restore_rng(shard, entry["rng"])
         store._shard_epochs[s] = int(entry["epoch"])
-        scores = [arrays[f"score:{e}"] for e in range(n_experts)]
-        group_key = shard_columns["label"] if classifier else arrays["clusters"]
         states.append(
             _ShardState(
-                scores=scores,
-                layouts=[
-                    group_scores_by_label(block, group_key, n_labels)
-                    for block in scores
-                ],
+                scores=[arrays[f"score:{e}"] for e in range(n_experts)],
                 clusters=None if classifier else arrays["clusters"],
             )
         )

@@ -43,7 +43,6 @@ from multiprocessing.connection import wait as _connection_wait
 import numpy as np
 
 from .exceptions import ConfigurationError, ServingError, SharedSegmentError
-from .prom import FLAT_STATE
 from .segments import bundle_from_manifest, bundle_manifest, manifest_refs
 from .serving import ServingStats
 from .shm import (
@@ -129,7 +128,7 @@ class _WorkerRuntime:
         prom = copy.copy(self._spec.prom)
         interface.prom = prom
         prom._segment_bundle = bundle_from_manifest(
-            manifest["bundle"], self.attacher.get
+            manifest["bundle"], self.attacher.get, router=self._spec._bundle_router
         )
         return interface
 
@@ -295,9 +294,11 @@ class ProcessServingPool:
         spec.__dict__.pop("_X_train", None)
         spec.__dict__.pop("_y_train", None)
         prom = copy.copy(self.interface.prom)
-        for key in ("_segment_bundle",) + FLAT_STATE:
-            prom.__dict__.pop(key, None)
+        bundle = prom.__dict__.pop("_segment_bundle", None)
         spec.prom = prom
+        # the bundle's shard router (the candidate pruner routes with
+        # it) rides in the spec, not the size-bounded name table
+        spec._bundle_router = None if bundle is None else bundle.router
         return pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
 
     def publish(self) -> int:

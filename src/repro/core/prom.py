@@ -25,11 +25,12 @@ Workflow (paper Figures 3 and 5):
    decision-identical to a fresh ``calibrate()`` on the surviving
    samples (DESIGN.md §3).
 
-A detector holds its calibration state in one of two forms, never both:
-the flat arrays a plain ``calibrate()`` sets, or — under a streaming
-wrapper, in its snapshots and in pool workers — the wrapper's
-:class:`~repro.core.segments.SegmentBundle` of per-shard blocks, held
-as ``_segment_bundle``.  Either way the kernels read one
+A detector holds its calibration state in one form: a
+:class:`~repro.core.segments.SegmentBundle` of per-sample columns and
+per-expert score blocks, held as ``_segment_bundle``.  A plain
+``calibrate()`` installs a one-segment bundle; a streaming wrapper, its
+snapshots and pool workers hold the wrapper's bundle of per-shard
+blocks.  Either way the kernels read the bundle's
 :class:`~repro.core.segments.EvaluationView` (DESIGN.md §9).
 """
 
@@ -50,34 +51,14 @@ from .nonconformity import (
     default_classification_functions,
     default_regression_scores,
 )
-from .pvalue import (
-    bin_subset_by_label,
-    group_scores_by_label,
-    pvalues_from_binning,
-)
+from .pvalue import bin_subset_by_label, pvalues_from_binning
 from .scores import assess_batch
-from .segments import EvaluationView
+from .segments import EvaluationView, SegmentBundle, SegmentedField
 from .weighting import AdaptiveWeighting, iter_squared_distance_chunks, squared_distance_matrix
 
 #: soft bound on the number of float64 cells one evaluation chunk's
 #: largest temporary may hold (~16 MB).
 _EVALUATE_CELL_BUDGET = 2_000_000
-
-#: instance slot of a plain detector's cached one-block
-#: :class:`EvaluationView`, built on first use after a calibration.
-FLAT_VIEW_SLOT = "_composed_view"
-
-#: every instance attribute a plain ``calibrate()`` derives from the
-#: calibration set; a bundle-backed detector holds none of them.
-FLAT_STATE = (
-    "_features",
-    "_labels",
-    "_targets",
-    "_clusters",
-    "_scores",
-    "_layouts",
-    FLAT_VIEW_SLOT,
-)
 
 
 def _evaluation_chunk(n_calibration: int, chunk_size: int | None, n_labels: int = 1) -> int:
@@ -99,19 +80,10 @@ def _evaluation_chunk(n_calibration: int, chunk_size: int | None, n_labels: int 
 def _evaluation_view(prom) -> EvaluationView:
     """The evaluation state every kernel reads (DESIGN.md §9).
 
-    A detector composed from per-shard blocks evaluates through its
-    bundle's view, so each live block set has exactly one panel cache.
-    A plain detector evaluates through a one-block view of its flat
-    arrays, built on first use after a calibration.
+    The view of the detector's bundle, built once per bundle, so each
+    live block set has exactly one panel cache.
     """
-    bundle = prom._segment_bundle
-    if bundle is not None:
-        return bundle.evaluation_view()
-    view = prom.__dict__.get(FLAT_VIEW_SLOT)
-    if view is None:
-        view = prom._flat_view()
-        prom.__dict__[FLAT_VIEW_SLOT] = view
-    return view
+    return prom._segment_bundle.evaluation_view()
 
 
 def _active_pruner(prom, view):
@@ -122,7 +94,7 @@ def _active_pruner(prom, view):
     :data:`~repro.core.blocks.SEGMENT_DIRECT_MIN_ROWS` rows.
     """
     pruner = prom.__dict__.get("_pruner")
-    if pruner is None or prom._segment_bundle is None:
+    if pruner is None:
         return None
     return pruner if len(view.features) >= SEGMENT_DIRECT_MIN_ROWS else None
 
@@ -153,36 +125,69 @@ def _check_calibration_inputs(features, outputs, targets):
     return features, outputs, targets
 
 
+def _check_classification_inputs(features, probabilities, labels, n_classes=None):
+    """:func:`_check_calibration_inputs` plus the label checks.
+
+    Every label must index a probability column (``0 <= label <
+    n_classes``); ``n_classes`` pins the column count when the detector
+    is already calibrated.  Runs before anything mutates.
+    """
+    features, probabilities, labels = _check_calibration_inputs(
+        features, probabilities, labels
+    )
+    labels = labels.astype(int)
+    if probabilities.ndim != 2:
+        raise CalibrationError("probabilities must be (n, n_classes)")
+    if n_classes is not None and probabilities.shape[1] != n_classes:
+        raise CalibrationError(
+            f"probabilities must be (n, {n_classes}) to match the "
+            f"calibrated detector"
+        )
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= probabilities.shape[1]:
+        raise CalibrationError(
+            f"label index out of range for {probabilities.shape[1]} "
+            f"probability columns"
+        )
+    return features, probabilities, labels
+
+
 class _CalibrationState:
     """Calibration-state accessors shared by both detectors."""
 
-    #: the composed per-shard state a streaming wrapper sets on every
-    #: compose (carried by snapshots and pool workers); ``None`` for a
-    #: plain detector, which holds flat arrays instead
+    #: the detector's only calibration state (``None`` before
+    #: ``calibrate()``): a one-segment bundle after a plain calibration,
+    #: a streaming wrapper's per-shard bundle otherwise (carried by
+    #: snapshots and pool workers)
     _segment_bundle = None
 
     @property
     def is_calibrated(self) -> bool:
         """Whether the detector holds calibration state."""
-        return self._segment_bundle is not None or "_features" in self.__dict__
+        return self._segment_bundle is not None
 
     @property
     def calibration_size(self) -> int:
         """Number of calibration samples backing the detector (0 before
         ``calibrate()``)."""
-        if self._segment_bundle is not None:
-            return len(self._segment_bundle.fields["_features"])
-        return len(self._features) if self.is_calibrated else 0
+        bundle = self._segment_bundle
+        return 0 if bundle is None else len(bundle.fields["_features"])
 
     def _require_calibrated(self):
         if not self.is_calibrated:
             raise NotCalibratedError("call calibrate() before evaluating samples")
 
-    def _reset_state(self) -> None:
-        """Retire the composed bundle and the cached flat view before a
-        plain ``calibrate()`` sets new flat state."""
-        self.__dict__.pop("_segment_bundle", None)
-        self.__dict__.pop(FLAT_VIEW_SLOT, None)
+    def _install_state(self, fields: dict, scores) -> None:
+        """Install validated calibration columns as a one-segment bundle.
+
+        ``fields`` maps bundle field names (``"_features"``, the
+        grouping label ``_label_key``, ``"_targets"``) to whole-set
+        arrays; ``scores`` holds one score array per expert.
+        """
+        self._segment_bundle = SegmentBundle(
+            fields={name: SegmentedField([column]) for name, column in fields.items()},
+            score_fields=[SegmentedField([expert]) for expert in scores],
+            label_key=self._label_key,
+        )
 
 
 class PromClassifier(_CalibrationState):
@@ -202,6 +207,9 @@ class PromClassifier(_CalibrationState):
         vote_threshold: committee acceptance fraction (0.5 = majority,
             ties reject).
     """
+
+    #: the bundle field that groups p-values: the true class labels
+    _label_key = "_labels"
 
     def __init__(
         self,
@@ -247,39 +255,14 @@ class PromClassifier(_CalibrationState):
             labels: true label indices (column indices of
                 ``probabilities``).
         """
-        features, probabilities, labels = _check_calibration_inputs(
+        features, probabilities, labels = _check_classification_inputs(
             features, probabilities, labels
         )
-        labels = labels.astype(int)
-        if probabilities.ndim != 2:
-            raise CalibrationError("probabilities must be (n, n_classes)")
-        if labels.max(initial=0) >= probabilities.shape[1]:
-            raise CalibrationError("label index exceeds probability columns")
-        self._reset_state()
-        self._features = features
-        self._labels = labels
+        scores = [function.score(probabilities, labels) for function in self.functions]
         self._n_classes = probabilities.shape[1]
         self.weighting.resolve_tau(features)
-        self._scores = [
-            function.score(probabilities, labels) for function in self.functions
-        ]
-        # Batch-engine layout: per expert, validated scores with label
-        # bookkeeping so deployment p-values reduce to label-binned
-        # scatter-adds (see DESIGN.md).
-        self._layouts = [
-            group_scores_by_label(scores, labels, self._n_classes)
-            for scores in self._scores
-        ]
+        self._install_state({"_features": features, "_labels": labels}, scores)
         return self
-
-    def _flat_view(self) -> EvaluationView:
-        """One-block evaluation view over the flat calibration state."""
-        return EvaluationView.over(
-            [self._features],
-            [self._labels],
-            [[layout.scores] for layout in self._layouts],
-            self._n_classes,
-        )
 
     def _check_evaluate_inputs(self, features, probabilities, predicted_labels):
         features = np.asarray(features, dtype=float)
@@ -404,10 +387,10 @@ class PromClassifier(_CalibrationState):
         # once and share across the committee.
         binning = bin_subset_by_label(subset, state.labels, self._n_classes)
         assessments = []
-        for function, layout in zip(self.functions, state.layouts):
+        for function, scores in zip(self.functions, state.scores):
             test_scores = function.score_all_labels(probabilities)
             pvalues = pvalues_from_binning(
-                layout,
+                scores,
                 binning,
                 test_scores,
                 weight_mode=self.weight_mode,
@@ -463,10 +446,10 @@ class PromClassifier(_CalibrationState):
             )
             binning = bin_subset_by_label(subset, state.labels, self._n_classes)
             inclusion_votes = np.zeros((stop - start, self._n_classes))
-            for function, layout in zip(self.functions, state.layouts):
+            for function, scores in zip(self.functions, state.scores):
                 test_scores = function.score_all_labels(probabilities[start:stop])
                 pvalues = pvalues_from_binning(
-                    layout,
+                    scores,
                     binning,
                     test_scores,
                     weight_mode=self.weight_mode,
@@ -494,6 +477,9 @@ class PromRegressor(_CalibrationState):
     ``"true"`` uses the known calibration ground truth (the paper's
     literal formulation).
     """
+
+    #: the bundle field that groups p-values: the K-means pseudo-labels
+    _label_key = "_clusters"
 
     def __init__(
         self,
@@ -551,36 +537,23 @@ class PromRegressor(_CalibrationState):
         )
         predictions = predictions.astype(float).ravel()
         targets = np.asarray(targets, dtype=float).ravel()
-        self._reset_state()
-        self._features = features
-        self._targets = targets
-        self.weighting.resolve_tau(features)
         if self.calibration_residuals == "loo":
             reference = self._loo_targets(features, targets)
         else:
             reference = targets
-        self._scores = [
+        scores = [
             function.score(predictions, reference) for function in self.score_functions
         ]
-        self.clusterer_ = CalibrationClusterer(
+        clusterer = CalibrationClusterer(
             n_clusters=self.n_clusters, seed=self.seed
         ).fit(features)
-        self._clusters = self.clusterer_.labels_
-        self._layouts = [
-            group_scores_by_label(scores, self._clusters, self.clusterer_.k_)
-            for scores in self._scores
-        ]
-        return self
-
-    def _flat_view(self) -> EvaluationView:
-        """One-block evaluation view over the flat calibration state."""
-        return EvaluationView.over(
-            [self._features],
-            [self._clusters],
-            [[layout.scores] for layout in self._layouts],
-            self.clusterer_.k_,
-            targets=[self._targets],
+        self.clusterer_ = clusterer
+        self.weighting.resolve_tau(features)
+        self._install_state(
+            {"_features": features, "_targets": targets, "_clusters": clusterer.labels_},
+            scores,
         )
+        return self
 
     def _check_evaluate_inputs(self, features, predictions):
         features = np.asarray(features, dtype=float)
@@ -694,7 +667,7 @@ class PromRegressor(_CalibrationState):
         )
         n_clusters = self.clusterer_.k_
         assessments = []
-        for function, layout in zip(self.score_functions, state.layouts):
+        for function, scores in zip(self.score_functions, state.scores):
             test_scores = function.score(predictions, approx_targets)
             # The same residual score stands in for every candidate
             # cluster (the per-sample reference's np.full, batched).
@@ -702,7 +675,7 @@ class PromRegressor(_CalibrationState):
                 np.asarray(test_scores, dtype=float)[:, None], n_clusters, axis=1
             )
             pvalues = pvalues_from_binning(
-                layout,
+                scores,
                 binning,
                 test_matrix,
                 weight_mode=self.weight_mode,

@@ -9,8 +9,9 @@ near the test sample anyway.  The :class:`CandidatePruner` exploits
 that — each test sample is scored only against its *primary* shard
 plus a configurable spill fraction of the nearest sibling shards:
 
-* primary shard: the store router's own assignment when it can route
-  test samples (cluster routing by fitted center; label routing by the
+* primary shard: the router of the store that built the evaluated
+  bundle (:attr:`~repro.core.segments.EvaluationView.router`), when it
+  can route test samples (cluster routing by fitted center; label routing by the
   model's *predicted* label), otherwise the nearest shard centroid;
 * spill shards: ``ceil(spill * (n_active - 1))`` siblings nearest by
   shard centroid (fitted router centers when available, per-block
@@ -47,11 +48,15 @@ from .weighting import squared_distance_matrix
 class CandidatePruner:
     """Restricts each test sample's evaluation to candidate shards.
 
+    The router comes from the evaluated view: the
+    :class:`~repro.core.sharding.ShardRouter` of the store whose shards
+    the view's blocks are.  It assigns test samples their primary shard
+    and, when it exposes fitted ``centers``, orders sibling shards by
+    affinity.  A store that re-fits its router (``calibrate``,
+    ``replace_outputs``) composes a bundle carrying the new one, while a
+    published snapshot keeps routing with its own generation's router.
+
     Args:
-        router: the store's :class:`~repro.core.sharding.ShardRouter`
-            (or ``None``); used to assign test samples their primary
-            shard and, when it exposes fitted ``centers``, to order
-            sibling shards by affinity.
         spill: fraction of the remaining (non-primary) active shards
             each sample additionally scores, in ``[0, 1]``.  ``1.0``
             (the default) scores every shard — exactly the unpruned
@@ -64,10 +69,9 @@ class CandidatePruner:
     are read-mostly and the evaluation view they key on is immutable.
     """
 
-    def __init__(self, router=None, spill: float = 1.0):
+    def __init__(self, spill: float = 1.0):
         if not 0.0 <= spill <= 1.0:
             raise ConfigurationError(f"spill must be in [0, 1], got {spill}")
-        self.router = router
         self.spill = float(spill)
         self._cached_view = None
         self._centroids = None
@@ -85,7 +89,7 @@ class CandidatePruner:
         if self._cached_view is view and self._centroids is not None:
             return self._centroids
         segments = view.features.segments
-        centers = getattr(self.router, "centers", None)
+        centers = getattr(view.router, "centers", None)
         if centers is not None and len(centers) == len(segments):
             centroids = np.asarray(centers, dtype=float)
         else:
@@ -111,10 +115,11 @@ class CandidatePruner:
         """Each test row's primary block position (always an active one)."""
         centroids = self._view_centroids(view)
         primary = None
-        if self.router is not None and getattr(self.router, "is_fitted", False):
+        router = view.router
+        if router is not None and getattr(router, "is_fitted", False):
             try:
                 routed = np.asarray(
-                    self.router.route(features, labels=route_labels), dtype=int
+                    router.route(features, labels=route_labels), dtype=int
                 )
             except CalibrationError:
                 routed = None

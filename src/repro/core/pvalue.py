@@ -23,12 +23,14 @@ provided:
   calibration scores and over-rejects, which is why counting is the
   default here (see DESIGN.md).
 
-The engine (:func:`group_scores_by_label`, :func:`bin_subset_by_label`
-and :func:`pvalues_from_binning`) evaluates all labels of all test
-samples with label-binned weighted scatter-adds over a
-per-label-grouped calibration layout — see DESIGN.md for the data
-layout and complexity bounds.  The per-sample reference it replaced
-lives in ``tests/core/serial_reference.py``.
+The engine (:func:`bin_subset_by_label` and
+:func:`pvalues_from_binning`) evaluates all labels of all test samples
+with label-binned weighted scatter-adds over each calibration sample's
+three inputs — its score, its label and its distance weight, read in
+calibration order straight from the detector's score and label blocks
+(no per-label regrouping) — see DESIGN.md for the data layout and
+complexity bounds.  The per-sample reference it replaced lives in
+``tests/core/serial_reference.py``.
 """
 
 from __future__ import annotations
@@ -42,155 +44,6 @@ from .weighting import CalibrationSubsetBatch
 from .exceptions import ConfigurationError, ValidationError
 
 WEIGHT_MODES = ("count", "multiply")
-
-
-@dataclass(frozen=True)
-class LabelGroupedScores:
-    """Calibration scores pre-grouped by label for the batch engine.
-
-    Built once per expert at ``calibrate()`` time.  The batch p-value
-    kernel consumes the original-order ``scores``/``labels`` pair with
-    one label-binned scatter-add per tail; ``group_counts`` records how
-    many calibration samples each label group holds (zero for labels
-    never observed, whose p-values are exactly 0).  See DESIGN.md for
-    the kernel design and the alternatives that were measured.
-
-    Attributes:
-        scores: per-calibration-sample nonconformity scores (original
-            calibration order).
-        labels: true label index of each calibration sample, validated
-            against ``n_labels``.
-        group_counts: ``(n_labels,)`` calibration samples per label.
-        n_labels: number of candidate labels.
-    """
-
-    scores: np.ndarray
-    labels: np.ndarray
-    group_counts: np.ndarray
-    n_labels: int
-
-
-def group_scores_by_label(
-    calibration_scores: np.ndarray,
-    calibration_labels: np.ndarray,
-    n_labels: int,
-) -> LabelGroupedScores:
-    """Return the :class:`LabelGroupedScores` layout for one expert."""
-    scores = np.asarray(calibration_scores, dtype=float).ravel()
-    labels = np.asarray(calibration_labels, dtype=int).ravel()
-    if scores.shape != labels.shape:
-        raise ValidationError("calibration scores and labels must align")
-    if len(labels) and (labels.min() < 0 or labels.max() >= n_labels):
-        raise ValidationError("calibration label index out of range")
-    return LabelGroupedScores(
-        scores=scores,
-        labels=labels,
-        group_counts=np.bincount(labels, minlength=n_labels),
-        n_labels=n_labels,
-    )
-
-
-def update_label_groups(
-    layout: LabelGroupedScores,
-    keep_mask: np.ndarray,
-    new_scores: np.ndarray,
-    new_labels: np.ndarray,
-    order: np.ndarray | None = None,
-) -> LabelGroupedScores:
-    """Incremental counterpart of :func:`group_scores_by_label`.
-
-    Carries one expert's layout across a calibration-store mutation:
-    the combined layout is the existing calibration rows followed by
-    the ``new`` batch, and ``keep_mask`` marks the survivors (see
-    :class:`~repro.core.calibration_store.StoreUpdate`).  ``order``
-    (``StoreUpdate.order``) gathers the survivors into the store's new
-    exposed order — required for slot-reuse evictions, which permute
-    survivors; when omitted the historical arrival-ordered
-    ``keep_mask`` gather applies.  Group counts are adjusted
-    arithmetically from the added and evicted labels — ``O(batch +
-    n_labels)`` bookkeeping on top of the ``O(n)`` survivor copy — and
-    the result is exactly what :func:`group_scores_by_label` would
-    build from the surviving scores and labels in store order.
-    """
-    return update_committee_groups(
-        [layout], keep_mask, [new_scores], new_labels, order
-    )[0]
-
-
-def update_committee_groups(
-    layouts, keep_mask, new_scores, new_labels, order=None
-) -> list:
-    """:func:`update_label_groups` for every expert of one store at once.
-
-    The experts' layouts group the same rows by the same labels, so the
-    label gather and the count arithmetic run once and the results share
-    one labels array; only each expert's score gather is its own.
-    ``layouts`` and ``new_scores`` hold one entry per expert.
-    """
-    first = layouts[0]
-    new_labels = np.asarray(new_labels, dtype=int).ravel()
-    new_scores = [np.asarray(scores, dtype=float).ravel() for scores in new_scores]
-    if any(scores.shape != new_labels.shape for scores in new_scores):
-        raise ValidationError("new scores and labels must align")
-    if len(new_labels) and (
-        new_labels.min() < 0 or new_labels.max() >= first.n_labels
-    ):
-        raise ValidationError("new calibration label index out of range")
-    keep_mask = np.asarray(keep_mask, dtype=bool)
-    if len(keep_mask) != len(first.labels) + len(new_labels):
-        raise ValidationError(
-            f"keep_mask covers {len(keep_mask)} rows, combined layout has "
-            f"{len(first.labels) + len(new_labels)}"
-        )
-    gather = np.flatnonzero(keep_mask) if order is None else np.asarray(order)
-    combined_labels = np.concatenate([first.labels, new_labels])
-    group_counts = (
-        first.group_counts
-        + np.bincount(new_labels, minlength=first.n_labels)
-        - np.bincount(combined_labels[~keep_mask], minlength=first.n_labels)
-    )
-    labels = combined_labels[gather]
-    return [
-        LabelGroupedScores(
-            scores=np.concatenate([layout.scores, scores])[gather],
-            labels=labels,
-            group_counts=group_counts,
-            n_labels=first.n_labels,
-        )
-        for layout, scores in zip(layouts, new_scores)
-    ]
-
-
-def merge_group_counts(layouts, n_labels: int) -> np.ndarray:
-    """Integer-exact global group counts from per-segment layouts.
-
-    The compose half of the segment-aware streaming runtime
-    (:mod:`repro.core.segments`): segment counts are non-negative
-    integers, so their sum is exact and the composed counts equal what
-    :func:`group_scores_by_label` would compute on the concatenated
-    scores and labels — no floating-point drift, no ``O(n)`` rescan.
-
-    Args:
-        layouts: per-segment :class:`LabelGroupedScores`, all built for
-            the same label space.
-        n_labels: number of candidate labels.
-
-    Returns:
-        ``(n_labels,)`` summed group counts.
-
-    Raises:
-        ValueError: when a layout's label space disagrees with
-            ``n_labels``.
-    """
-    counts = np.zeros(n_labels, dtype=np.int64)
-    for layout in layouts:
-        if layout.n_labels != n_labels:
-            raise ValidationError(
-                f"cannot merge a layout over {layout.n_labels} labels "
-                f"into a {n_labels}-label composition"
-            )
-        counts = counts + layout.group_counts
-    return counts
 
 
 def _label_binned_sums(flat_bins, values, n_bins) -> np.ndarray:
@@ -316,7 +169,7 @@ def _two_sided_weighted_sums(flat_bins, weights, selected, thresholds, n_labels,
 
 
 def pvalues_from_binning(
-    layout: LabelGroupedScores,
+    calibration_scores,
     binning: SubsetBinning,
     test_scores: np.ndarray,
     weight_mode: str = "count",
@@ -339,16 +192,17 @@ def pvalues_from_binning(
     in any order, so they equal the float sums of ``0.0``/``1.0`` terms
     of the two-pass form bitwise.
 
-    ``layout.scores`` is a :class:`~repro.core.blocks.BlockColumn`
-    (the evaluation view's) or an array; the score gather reads its
-    flat gather base.
+    ``calibration_scores`` is one expert's score column, a
+    :class:`~repro.core.blocks.BlockColumn` (the evaluation view's) or
+    an array; the score gather reads its flat gather base.  The label
+    count comes from ``binning``.
     """
     if weight_mode not in WEIGHT_MODES:
         raise ConfigurationError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
     if tail not in ("right", "both"):
         raise ConfigurationError(f"tail must be 'right' or 'both', got {tail!r}")
     test_scores = np.asarray(test_scores, dtype=float)
-    n_labels = layout.n_labels
+    n_labels = binning.n_labels
     if test_scores.ndim != 2 or test_scores.shape[1] != n_labels:
         raise ValidationError(
             f"test_scores must be (n_test, {n_labels}), got {test_scores.shape}"
@@ -361,7 +215,7 @@ def pvalues_from_binning(
     n_bins = n_test * n_labels
     flat_bins = binning.flat_bins
     weights = binning.weights.ravel()
-    selected = _gather(layout.scores, binning.indices).ravel()
+    selected = _gather(calibration_scores, binning.indices).ravel()
     # Each selected sample competes for its own true label: its
     # comparison threshold is the test sample's score at that label,
     # which sits at the sample's own flat bin.
@@ -395,25 +249,3 @@ def pvalues_from_binning(
         denominators = counts.sum(axis=0)
     pvalues = np.minimum(1.0, numerators / (denominators + 1.0))
     return pvalues.reshape(n_test, n_labels)
-
-
-def pvalues_all_labels_batch(
-    layout: LabelGroupedScores,
-    subset_batch: CalibrationSubsetBatch,
-    test_scores: np.ndarray,
-    weight_mode: str = "count",
-    tail: str = "right",
-) -> np.ndarray:
-    """Return the ``(n_test, n_labels)`` p-value matrix for a batch.
-
-    Convenience wrapper over :func:`bin_subset_by_label`
-    + :func:`pvalues_from_binning`; committee evaluation builds the
-    binning once and shares it across experts instead.
-
-    ``test_scores`` holds each test sample's nonconformity at every
-    candidate label, shape ``(n_test, n_labels)``.
-    """
-    binning = bin_subset_by_label(subset_batch, layout.labels, layout.n_labels)
-    return pvalues_from_binning(
-        layout, binning, test_scores, weight_mode=weight_mode, tail=tail
-    )

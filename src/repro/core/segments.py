@@ -1,27 +1,30 @@
 """Segment-aware composition of per-shard calibration state (DESIGN.md §6).
 
-PR 3 sharded calibration *maintenance*: an ``update()`` folds only into
-the shards its batch touched.  But the detector still consumed one flat
-array per state field (features, labels, per-expert scores), so every
-fold ended with an ``O(n)`` concatenation memcpy to rebuild them — and
-the async serving plane (PR 4) paid the same ``O(n)`` *again* per
-snapshot publish, deep-copying every store-aliased array so lock-free
-readers could never observe an in-place rewrite.
+Sharded calibration maintenance folds an ``update()`` only into the
+shards its batch touched.  A detector that consumed one flat array per
+state field (features, labels, per-expert scores) would still end every
+fold with an ``O(n)`` concatenation memcpy to rebuild them — and the
+async serving plane would pay the same ``O(n)`` *again* per snapshot
+publish, deep-copying every store-aliased array so lock-free readers
+could never observe an in-place rewrite.
 
 This module replaces both copies with a **segment compose layer**:
 
 * :class:`SegmentedField` — one logical calibration column held as an
   ordered tuple of immutable per-shard blocks;
 * :class:`SegmentBundle` — the full composed detector state (every
-  field, every expert's scores, the integer-exact summed group counts),
-  built in ``O(touched shards)`` after a mutation because untouched
-  shards contribute the *same block objects* as the previous bundle.
+  per-sample field and every expert's score blocks — a conformal
+  p-value needs nothing else per calibration sample), built in
+  ``O(touched shards)`` after a mutation because untouched shards
+  contribute the *same block objects* as the previous bundle.
 
-A bundle is the *only* calibration state of a streaming detector, its
-snapshots and its pool workers: the detector holds it as
-``_segment_bundle`` and evaluates through its
-:class:`EvaluationView`, so no flat copy of the state exists.  That
-also gives the serving plane **structural-sharing publishes**: a
+A bundle is the *only* calibration state of every detector: a plain
+``calibrate()`` installs a one-segment bundle, and a streaming
+detector, its snapshots and its pool workers hold the wrapper's
+per-shard bundle.  The detector holds it as ``_segment_bundle`` and
+evaluates through its :class:`EvaluationView`, so no flat copy of the
+state exists.  That also gives the serving plane **structural-sharing
+publishes**: a
 snapshot references the live bundle's blocks instead of deep-copying
 them, so publish cost drops from ``O(store)`` to ``O(touched shards)``
 and consecutive snapshots share (``np.shares_memory``) every untouched
@@ -99,60 +102,25 @@ def make_field(segments, previous: SegmentedField | None = None) -> SegmentedFie
 
 
 @dataclass(frozen=True)
-class SegmentLayout:
-    """Per-expert calibration-score view for segment-direct evaluation.
-
-    The block-backed stand-in for
-    :class:`~repro.core.pvalue.LabelGroupedScores` on the evaluate hot
-    path: the p-value kernel only reads ``scores`` (gathered at the
-    selected positions) and ``n_labels``, so the view carries exactly
-    those — scores as a :class:`~repro.core.blocks.BlockColumn`, never
-    flattened.
-    """
-
-    scores: BlockColumn
-    n_labels: int
-
-
-@dataclass(frozen=True)
 class EvaluationView:
     """Calibration state the evaluate kernels consume, block-direct.
 
-    The one evaluation state of both detectors (DESIGN.md §9): built by
+    The one evaluation state of both detectors (DESIGN.md §9), built by
     :meth:`SegmentBundle.evaluation_view` over a bundle's per-shard
-    blocks, or by the detector over its flat arrays as one-block
-    columns.  ``labels`` is the p-value grouping column (class labels
-    or cluster pseudo-labels); ``targets`` is present for regression
-    only.  ``shard_ids`` maps each block position to its shard id — the
-    contract the candidate pruner (:mod:`repro.core.pruning`) keys on.
+    blocks.  ``labels`` is the p-value grouping column (class labels or
+    cluster pseudo-labels); ``scores`` holds one score column per
+    expert; ``targets`` is present for regression only.  ``shard_ids``
+    maps each block position to its shard id and ``router`` is the
+    bundle's shard router — the contract the candidate pruner
+    (:mod:`repro.core.pruning`) keys on.
     """
 
     features: BlockColumn
     labels: BlockColumn
-    layouts: tuple
-    n_labels: int
+    scores: tuple
     targets: BlockColumn | None = None
     shard_ids: tuple = ()
-
-    @classmethod
-    def over(cls, features, labels, scores, n_labels, targets=None) -> "EvaluationView":
-        """A view over block sequences, one block per shard.
-
-        ``features``, ``labels`` and ``targets`` are block sequences;
-        ``scores`` holds one block sequence per expert.  A plain
-        detector passes one-block sequences of its flat arrays.
-        """
-        return cls(
-            features=BlockColumn(features),
-            labels=BlockColumn(labels),
-            layouts=tuple(
-                SegmentLayout(scores=BlockColumn(blocks), n_labels=n_labels)
-                for blocks in scores
-            ),
-            n_labels=n_labels,
-            targets=None if targets is None else BlockColumn(targets),
-            shard_ids=tuple(range(len(features))),
-        )
+    router: object = None
 
     def prewarm(self) -> None:
         """Build every cache a first evaluate would otherwise pay for.
@@ -169,10 +137,7 @@ class EvaluationView:
         """
         self.features.panels()
         self.features.row_norms()
-        scalar_columns = (self.labels, self.targets) + tuple(
-            layout.scores for layout in self.layouts
-        )
-        for column in scalar_columns:
+        for column in (self.labels, self.targets) + self.scores:
             if column is not None and len(column.segments) > 1:
                 column.gather_base()
 
@@ -182,18 +147,12 @@ class EvaluationView:
         return EvaluationView(
             features=self.features.restrict(positions),
             labels=self.labels.restrict(positions),
-            layouts=tuple(
-                SegmentLayout(
-                    scores=layout.scores.restrict(positions),
-                    n_labels=layout.n_labels,
-                )
-                for layout in self.layouts
-            ),
-            n_labels=self.n_labels,
+            scores=tuple(column.restrict(positions) for column in self.scores),
             targets=(
                 None if self.targets is None else self.targets.restrict(positions)
             ),
             shard_ids=tuple(self.shard_ids[p] for p in positions),
+            router=self.router,
         )
 
 
@@ -205,12 +164,13 @@ class SegmentBundle:
             ``"_targets"``, ``"_clusters"``) -> :class:`SegmentedField`.
         score_fields: one :class:`SegmentedField` per expert's
             calibration scores.
-        group_counts: per-expert ``(n_labels,)`` global group counts,
-            summed integer-exactly over the per-shard layouts.
         label_key: which entry of ``fields`` plays the p-value grouping
             label (``"_labels"`` for classification, ``"_clusters"``
             for regression pseudo-labels).
-        n_labels: number of candidate labels/clusters.
+        router: the shard router of the store whose shards the blocks
+            are (``None`` for a plain detector's one-segment bundle);
+            the candidate pruner routes test samples with it, so a
+            snapshot keeps routing like the generation it froze.
 
     A bundle is immutable once built; a mutation builds a *new* bundle
     whose untouched shards contribute the same block objects, so bundle
@@ -218,22 +178,13 @@ class SegmentBundle:
     structural sharing between consecutive snapshots.
     """
 
-    __slots__ = (
-        "fields",
-        "score_fields",
-        "group_counts",
-        "label_key",
-        "n_labels",
-        "_view",
-        "_inherit_view",
-    )
+    __slots__ = ("fields", "score_fields", "label_key", "router", "_view", "_inherit_view")
 
-    def __init__(self, fields, score_fields, group_counts, label_key, n_labels):
+    def __init__(self, fields, score_fields, label_key, router=None):
         self.fields = dict(fields)
         self.score_fields = tuple(score_fields)
-        self.group_counts = tuple(group_counts)
         self.label_key = label_key
-        self.n_labels = int(n_labels)
+        self.router = router
         self._view = None
         self._inherit_view = None
 
@@ -259,16 +210,15 @@ class SegmentBundle:
         """
         view = self._view
         if view is None:
-            view = EvaluationView.over(
-                self.fields["_features"].segments,
-                self.fields[self.label_key].segments,
-                [field.segments for field in self.score_fields],
-                self.n_labels,
-                targets=(
-                    self.fields["_targets"].segments
-                    if "_targets" in self.fields
-                    else None
-                ),
+            features = self.fields["_features"].segments
+            targets = self.fields.get("_targets")
+            view = EvaluationView(
+                features=BlockColumn(features),
+                labels=BlockColumn(self.fields[self.label_key].segments),
+                scores=tuple(BlockColumn(field.segments) for field in self.score_fields),
+                targets=None if targets is None else BlockColumn(targets.segments),
+                shard_ids=tuple(range(len(features))),
+                router=self.router,
             )
             inherit = self._inherit_view
             if inherit is not None:
@@ -313,9 +263,8 @@ def bundle_manifest(bundle: SegmentBundle, export) -> dict:
     ``export`` is the arena's block exporter
     (:meth:`~repro.core.shm.SharedSegmentArena.export`): every block of
     every field becomes a picklable ref, so the manifest is a few
-    hundred bytes regardless of calibration size.  The per-expert group
-    counts are tiny ``(n_labels,)`` integer arrays and ride embedded in
-    the manifest itself rather than as shared segments.
+    hundred bytes regardless of calibration size.  The bundle's router
+    is not part of it: it travels in the pool's interface spec.
     """
     return {
         "fields": {
@@ -326,9 +275,7 @@ def bundle_manifest(bundle: SegmentBundle, export) -> dict:
             [export(block) for block in field.segments]
             for field in bundle.score_fields
         ],
-        "group_counts": [np.array(counts) for counts in bundle.group_counts],
         "label_key": bundle.label_key,
-        "n_labels": bundle.n_labels,
     }
 
 
@@ -347,14 +294,14 @@ def manifest_refs(manifest: dict) -> list:
     return refs
 
 
-def bundle_from_manifest(manifest: dict, attach) -> SegmentBundle:
+def bundle_from_manifest(manifest: dict, attach, router=None) -> SegmentBundle:
     """Rebuild a :class:`SegmentBundle` over mapped arrays (worker side).
 
     ``attach`` is the worker's ref resolver
     (:meth:`~repro.core.shm.SegmentAttacher.get`); the rebuilt bundle's
     blocks are read-only zero-copy views of the shared segments, so
     evaluating against it touches the same physical pages the parent
-    exported.
+    exported.  ``router`` is the parent bundle's shard router.
     """
     return SegmentBundle(
         fields={
@@ -365,9 +312,8 @@ def bundle_from_manifest(manifest: dict, attach) -> SegmentBundle:
             SegmentedField([attach(ref) for ref in refs])
             for refs in manifest["score_fields"]
         ],
-        group_counts=[np.array(counts) for counts in manifest["group_counts"]],
         label_key=manifest["label_key"],
-        n_labels=manifest["n_labels"],
+        router=router,
     )
 
 

@@ -1,8 +1,8 @@
 """Streaming Prom detectors: incremental recalibration over a live store.
 
 ``PromClassifier.calibrate()`` is a batch operation: every call
-recomputes per-expert nonconformity scores, label groupings and the
-adaptive tau from scratch.  In deployment (paper Secs. 5.3-5.4) the
+recomputes per-expert nonconformity scores and the adaptive tau from
+scratch.  In deployment (paper Secs. 5.3-5.4) the
 calibration set is a *stream* — relabelled drifting samples arrive in
 micro-batches and stale samples are evicted — so full recalibration per
 round costs ``O(rounds * n_calibration)`` where ``O(rounds * batch)``
@@ -13,26 +13,25 @@ detector's calibration state *incrementally*:
 
 * per-expert nonconformity scores are computed only for the new batch
   (every score function is row-wise pure, so per-batch scores are
-  bit-identical to batch recomputation);
-* per-label score groupings (:class:`~repro.core.pvalue.LabelGroupedScores`)
-  are carried across the store mutation with one survivor gather
-  (``StoreUpdate.order``) and ``O(batch + n_labels)`` count arithmetic;
+  bit-identical to batch recomputation) and carried across the store
+  mutation with one survivor gather (``StoreUpdate.order``), the same
+  gather the store applies to its own columns;
 * the automatic tau is re-resolved against the surviving features via
   the same bounded kernel (``median_pairwise_tau``) a fresh
   ``calibrate()`` would use.
 
 The store is a :class:`~repro.core.sharding.ShardedCalibrationStore`
-(one shard by default) and the wrapper keeps **per-shard** scores,
-label groupings and tau.  An update folds only into the shards its
-batch touched — untouched shards' state is not even copied — and the
-global detector state is re-composed *segment-aware* (:mod:`repro.core.segments`): per-shard
-score/feature/label blocks stay immutable segments in a
-:class:`~repro.core.segments.SegmentBundle`, group counts are summed
-integer-exactly per segment, and tau is re-resolved from a per-segment
-row gather — so a fold costs ``O(touched shards)``, never ``O(store)``.
-The bundle is the detector's only calibration state: every compose
-installs it as ``prom._segment_bundle``, and the flat arrays a full
-rebuild computes are dropped as soon as they are sliced into shards.
+(one shard by default) and the wrapper keeps **per-shard** scores and
+tau.  An update folds only into the shards its batch touched —
+untouched shards' state is not even copied — and the global detector
+state is re-composed *segment-aware* (:mod:`repro.core.segments`):
+per-shard score/feature/label blocks stay immutable segments in a
+:class:`~repro.core.segments.SegmentBundle`, and tau is re-resolved
+from a per-segment row gather — so a fold costs ``O(touched shards)``,
+never ``O(store)``.  The bundle is the detector's only calibration
+state: every compose installs it as ``prom._segment_bundle``, and the
+one-segment bundle a full rebuild's ``calibrate()`` installs is
+replaced as soon as its score blocks are sliced into shards.
 :meth:`detector_snapshot` builds structural-sharing snapshots from the
 same bundle — untouched shards' blocks are shared (not copied) between
 consecutive publishes, which is what makes the async serving plane's
@@ -65,11 +64,11 @@ import numpy as np
 
 from .calibration_store import StoreUpdate
 from .exceptions import CalibrationError, ValidationError
-from .prom import FLAT_STATE, PromClassifier, PromRegressor, _check_calibration_inputs
-from .pvalue import (
-    group_scores_by_label,
-    merge_group_counts,
-    update_committee_groups,
+from .prom import (
+    PromClassifier,
+    PromRegressor,
+    _check_calibration_inputs,
+    _check_classification_inputs,
 )
 from .segments import SegmentBundle, TauSketch, make_field
 from .sharding import ShardedCalibrationStore
@@ -122,8 +121,8 @@ def _make_store(capacity, eviction, seed, n_shards, router, label_column):
 class _ShardState:
     """One shard's slice of the streaming calibration state.
 
-    ``scores``/``layouts`` hold one entry per expert, aligned with the
-    shard store's exposed row order; ``tau`` is the shard-local feature
+    ``scores`` holds one block per expert, aligned with the shard
+    store's exposed row order; ``tau`` is the shard-local feature
     scale (diagnostic — the detector's global tau is always re-resolved
     on the union), kept lazily: folds mark it stale (``None``) and
     :attr:`_ShardMixin.shard_taus` recomputes on read, so the bounded
@@ -132,7 +131,6 @@ class _ShardState:
     """
 
     scores: list
-    layouts: list
     tau: float | None = field(default=None)
     clusters: np.ndarray | None = field(default=None)
 
@@ -146,13 +144,12 @@ class _ShardMixin:
     blocks, installed on the detector as ``prom._segment_bundle``.
     """
 
-    #: compose spec, set per wrapper class: detector attribute ->
-    #: store column for store-backed fields; detector attributes whose
-    #: blocks live on ``_ShardState`` (attribute name minus the
-    #: underscore); and which field plays the p-value grouping label.
+    #: compose spec, set per wrapper class: bundle field -> store
+    #: column for store-backed fields, and the bundle fields whose
+    #: blocks live on ``_ShardState`` (field name minus the underscore).
+    #: The detector's ``_label_key`` names the p-value grouping field.
     _compose_store_fields: dict = {}
     _compose_state_fields: tuple = ()
-    _compose_label_key: str = "_labels"
 
     def _retune_composed_tau(self, retune_tau: bool, feature_field) -> None:
         """Re-resolve the detector's tau from the feature segments.
@@ -173,26 +170,22 @@ class _ShardMixin:
         """Calibrated feature dimensionality."""
         return int(self.prom._segment_bundle.fields["_features"].trailing_shape[0])
 
-    def _build_bundle(self, before=None) -> dict:
+    def _build_bundle(self, touched=None) -> dict:
         """Assemble the :class:`SegmentBundle` from the current shard
         states, per the class compose spec, and install it on the
         detector; returns the field dict.
 
-        Without ``before`` the bundle is built from scratch (after a
-        full rebuild or a restore) and the detector's flat state is
-        dropped: the bundle is its only state from here on.  ``before``
-        maps each shard a fold or rescore touched to its layouts from
-        before it: only those shards' blocks are fetched — every other
-        block is the previous bundle's — and each expert's group counts
-        move by the touched shards' count deltas (integers, so exactly
-        the per-shard sum).
+        Without ``touched`` the bundle is built from scratch (after a
+        full rebuild or a restore).  ``touched`` lists the shards a fold
+        or rescore changed: only those shards' blocks are fetched —
+        every other block is the previous bundle's.  The bundle records
+        the store's current router, the one its shards were routed by.
         """
         prom = self.prom
         states = self._shard_states
-        previous = None if before is None else prom._segment_bundle
+        previous = None if touched is None else prom._segment_bundle
         n_experts = len(self._compose_experts())
-        n_labels = self._compose_n_labels()
-        touched = None if previous is None else sorted(before)
+        touched = None if previous is None else sorted(touched)
 
         def build_field(old, block_of):
             if touched is None:
@@ -222,29 +215,13 @@ class _ShardMixin:
             build_field(old_scores[e], lambda s, e=e: states[s].scores[e])
             for e in range(n_experts)
         )
-        if touched is None:
-            group_counts = tuple(
-                merge_group_counts([state.layouts[e] for state in states], n_labels)
-                for e in range(n_experts)
-            )
-        else:
-            group_counts = list(previous.group_counts)
-            for s in touched:
-                for e, (old, new) in enumerate(zip(before[s], states[s].layouts)):
-                    group_counts[e] = group_counts[e] + (
-                        new.group_counts - old.group_counts
-                    )
         prom._segment_bundle = SegmentBundle(
             fields=fields,
             score_fields=score_fields,
-            group_counts=tuple(group_counts),
-            label_key=self._compose_label_key,
-            n_labels=n_labels,
+            label_key=prom._label_key,
+            router=self.store.router,
         )
-        if previous is None:
-            for name in FLAT_STATE:
-                prom.__dict__.pop(name, None)
-        else:
+        if previous is not None:
             # Carry the newest built evaluation view across the
             # mutation (at most one generation is kept alive): panels
             # over untouched shards are inherited instead of
@@ -260,46 +237,36 @@ class _ShardMixin:
         """Slice the detector's freshly calibrated state into per-shard
         states and build the compose bundle, which replaces it.
 
-        Runs right after a full ``calibrate()``/``refresh()``: the flat
-        arrays exist and match the store.  Score blocks are zero-copy
-        slices of the flat scores; feature/label blocks come from the
-        store's segment cache so later folds can reuse them by
-        identity.  A shard holding every row adopts the detector's own
-        scores and layouts, which the same kernel just built.
+        Runs right after a full ``calibrate()``/``refresh()``, whose
+        one-segment bundle matches the store row for row.  Score (and
+        cluster) blocks are zero-copy slices of its blocks;
+        feature/label blocks come from the store's segment cache so
+        later folds can reuse them by identity.
         """
-        prom = self.prom
-        key = getattr(prom, self._compose_label_key)
-        n_labels = self._compose_n_labels()
-        states = []
-        for _, start, stop in self._shard_blocks():
-            if stop - start == len(key):
-                scores, layouts = list(prom._scores), list(prom._layouts)
-            else:
-                scores = [expert[start:stop] for expert in prom._scores]
-                layouts = [
-                    group_scores_by_label(block, key[start:stop], n_labels)
-                    for block in scores
-                ]
-            clusters = (
-                key[start:stop] if "_clusters" in self._compose_state_fields else None
+        bundle = self.prom._segment_bundle
+        scores = [field.flat() for field in bundle.score_fields]
+        clusters = bundle.fields.get("_clusters")
+        clusters = None if clusters is None else clusters.flat()
+        self._shard_states = [
+            _ShardState(
+                scores=[expert[start:stop] for expert in scores],
+                clusters=None if clusters is None else clusters[start:stop],
             )
-            states.append(_ShardState(scores=scores, layouts=layouts, clusters=clusters))
-        self._shard_states = states
+            for _, start, stop in self._shard_blocks()
+        ]
         self._build_bundle()
 
-    def _compose_global(self, retune_tau: bool, before=None) -> None:
+    def _compose_global(self, retune_tau: bool, touched=None) -> None:
         """Recompose the detector's global state from per-shard segments.
 
         Builds a fresh immutable :class:`~repro.core.segments.SegmentBundle`
-        in ``O(touched shards)`` (``before``: the touched shards' layouts
-        from before the mutation, see :meth:`_build_bundle`): untouched
+        in ``O(touched shards)`` (see :meth:`_build_bundle`): untouched
         shards contribute the same block objects as the previous bundle
-        (segment order is the store's global exposed order, and group
-        counts add integer-exactly), tau is re-resolved from a row
-        gather over the segments.  No flat array is rebuilt: the
-        detector evaluates through the bundle.
+        (segment order is the store's global exposed order), tau is
+        re-resolved from a row gather over the segments.  No flat array
+        is rebuilt: the detector evaluates through the bundle.
         """
-        fields = self._build_bundle(before)
+        fields = self._build_bundle(touched)
         self._retune_composed_tau(retune_tau, fields["_features"])
 
     @property
@@ -388,9 +355,32 @@ class _ShardMixin:
             for shard_id in shard_ids:
                 fn(shard_id)
 
-    def _layouts_of(self, shard_ids) -> dict:
-        """Shard id -> its current layouts, for :meth:`_build_bundle`."""
-        return {int(s): self._shard_states[s].layouts for s in shard_ids}
+    def _apply(self, update, new_scores, retune_tau: bool, new_clusters=None):
+        """Fold the batch into the touched shards, then recompose.
+
+        A shard's new blocks are its old ones followed by the rows of
+        the batch routed to it, gathered in the store's new exposed
+        order (``StoreUpdate.order``) — the gather the store applies to
+        its own columns, so scores (and the regressor's ``clusters``)
+        stay aligned with the store rows.
+        """
+
+        def fold(shard_id):
+            state = self._shard_states[shard_id]
+            order = update.shard_updates[shard_id].order
+            routed = update.shard_batches[shard_id]
+            state.scores = [
+                np.concatenate([old, new[routed]])[order]
+                for old, new in zip(state.scores, new_scores)
+            ]
+            if new_clusters is not None:
+                state.clusters = np.concatenate(
+                    [state.clusters, new_clusters[routed]]
+                )[order]
+            state.tau = None  # stale; shard_taus recomputes on read
+
+        self._map_shards(update.touched, fold, parallel=False)
+        self._compose_global(retune_tau, update.touched)
 
     def _shard_blocks(self):
         """Yield ``(shard_id, start, stop)`` global row blocks."""
@@ -430,7 +420,6 @@ class StreamingPromClassifier(_ShardMixin):
 
     _compose_store_fields = {"_features": "features", "_labels": "label"}
     _compose_state_fields = ()
-    _compose_label_key = "_labels"
 
     def _compose_experts(self):
         """The expert list whose scores the compose layer carries."""
@@ -470,21 +459,6 @@ class StreamingPromClassifier(_ShardMixin):
         """Number of calibration samples backing the detector."""
         return self.prom.calibration_size
 
-    def _check_update_inputs(self, features, probabilities, labels):
-        features, probabilities, labels = _check_calibration_inputs(
-            features, probabilities, labels
-        )
-        labels = labels.astype(int)
-        n_classes = self.prom._n_classes
-        if probabilities.ndim != 2 or probabilities.shape[1] != n_classes:
-            raise CalibrationError(
-                f"probabilities must be (n, {n_classes}) to match the "
-                f"calibrated detector"
-            )
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
-            raise CalibrationError("label index out of calibrated range")
-        return features, probabilities, labels
-
     # -- lifecycle ----------------------------------------------------------------
     def calibrate(
         self, features, probabilities, labels, priority=None, extra=None
@@ -494,7 +468,7 @@ class StreamingPromClassifier(_ShardMixin):
         When the batch exceeds ``capacity`` the eviction policy trims it
         first, so the cap holds from the very first calibration.
         """
-        features, probabilities, labels = _check_calibration_inputs(
+        features, probabilities, labels = _check_classification_inputs(
             features, probabilities, labels
         )
         # Build the new store aside and swap it in only once the
@@ -505,7 +479,7 @@ class StreamingPromClassifier(_ShardMixin):
             priority=priority,
             features=features,
             probabilities=probabilities,
-            label=np.asarray(labels).astype(int),
+            label=labels,
             **_as_columns(extra),
         )
         self.prom.calibrate(
@@ -529,17 +503,16 @@ class StreamingPromClassifier(_ShardMixin):
     ) -> StoreUpdate:
         """Fold a micro-batch into the calibration state incrementally.
 
-        Scores are computed for the new batch only; groupings and
-        counts are carried across the store mutation (touched shards
-        only); tau is re-resolved against the surviving
+        Scores are computed for the new batch only and carried across
+        the store mutation (touched shards only); tau is re-resolved against the surviving
         features (pass ``retune_tau=False`` to freeze it — faster, but
         the detector then diverges from a fresh ``calibrate()`` until
         the next ``refresh``).  Returns the :class:`StoreUpdate`
         describing who survived.
         """
         self.prom._require_calibrated()
-        features, probabilities, labels = self._check_update_inputs(
-            features, probabilities, labels
+        features, probabilities, labels = _check_classification_inputs(
+            features, probabilities, labels, n_classes=self.prom._n_classes
         )
         prom = self.prom
         new_scores = [
@@ -552,7 +525,7 @@ class StreamingPromClassifier(_ShardMixin):
             label=labels,
             **_as_columns(extra),
         )
-        self._apply(update, new_scores, labels, retune_tau)
+        self._apply(update, new_scores, retune_tau)
         self._bump_epoch()
         return update
 
@@ -562,30 +535,9 @@ class StreamingPromClassifier(_ShardMixin):
         _check_eviction(self.store, positions)
         update = self.store.evict(positions)
         empty = [np.zeros(0)] * len(self.prom.functions)
-        self._apply(update, empty, np.zeros(0, dtype=int), retune_tau)
+        self._apply(update, empty, retune_tau)
         self._bump_epoch()
         return update
-
-    def _apply(self, update, new_scores, new_labels, retune_tau: bool):
-        """Fold the batch into the touched shards, then recompose."""
-
-        def fold(shard_id):
-            state = self._shard_states[shard_id]
-            sub = update.shard_updates[shard_id]
-            routed = update.shard_batches[shard_id]
-            state.layouts = update_committee_groups(
-                state.layouts,
-                sub.keep_mask,
-                [scores[routed] for scores in new_scores],
-                new_labels[routed],
-                sub.order,
-            )
-            state.scores = [layout.scores for layout in state.layouts]
-            state.tau = None  # stale; shard_taus recomputes on read
-
-        before = self._layouts_of(update.touched)
-        self._map_shards(update.touched, fold, parallel=False)
-        self._compose_global(retune_tau, before)
 
     def recalibrate_shards(
         self, shard_ids=None, retune_tau: bool = True
@@ -608,12 +560,6 @@ class StreamingPromClassifier(_ShardMixin):
             state = self._shard_states[shard_id]
             if len(shard) == 0:
                 state.scores = [np.zeros(0) for _ in prom.functions]
-                state.layouts = [
-                    group_scores_by_label(
-                        np.zeros(0), np.zeros(0, dtype=int), prom._n_classes
-                    )
-                    for _ in prom.functions
-                ]
                 state.tau = None
                 return
             probabilities = shard.column("probabilities")
@@ -622,15 +568,10 @@ class StreamingPromClassifier(_ShardMixin):
                 function.score(probabilities, labels)
                 for function in prom.functions
             ]
-            state.layouts = [
-                group_scores_by_label(s, labels, prom._n_classes)
-                for s in state.scores
-            ]
             state.tau = None
 
-        before = self._layouts_of(shard_ids)
         self._map_shards(shard_ids, rescore)
-        self._compose_global(retune_tau, before)
+        self._compose_global(retune_tau, shard_ids)
         self._bump_epoch()
         return self
 
@@ -661,12 +602,12 @@ class StreamingPromClassifier(_ShardMixin):
         may trigger per-shard evictions when the new routing overloads
         a shard; a one-shard store keeps its rows where they are.
         """
-        features, probabilities, labels = _check_calibration_inputs(
+        features, probabilities, labels = _check_classification_inputs(
             features, probabilities, labels
         )
         self.store.replace_column("features", features)
         self.store.replace_column("probabilities", probabilities)
-        self.store.replace_column("label", np.asarray(labels))
+        self.store.replace_column("label", labels)
         self.store.rebalance(refit_router=True)
         self.refresh()
 
@@ -715,7 +656,6 @@ class StreamingPromRegressor(_ShardMixin):
 
     _compose_store_fields = {"_features": "features", "_targets": "target"}
     _compose_state_fields = ("_clusters",)
-    _compose_label_key = "_clusters"
 
     def _compose_experts(self):
         """The expert list whose scores the compose layer carries."""
@@ -836,7 +776,7 @@ class StreamingPromRegressor(_ShardMixin):
             function.score(predictions, targets) for function in prom.score_functions
         ]
         update = self.store.add(priority=priority, **columns)
-        self._apply(update, new_scores, new_clusters, retune_tau)
+        self._apply(update, new_scores, retune_tau, new_clusters)
         self._bump_epoch()
         return update
 
@@ -849,33 +789,9 @@ class StreamingPromRegressor(_ShardMixin):
             self.refresh(refit_clusters=False, retune_tau=retune_tau)
             return update
         empty = [np.zeros(0)] * len(self.prom.score_functions)
-        self._apply(update, empty, np.zeros(0, dtype=int), retune_tau)
+        self._apply(update, empty, retune_tau, np.zeros(0, dtype=int))
         self._bump_epoch()
         return update
-
-    def _apply(self, update, new_scores, new_clusters, retune_tau: bool):
-        """Fold the batch into the touched shards, then recompose."""
-
-        def fold(shard_id):
-            state = self._shard_states[shard_id]
-            sub = update.shard_updates[shard_id]
-            routed = update.shard_batches[shard_id]
-            state.layouts = update_committee_groups(
-                state.layouts,
-                sub.keep_mask,
-                [scores[routed] for scores in new_scores],
-                new_clusters[routed],
-                sub.order,
-            )
-            state.scores = [layout.scores for layout in state.layouts]
-            state.clusters = np.concatenate(
-                [state.clusters, new_clusters[routed]]
-            )[sub.order]
-            state.tau = None  # stale; shard_taus recomputes on read
-
-        before = self._layouts_of(update.touched)
-        self._map_shards(update.touched, fold, parallel=False)
-        self._compose_global(retune_tau, before)
 
     def recalibrate_shards(
         self, shard_ids=None, retune_tau: bool = True
@@ -898,12 +814,6 @@ class StreamingPromRegressor(_ShardMixin):
             state = self._shard_states[shard_id]
             if len(shard) == 0:
                 state.scores = [np.zeros(0) for _ in prom.score_functions]
-                state.layouts = [
-                    group_scores_by_label(
-                        np.zeros(0), np.zeros(0, dtype=int), prom.clusterer_.k_
-                    )
-                    for _ in prom.score_functions
-                ]
                 state.clusters = np.zeros(0, dtype=int)
                 state.tau = None
                 return
@@ -917,15 +827,10 @@ class StreamingPromRegressor(_ShardMixin):
                 function.score(predictions, targets)
                 for function in prom.score_functions
             ]
-            state.layouts = [
-                group_scores_by_label(s, state.clusters, prom.clusterer_.k_)
-                for s in state.scores
-            ]
             state.tau = None
 
-        before = self._layouts_of(shard_ids)
         self._map_shards(shard_ids, rescore)
-        self._compose_global(retune_tau, before)
+        self._compose_global(retune_tau, shard_ids)
         self._bump_epoch()
         return self
 
@@ -935,8 +840,8 @@ class StreamingPromRegressor(_ShardMixin):
         """Full recalibration from the current store contents.
 
         ``refit_clusters=False`` keeps the fitted pseudo-labeller and
-        recomputes everything else (scores, assignments, tau, layouts)
-        from scratch — the batch-path reference that the incremental
+        recomputes everything else (scores, assignments, tau) from
+        scratch — the batch-path reference that the incremental
         ``update()`` is property-tested against.  ``retune_tau=False``
         keeps the current tau (only honored with
         ``refit_clusters=False``; a full ``calibrate()`` always
@@ -954,19 +859,17 @@ class StreamingPromRegressor(_ShardMixin):
             reference = prom._loo_targets(features, targets)
         else:
             reference = targets
-        prom._features = features
-        prom._targets = targets
-        if retune_tau:
-            prom.weighting.resolve_tau(features)
-        prom._scores = [
+        scores = [
             function.score(predictions, reference)
             for function in prom.score_functions
         ]
-        prom._clusters = np.asarray(prom.clusterer_.assign(features), dtype=int)
-        prom._layouts = [
-            group_scores_by_label(scores, prom._clusters, prom.clusterer_.k_)
-            for scores in prom._scores
-        ]
+        clusters = np.asarray(prom.clusterer_.assign(features), dtype=int)
+        if retune_tau:
+            prom.weighting.resolve_tau(features)
+        prom._install_state(
+            {"_features": features, "_targets": targets, "_clusters": clusters},
+            scores,
+        )
         self._rebuild_shard_states()
         self._bump_epoch()
         return self

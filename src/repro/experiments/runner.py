@@ -683,13 +683,8 @@ def stream_deployment(
         if prune:
             # Snapshot proms are shallow copies of this one, so the
             # pruner (and chunk size) ride along into every published
-            # generation.
-            router = getattr(
-                getattr(getattr(interface, "streaming", None), "store", None),
-                "router",
-                None,
-            )
-            prom._pruner = CandidatePruner(router=router, spill=prune_spill)
+            # generation; each routes with its own bundle's router.
+            prom._pruner = CandidatePruner(spill=prune_spill)
     loop = None
     pool = None
     sync_checkpoint_state = {"since": 0, "generations": 0, "last_ms": 0.0}

@@ -9,7 +9,10 @@ oracle: :func:`check_bit_identity` runs old and new on the same inputs
 and requires ``np.array_equal`` on indices, weights and p-values (the
 live selection no longer returns distances).  The function bodies are
 verbatim; the method became a function taking the weighting as
-``self``, the dataclasses were renamed and the docstrings dropped.
+``self``, the dataclasses were renamed and the docstrings dropped.  The
+frozen p-value kernel reads ``layout.scores`` and ``layout.n_labels``;
+the harness feeds it a :class:`LegacyLayout` of the same score column
+the live kernel takes directly.
 
 The tier-1 suite (``test_kernel_oracle.py``) and
 ``benchmarks/bench_batch_eval.py --smoke`` both run the grid.
@@ -29,16 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import (
-    AdaptiveWeighting,
-    bin_subset_by_label,
-    group_scores_by_label,
-    pvalues_from_binning,
-)
+from repro.core import AdaptiveWeighting, bin_subset_by_label, pvalues_from_binning
 from repro.core.blocks import PANEL_ROWS, SEGMENT_DIRECT_MIN_ROWS, BlockColumn
 from repro.core.exceptions import ConfigurationError, ValidationError
 from repro.core.pvalue import WEIGHT_MODES
-from repro.core.segments import SegmentLayout
 from repro.core.weighting import DISTANCE_CELL_BUDGET, iter_squared_distance_chunks
 
 
@@ -254,6 +251,16 @@ def legacy_pvalues_from_binning(
 
 # -- the oracle grid ----------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class LegacyLayout:
+    """The two fields :func:`legacy_pvalues_from_binning` reads of its
+    ``layout``: one expert's calibration scores and the label count."""
+
+    scores: object
+    n_labels: int
+
+
 WEIGHT_MODE_GRID = WEIGHT_MODES
 TAIL_GRID = ("right", "both")
 LAYOUT_GRID = ("flat", "blocks")
@@ -308,13 +315,12 @@ def check_bit_identity(
                 test_scores[row, labels[j]] = scores[j]
     min_samples = n_calibration + 1 if keep_kind == "all" else 10
     weighting = AdaptiveWeighting(fraction=0.4, min_samples=min_samples, tau=4.0)
-    layout = group_scores_by_label(scores, labels, n_labels)
     if layout_kind == "blocks":
         cal_features = _split(features, 4, rng)
         cal_labels = _split(labels, 4, rng)
-        live_layout = SegmentLayout(_split(scores, 3, rng), n_labels)
+        cal_scores = _split(scores, 3, rng)
     else:
-        cal_features, cal_labels, live_layout = features, labels, layout
+        cal_features, cal_labels, cal_scores = features, labels, scores
 
     old_subset = legacy_select_batch(
         weighting, cal_features, test_features, chunk_size
@@ -329,10 +335,14 @@ def check_bit_identity(
     assert np.array_equal(old_binning.weight_sums, new_binning.weight_sums)
 
     old_p = legacy_pvalues_from_binning(
-        live_layout, old_binning, test_scores, weight_mode=weight_mode, tail=tail
+        LegacyLayout(cal_scores, n_labels),
+        old_binning,
+        test_scores,
+        weight_mode=weight_mode,
+        tail=tail,
     )
     new_p = pvalues_from_binning(
-        live_layout, new_binning, test_scores, weight_mode=weight_mode, tail=tail
+        cal_scores, new_binning, test_scores, weight_mode=weight_mode, tail=tail
     )
     assert new_p.shape == old_p.shape
     assert np.array_equal(old_p, new_p)

@@ -19,7 +19,13 @@ The batch == serial suites (``test_batch_engine.py``) and
 against it.  The function bodies are verbatim copies of the library
 code; each method became a function that takes its object (detector,
 weighting or committee) as ``self``, and calls between them were
-rewritten to match.
+rewritten to match.  The detector bodies date from when a detector held
+flat ``_features``/``_labels``/``_targets``/``_clusters``/``_scores``
+arrays; :class:`_FlatState` reads those same arrays from the detector's
+segment bundle.
+
+:func:`pvalues_all_labels_batch` is the batch kernels' one-expert
+convenience wrapper (binning plus p-values), for kernel-level tests.
 """
 
 from __future__ import annotations
@@ -28,7 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import PromRegressor, UniformWeighting
+from repro.core import (
+    PromRegressor,
+    UniformWeighting,
+    bin_subset_by_label,
+    pvalues_from_binning,
+)
 from repro.core.committee import Decision
 from repro.core.exceptions import ConfigurationError, ValidationError
 from repro.core.pvalue import WEIGHT_MODES
@@ -195,6 +206,29 @@ def pvalues_all_labels(
     )
 
 
+def pvalues_all_labels_batch(
+    calibration_scores,
+    calibration_labels,
+    subset_batch,
+    test_scores: np.ndarray,
+    n_labels: int,
+    weight_mode: str = "count",
+    tail: str = "right",
+) -> np.ndarray:
+    """Return the ``(n_test, n_labels)`` p-value matrix for a batch.
+
+    :func:`~repro.core.pvalue.bin_subset_by_label` then
+    :func:`~repro.core.pvalue.pvalues_from_binning`; committee
+    evaluation builds the binning once and shares it across experts
+    instead.  ``test_scores`` holds each test sample's nonconformity at
+    every candidate label, shape ``(n_test, n_labels)``.
+    """
+    binning = bin_subset_by_label(subset_batch, calibration_labels, n_labels)
+    return pvalues_from_binning(
+        calibration_scores, binning, test_scores, weight_mode=weight_mode, tail=tail
+    )
+
+
 # -- one expert's verdict ----------------------------------------------------------
 
 
@@ -273,6 +307,30 @@ def decide(self, assessments) -> Decision:
 # -- whole-detector loops ----------------------------------------------------------
 
 
+class _FlatState:
+    """A detector with its bundle's arrays as flat attributes.
+
+    Each bundle field (``_features``, ``_labels``, ``_targets``,
+    ``_clusters``) reads as its concatenated blocks and ``_scores`` as
+    one array per expert; every other attribute is the detector's.
+    """
+
+    def __init__(self, prom):
+        self._prom = prom
+        bundle = prom._segment_bundle
+        if bundle is not None:
+            for name, field in bundle.fields.items():
+                setattr(self, name, field.flat())
+            self._scores = [field.flat() for field in bundle.score_fields]
+
+    def __getattr__(self, name):
+        return getattr(self._prom, name)
+
+
+def _flat_state(prom) -> _FlatState:
+    return prom if isinstance(prom, _FlatState) else _FlatState(prom)
+
+
 def evaluate_serial(self, *args) -> list:
     """Score every sample through the per-sample stack.
 
@@ -281,8 +339,8 @@ def evaluate_serial(self, *args) -> list:
     predictions)``; returns a list of :class:`Decision`.
     """
     if isinstance(self, PromRegressor):
-        return _regressor_evaluate_serial(self, *args)
-    return _classifier_evaluate_serial(self, *args)
+        return _regressor_evaluate_serial(_flat_state(self), *args)
+    return _classifier_evaluate_serial(_flat_state(self), *args)
 
 
 def _classifier_evaluate_serial(
@@ -341,6 +399,7 @@ def _regressor_evaluate_serial(self, features, predictions) -> list:
 
 def approximate_target(self, feature) -> float:
     """k-NN estimate of the unseen ground truth for one test sample."""
+    self = _flat_state(self)
     self._require_calibrated()
     feature = np.asarray(feature, dtype=float).ravel()
     distances = np.sqrt(np.sum((self._features - feature) ** 2, axis=1))

@@ -21,18 +21,18 @@ from repro.core import (
     UniformWeighting,
     build_trigger_stack,
     drifting_indices,
-    group_scores_by_label,
-    pvalues_all_labels_batch,
     select_relabel_budget,
     squared_distance_matrix,
     summarize_decisions,
 )
+from repro.core.exceptions import CalibrationError
 from repro.core.weighting import iter_squared_distance_chunks
 
 from .serial_reference import (
     approximate_target,
     evaluate_serial,
     pvalues_all_labels,
+    pvalues_all_labels_batch,
     select,
 )
 
@@ -200,10 +200,15 @@ class TestPvalueBatchKernel:
         if discrete:
             assert np.isin(test_scores, scores).all()
 
-        layout = group_scores_by_label(scores, labels, n_labels)
         subset_batch = weighting.select_batch(features, test_features)
         batch_p = pvalues_all_labels_batch(
-            layout, subset_batch, test_scores, weight_mode=weight_mode, tail=tail
+            scores,
+            labels,
+            subset_batch,
+            test_scores,
+            n_labels,
+            weight_mode=weight_mode,
+            tail=tail,
         )
         for i in range(len(test_features)):
             scalar_p = pvalues_all_labels(
@@ -222,28 +227,34 @@ class TestPvalueBatchKernel:
         n_cal, n_labels = 40, 4
         scores = rng.random(n_cal)
         labels = rng.integers(0, 2, n_cal)  # labels 2 and 3 never occur
-        layout = group_scores_by_label(scores, labels, n_labels)
-        assert layout.group_counts[2] == layout.group_counts[3] == 0
         features = rng.normal(size=(n_cal, 3))
         subset = AdaptiveWeighting(min_samples=100, tau=1.0).select_batch(
             features, rng.normal(size=(6, 3))
         )
         pvalues = pvalues_all_labels_batch(
-            layout, subset, rng.random((6, n_labels))
+            scores, labels, subset, rng.random((6, n_labels)), n_labels
         )
         assert np.all(pvalues[:, 2:] == 0.0)
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            group_scores_by_label(np.ones(3), np.array([0, 1, 5]), 3)
+        probabilities = np.full((3, 3), 1 / 3)
+        for bad_label in (-1, 3):
+            with pytest.raises(CalibrationError, match="out of range"):
+                PromClassifier().calibrate(
+                    np.zeros((3, 2)), probabilities, np.array([0, 1, bad_label])
+                )
 
     def test_invalid_mode_and_tail_rejected(self):
-        layout = group_scores_by_label(np.ones(4), np.zeros(4, dtype=int), 2)
+        scores, labels = np.ones(4), np.zeros(4, dtype=int)
         subset = UniformWeighting().select_batch(np.zeros((4, 2)), np.zeros((1, 2)))
         with pytest.raises(ValueError, match="weight_mode"):
-            pvalues_all_labels_batch(layout, subset, np.ones((1, 2)), weight_mode="x")
+            pvalues_all_labels_batch(
+                scores, labels, subset, np.ones((1, 2)), 2, weight_mode="x"
+            )
         with pytest.raises(ValueError, match="tail"):
-            pvalues_all_labels_batch(layout, subset, np.ones((1, 2)), tail="left")
+            pvalues_all_labels_batch(
+                scores, labels, subset, np.ones((1, 2)), 2, tail="left"
+            )
 
 
 class TestWeightModeEquations:
@@ -258,11 +269,12 @@ class TestWeightModeEquations:
     def test_multiply_mode_uses_n_plus_one_denominator(self):
         scores = np.array([0.5, 0.6, 0.7, 0.8])
         labels = np.zeros(4, dtype=int)
-        layout = group_scores_by_label(scores, labels, 1)
         pvalues = pvalues_all_labels_batch(
-            layout,
+            scores,
+            labels,
             self._unit_subset(4),
             np.array([[0.65]]),
+            1,
             weight_mode="multiply",
         )
         # Two adjusted scores (0.7, 0.8) >= 0.65; denominator is n + 1 = 5.
@@ -271,9 +283,8 @@ class TestWeightModeEquations:
     def test_count_mode_weighted_sum_denominator(self):
         scores = np.array([0.5, 0.6, 0.7, 0.8])
         labels = np.zeros(4, dtype=int)
-        layout = group_scores_by_label(scores, labels, 1)
         pvalues = pvalues_all_labels_batch(
-            layout, self._unit_subset(4), np.array([[0.65]]), weight_mode="count"
+            scores, labels, self._unit_subset(4), np.array([[0.65]]), 1, weight_mode="count"
         )
         # Unit weights: numerator 2, denominator sum(w) + 1 = 5.
         assert pvalues[0, 0] == pytest.approx(2 / 5)

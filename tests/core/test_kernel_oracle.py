@@ -16,6 +16,7 @@ from repro.core.prom import _evaluation_view
 from repro.core.weighting import median_pairwise_tau
 
 from .legacy_kernels import (
+    LegacyLayout,
     check_bit_identity,
     legacy_bin_subset_by_label,
     legacy_median_pairwise_tau,
@@ -74,14 +75,18 @@ def test_committee_pvalues_bit_identical(weight_mode):
     assert np.array_equal(subset.weights, old_subset.weights)
     old_binning = legacy_bin_subset_by_label(old_subset, state.labels, n_classes)
     binning = bin_subset_by_label(subset, state.labels, n_classes)
-    for function, layout in zip(prom.functions, state.layouts):
+    for function, scores in zip(prom.functions, state.scores):
         test_scores = function.score_all_labels(test_probabilities)
         assert np.array_equal(
             pvalues_from_binning(
-                layout, binning, test_scores, weight_mode=weight_mode, tail=function.tail
+                scores, binning, test_scores, weight_mode=weight_mode, tail=function.tail
             ),
             legacy_pvalues_from_binning(
-                layout, old_binning, test_scores, weight_mode=weight_mode, tail=function.tail
+                LegacyLayout(scores, n_classes),
+                old_binning,
+                test_scores,
+                weight_mode=weight_mode,
+                tail=function.tail,
             ),
         )
 

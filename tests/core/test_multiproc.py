@@ -27,7 +27,6 @@ from repro.core import (
     RegressionModelInterface,
     ServingConfig,
 )
-from repro.core.prom import FLAT_STATE
 from repro.core.shm import _HEADER
 from repro.experiments import stream_deployment
 from repro.ml import MLPClassifier, MLPRegressor
@@ -89,6 +88,30 @@ class TestBitIdentity:
             assert np.array_equal(live_predictions, pool_predictions)
             _assert_decisions_identical(live_decisions, pool_decisions)
 
+    def test_pruned_pool_routes_like_in_process(self):
+        # workers route with the router of the bundle they serve (label
+        # routing sends each row to its predicted label's shard, which
+        # the nearest-centroid fallback would not)
+        from repro.core import CandidatePruner
+
+        interface = BlobInterface(
+            MLPClassifier(epochs=15, seed=0),
+            max_calibration=4000,
+            n_shards=4,
+            router="label",
+        )
+        interface.train(*make_blobs(350, seed=0))
+        interface.prom._pruner = CandidatePruner(spill=0.0)
+        interface.calibrate(*make_blobs(2600, shift=0.5, seed=4))
+        X_test, _ = make_blobs(80, shift=1.0, seed=8)
+        live_predictions, live_decisions = interface.predict(X_test)
+        assert live_decisions.n_shards_pruned > 0
+        with ProcessServingPool(interface, n_workers=1) as pool:
+            pool_predictions, pool_decisions = pool.predict(X_test)
+        assert np.array_equal(live_predictions, pool_predictions)
+        _assert_decisions_identical(live_decisions, pool_decisions)
+        assert pool_decisions.n_shards_pruned == live_decisions.n_shards_pruned
+
     def test_single_store_pool_matches_in_process(self):
         interface = _trained_interface(n_shards=1)
         X_test, _ = make_blobs(60, shift=1.5, seed=9)
@@ -122,7 +145,7 @@ class TestBitIdentity:
         with ProcessServingPool(interface, n_workers=1) as pool:
             spec = pickle.loads(pool._pickle_spec())
         assert spec.streaming is None
-        assert not set(spec.prom.__dict__) & {"_segment_bundle", *FLAT_STATE}
+        assert "_segment_bundle" not in spec.prom.__dict__
         assert not spec.prom.is_calibrated
         assert interface.prom.is_calibrated
 

@@ -329,7 +329,9 @@ class TestPromRegressor:
         true.calibrate(X_cal, preds, y)
         # true-mode scores are the tiny model residuals; loo-mode scores
         # include the kNN approximation error and are larger
-        assert np.mean(loo._scores[0]) > np.mean(true._scores[0])
+        loo_scores = loo._segment_bundle.score_fields[0].flat()
+        true_scores = true._segment_bundle.score_fields[0].flat()
+        assert np.mean(loo_scores) > np.mean(true_scores)
 
     def test_invalid_residual_mode(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,10 @@ from repro.core import (
     PromClassifier,
     assess_batch,
     default_classification_functions,
-    group_scores_by_label,
-    pvalues_all_labels_batch,
 )
 from repro.core.scores import confidence_from_set_size
 
-from .serial_reference import prediction_set
+from .serial_reference import prediction_set, pvalues_all_labels_batch
 
 
 def _probabilities(draw_raw):
@@ -24,9 +22,9 @@ def _probabilities(draw_raw):
 
 def _label0_pvalue(scores, subset, test_score, mode="count", tail="right"):
     """Label 0's p-value for a batch of one through the batch kernel."""
-    layout = group_scores_by_label(scores, np.zeros(len(scores), dtype=int), 1)
+    labels = np.zeros(len(scores), dtype=int)
     pvalues = pvalues_all_labels_batch(
-        layout, subset, np.array([[test_score]]), weight_mode=mode, tail=tail
+        scores, labels, subset, np.array([[test_score]]), 1, weight_mode=mode, tail=tail
     )
     return float(pvalues[0, 0])
 

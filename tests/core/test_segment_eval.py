@@ -358,7 +358,7 @@ class TestSegmentDirectEquivalence:
         features, probabilities, labels = _classification_batch(300, seed=9)
         prom = PromClassifier().calibrate(features, probabilities, labels)
         view = _evaluation_view(prom)
-        assert view.features.segments == (prom._features,)
+        assert view.features.segments == prom._segment_bundle.fields["_features"].segments
         assert _evaluation_view(prom) is view
         test = _classification_batch(5, seed=10)
         first = prom.evaluate(test[0], test[1])
@@ -544,9 +544,7 @@ class TestCandidatePruner:
         test = _classification_batch(35, seed=70, shift=0.6)
         baseline = streaming.evaluate(test[0], test[1])
         assert baseline.n_candidates_scored is None
-        streaming.prom._pruner = CandidatePruner(
-            router=streaming.store.router, spill=1.0
-        )
+        streaming.prom._pruner = CandidatePruner(spill=1.0)
         pruned = streaming.evaluate(test[0], test[1])
         _assert_decisions_identical(baseline, pruned)
         assert pruned.n_candidates_scored == 35 * len(streaming.store)
@@ -568,9 +566,7 @@ class TestCandidatePruner:
         total = 80 * len(streaming.store)
         agreements, scored = [], []
         for spill in (0.0, 0.25, 0.5):
-            streaming.prom._pruner = CandidatePruner(
-                router=streaming.store.router, spill=spill
-            )
+            streaming.prom._pruner = CandidatePruner(spill=spill)
             pruned = streaming.evaluate(features, probabilities)
             assert pruned.n_shards_pruned > 0
             agreements.append(
@@ -621,18 +617,14 @@ class TestCandidatePruner:
         streaming = _large_regressor(router="cluster", policy="fifo")
         test_features, test_predictions, _ = _regression_batch(20, seed=44)
         baseline = streaming.evaluate(test_features, test_predictions)
-        streaming.prom._pruner = CandidatePruner(
-            router=streaming.store.router, spill=1.0
-        )
+        streaming.prom._pruner = CandidatePruner(spill=1.0)
         pruned = streaming.evaluate(test_features, test_predictions)
         _assert_decisions_identical(baseline, pruned)
         assert pruned.n_candidates_scored == 20 * len(streaming.store)
 
     def test_counters_ride_take_and_concatenate(self):
         streaming = _large_classifier()
-        streaming.prom._pruner = CandidatePruner(
-            router=streaming.store.router, spill=1.0
-        )
+        streaming.prom._pruner = CandidatePruner(spill=1.0)
         test = _classification_batch(12, seed=90)
         batch = streaming.evaluate(test[0], test[1])
         taken = batch.take(np.arange(len(batch))[::-1])
@@ -686,6 +678,63 @@ class TestStreamPlumbing:
         X_b, y_b = make_blobs(n // 2, shift=3.0, seed=seed + 1)
         return np.concatenate([X_a, X_b]), np.concatenate([y_a, y_b])
 
+    @pytest.mark.parametrize("mutation", ["calibrate", "replace_outputs"])
+    def test_pruner_routes_with_the_current_store_router(self, mutation):
+        # calibrate() and replace_outputs() swap in a re-fitted router;
+        # the pruner stream_deployment installed must route with it
+        # (spill 0: every row is scored against its routed shard only),
+        # while a snapshot keeps its own generation's router
+        from repro.core import LoopConfig, PruningConfig
+        from repro.experiments import stream_deployment
+
+        from ..conftest import make_blobs
+
+        interface = self._interface(router="cluster", max_calibration=4000)
+        X_stream, y_stream = self._stream(n=64)
+        stream_deployment(
+            interface,
+            X_stream,
+            y_stream,
+            loop=LoopConfig(batch_size=32, epochs=1),
+            pruning=PruningConfig(spill=0.0),
+        )
+        streaming = interface.streaming
+        prom = streaming.prom
+        X_test, _ = make_blobs(200, shift=1.0, seed=9)
+        features = interface.feature_extraction(X_test)
+        probabilities = interface.model.predict_proba(X_test)
+        predicted = probabilities.argmax(axis=1)
+        snapshot = streaming.detector_snapshot()
+        frozen = snapshot.evaluate(features, probabilities)
+
+        if mutation == "calibrate":
+            interface.calibrate(*make_blobs(2600, shift=1.5, seed=5))
+        else:
+            streaming.replace_outputs(
+                streaming.store.column("features") * 1.5 + 0.5,
+                streaming.store.column("probabilities"),
+                streaming.store.column("label"),
+            )
+        assert interface.calibration_size >= SEGMENT_DIRECT_MIN_ROWS
+        router = streaming.store.router
+        view = prom._segment_bundle.evaluation_view()
+        assert view.router is router
+        routes = np.asarray(router.route(features), dtype=int)
+        expected = np.empty(len(features), dtype=bool)
+        for shard in np.unique(routes):
+            assert len(view.features.segments[shard])
+            rows = np.flatnonzero(routes == shard)
+            expected[rows] = prom._evaluate_rows(
+                view.restrict((shard,)),
+                features[rows],
+                (probabilities[rows], predicted[rows]),
+                None,
+            ).accepted
+        pruned = prom.evaluate(features, probabilities)
+        assert pruned.n_shards_pruned > 0
+        assert np.array_equal(pruned.accepted, expected)
+        _assert_decisions_identical(snapshot.evaluate(features, probabilities), frozen)
+
     def test_config_echo_and_counter_totals(self):
         from repro.experiments import stream_deployment
 
@@ -705,7 +754,7 @@ class TestStreamPlumbing:
         assert result.prune_spill == 1.0
         assert interface.prom._chunk_size == 512
         assert isinstance(interface.prom._pruner, CandidatePruner)
-        assert interface.prom._pruner.router is interface.streaming.store.router
+        assert interface.prom._segment_bundle.router is interface.streaming.store.router
         # evaluates run segment-direct through the pruner and the
         # counters accumulate
         assert result.n_candidates_scored > 0

@@ -164,24 +164,18 @@ class TestSegmentPrimitives:
         bundle = SegmentBundle(
             fields={"_features": SegmentedField((a, b))},
             score_fields=(SegmentedField(scores),),
-            group_counts=(np.array([7]),),
             label_key="_features",
-            n_labels=1,
         )
         same = SegmentBundle(
             fields={"_features": SegmentedField((a, b))},
             score_fields=(SegmentedField(scores),),
-            group_counts=(np.array([7]),),
             label_key="_features",
-            n_labels=1,
         )
         assert bundle.shared_shards_with(same) == 2
         touched = SegmentBundle(
             fields={"_features": SegmentedField((a, np.arange(4.0)))},
             score_fields=(SegmentedField(scores),),
-            group_counts=(np.array([7]),),
             label_key="_features",
-            n_labels=1,
         )
         assert bundle.shared_shards_with(touched) == 1
         assert bundle.shared_shards_with(None) == 0
@@ -205,17 +199,15 @@ class TestSegmentedEquivalence:
         prom = streaming.prom
         bundle = prom._segment_bundle
         labels = np.concatenate(bundle.fields["_labels"].segments)
+        theirs = fresh._segment_bundle
         assert np.array_equal(
-            np.concatenate(bundle.fields["_features"].segments), fresh._features
+            np.concatenate(bundle.fields["_features"].segments),
+            theirs.fields["_features"].flat(),
         )
-        assert np.array_equal(labels, fresh._labels)
+        assert np.array_equal(labels, theirs.fields["_labels"].flat())
         assert prom.weighting.effective_tau == fresh.weighting.effective_tau
-        for field, counts, theirs in zip(
-            bundle.score_fields, bundle.group_counts, fresh._layouts
-        ):
-            assert np.array_equal(np.concatenate(field.segments), theirs.scores)
-            assert np.array_equal(labels, theirs.labels)
-            assert np.array_equal(counts, theirs.group_counts)
+        for field, their_field in zip(bundle.score_fields, theirs.score_fields):
+            assert np.array_equal(np.concatenate(field.segments), their_field.flat())
         test = _classification_batch(30, seed=99, shift=1.0)
         _assert_decisions_identical(
             streaming.evaluate(test[0], test[1]),

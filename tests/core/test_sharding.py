@@ -332,17 +332,15 @@ class TestShardedClassifierEquivalence:
         prom = streaming.prom
         bundle = prom._segment_bundle
         labels = np.concatenate(bundle.fields["_labels"].segments)
+        theirs = fresh._segment_bundle
         assert np.array_equal(
-            np.concatenate(bundle.fields["_features"].segments), fresh._features
+            np.concatenate(bundle.fields["_features"].segments),
+            theirs.fields["_features"].flat(),
         )
-        assert np.array_equal(labels, fresh._labels)
+        assert np.array_equal(labels, theirs.fields["_labels"].flat())
         assert prom.weighting.effective_tau == fresh.weighting.effective_tau
-        for field, counts, theirs in zip(
-            bundle.score_fields, bundle.group_counts, fresh._layouts
-        ):
-            assert np.array_equal(np.concatenate(field.segments), theirs.scores)
-            assert np.array_equal(labels, theirs.labels)
-            assert np.array_equal(counts, theirs.group_counts)
+        for field, their_field in zip(bundle.score_fields, theirs.score_fields):
+            assert np.array_equal(np.concatenate(field.segments), their_field.flat())
 
     def test_update_touches_only_routed_shards(self):
         streaming = StreamingPromClassifier(

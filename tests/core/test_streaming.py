@@ -92,17 +92,15 @@ class TestStreamingClassifierEquivalence:
         prom = streaming.prom
         bundle = prom._segment_bundle
         labels = np.concatenate(bundle.fields["_labels"].segments)
+        theirs = fresh._segment_bundle
         assert np.array_equal(
-            np.concatenate(bundle.fields["_features"].segments), fresh._features
+            np.concatenate(bundle.fields["_features"].segments),
+            theirs.fields["_features"].flat(),
         )
-        assert np.array_equal(labels, fresh._labels)
+        assert np.array_equal(labels, theirs.fields["_labels"].flat())
         assert prom.weighting.effective_tau == fresh.weighting.effective_tau
-        for field, counts, theirs in zip(
-            bundle.score_fields, bundle.group_counts, fresh._layouts
-        ):
-            assert np.array_equal(np.concatenate(field.segments), theirs.scores)
-            assert np.array_equal(labels, theirs.labels)
-            assert np.array_equal(counts, theirs.group_counts)
+        for field, their_field in zip(bundle.score_fields, theirs.score_fields):
+            assert np.array_equal(np.concatenate(field.segments), their_field.flat())
 
     def test_initial_calibrate_respects_capacity(self):
         streaming = StreamingPromClassifier(capacity=50, seed=0)
@@ -287,3 +285,53 @@ class TestEvictionValidation:
         streaming, _ = _eviction_wrapper(kind, 1)
         streaming.evict([-1, 0])
         assert len(streaming.store) == 38
+
+
+class TestCalibrationLabelValidation:
+    """A label outside ``[0, n_classes)`` is rejected before any mutation."""
+
+    def _calibrated(self, kind):
+        detector = (
+            PromClassifier()
+            if kind == "plain"
+            else StreamingPromClassifier(
+                capacity=400, n_shards=int(kind), router="hash", seed=0
+            )
+        )
+        return detector.calibrate(*_classification_batch(300, seed=1))
+
+    @pytest.mark.parametrize("kind", ["plain", "1", "4"])
+    @pytest.mark.parametrize("bad_label", [-1, 5])
+    def test_calibrate_rejects_label_out_of_range(self, kind, bad_label):
+        detector = self._calibrated(kind)
+        test = _classification_batch(30, seed=7, shift=0.3)
+        before = detector.evaluate(test[0], test[1])
+        epoch = getattr(detector, "epoch", None)
+        features, probabilities, labels = _classification_batch(100, seed=2)
+        labels[17] = bad_label
+        with pytest.raises(CalibrationError, match="out of range"):
+            detector.calibrate(features, probabilities, labels)
+        assert detector.calibration_size == 300
+        if kind != "plain":
+            assert detector.epoch == epoch
+            assert len(detector.store) == 300
+            assert sum(detector.shard_sizes) == 300
+        _assert_decision_identical(detector.evaluate(test[0], test[1]), before)
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_replace_outputs_rejects_label_out_of_range(self, n_shards):
+        streaming = self._calibrated(str(n_shards))
+        test = _classification_batch(30, seed=7, shift=0.3)
+        before = streaming.evaluate(test[0], test[1])
+        epoch = streaming.epoch
+        labels = np.array(streaming.store.column("label"))
+        labels[3] = -1
+        with pytest.raises(CalibrationError, match="out of range"):
+            streaming.replace_outputs(
+                streaming.store.column("features") + 1.0,
+                streaming.store.column("probabilities"),
+                labels,
+            )
+        assert streaming.epoch == epoch
+        assert streaming.calibration_size == len(streaming.store) == 300
+        _assert_decision_identical(streaming.evaluate(test[0], test[1]), before)

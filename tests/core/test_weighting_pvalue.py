@@ -8,12 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    AdaptiveWeighting,
-    UniformWeighting,
-    group_scores_by_label,
-    pvalues_all_labels_batch,
-)
+from repro.core import AdaptiveWeighting, UniformWeighting
+
+from .serial_reference import pvalues_all_labels_batch
 
 
 def _features(n=100, d=4, seed=0):
@@ -33,10 +30,9 @@ def _distances(features, indices, test):
 def _pvalue(scores, labels, subset, test_score, label, weight_mode="count", tail="right"):
     """``label``'s p-value for a batch of one through the batch kernel."""
     n_labels = max(int(np.max(labels)), label) + 1
-    layout = group_scores_by_label(scores, labels, n_labels)
     test_scores = np.full((1, n_labels), float(test_score))
     pvalues = pvalues_all_labels_batch(
-        layout, subset, test_scores, weight_mode=weight_mode, tail=tail
+        scores, labels, subset, test_scores, n_labels, weight_mode=weight_mode, tail=tail
     )
     return float(pvalues[0, label])
 
@@ -199,8 +195,9 @@ class TestClassificationPvalue:
         scores = np.random.default_rng(0).random(20)
         labels = np.random.default_rng(1).integers(0, 3, 20)
         subset = self._subset(20)
-        layout = group_scores_by_label(scores, labels, 3)
-        pvalues = pvalues_all_labels_batch(layout, subset, np.array([[0.5, 0.5, 0.5]]))
+        pvalues = pvalues_all_labels_batch(
+            scores, labels, subset, np.array([[0.5, 0.5, 0.5]]), 3
+        )
         assert pvalues.shape == (1, 3)
         assert np.all((pvalues >= 0) & (pvalues <= 1))
 

@@ -91,8 +91,8 @@ class TestPromStateIsolation:
         decision_b = second.evaluate_one(features[0], probabilities[0])
         assert first.epsilon == 0.05
         assert second.epsilon == 0.4
-        assert len(first._features) == 100
-        assert len(second._features) == 50
+        assert first.calibration_size == 100
+        assert second.calibration_size == 50
         # both produce valid decisions
         assert decision_a.credibility >= 0.0
         assert decision_b.credibility >= 0.0
