@@ -128,7 +128,7 @@ class _WorkerRuntime:
         prom = copy.copy(self._spec.prom)
         interface.prom = prom
         prom._segment_bundle = bundle_from_manifest(
-            manifest["bundle"], self.attacher.get, router=self._spec._bundle_router
+            manifest["bundle"], self.attacher.get, self._spec._bundle_router
         )
         return interface
 

@@ -544,13 +544,12 @@ class PromRegressor(_CalibrationState):
         scores = [
             function.score(predictions, reference) for function in self.score_functions
         ]
-        clusterer = CalibrationClusterer(
+        self.clusterer_ = CalibrationClusterer(
             n_clusters=self.n_clusters, seed=self.seed
         ).fit(features)
-        self.clusterer_ = clusterer
         self.weighting.resolve_tau(features)
         self._install_state(
-            {"_features": features, "_targets": targets, "_clusters": clusterer.labels_},
+            {"_features": features, "_targets": targets, "_clusters": self.clusterer_.labels_},
             scores,
         )
         return self

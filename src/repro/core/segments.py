@@ -294,7 +294,7 @@ def manifest_refs(manifest: dict) -> list:
     return refs
 
 
-def bundle_from_manifest(manifest: dict, attach, router=None) -> SegmentBundle:
+def bundle_from_manifest(manifest: dict, attach, router) -> SegmentBundle:
     """Rebuild a :class:`SegmentBundle` over mapped arrays (worker side).
 
     ``attach`` is the worker's ref resolver
