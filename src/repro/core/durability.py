@@ -67,7 +67,6 @@ import numpy as np
 from .clustering import CalibrationClusterer
 from .exceptions import CheckpointError, ConfigurationError, ValidationError
 from .streaming import StreamingPromClassifier, _ShardState
-from ..ml.cluster import KMeans
 
 #: manifest schema version; bump on incompatible layout changes
 MANIFEST_FORMAT = 1
@@ -252,9 +251,7 @@ def _capture(streaming) -> tuple:
     global_arrays = {}
     router = store.router
     if router.name == "cluster" and router.is_fitted:
-        global_arrays["router_centers"] = np.asarray(
-            router._kmeans.cluster_centers_
-        )
+        global_arrays["router_centers"] = np.asarray(router.centers)
     if not classifier:
         clusterer = prom.clusterer_
         global_arrays["clusterer_labels"] = np.asarray(clusterer.labels_)
@@ -564,13 +561,7 @@ def _restore_router(store, global_arrays: dict) -> None:
     centers = global_arrays.get("router_centers")
     if centers is None:
         return
-    kmeans = KMeans(
-        n_clusters=len(centers),
-        max_iter=store.router.max_iter,
-        seed=store.router.seed,
-    )
-    kmeans.cluster_centers_ = centers
-    store.router._kmeans = kmeans
+    store.router.load_centers(centers)
 
 
 def _install(streaming, payload: dict, shard_blobs, global_arrays) -> None:

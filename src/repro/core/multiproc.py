@@ -130,6 +130,9 @@ class _WorkerRuntime:
         prom._segment_bundle = bundle_from_manifest(
             manifest["bundle"], self.attacher.get, self._spec._bundle_router
         )
+        # results leave the process pickled, and a later table swap
+        # unmaps these blocks: decide with the detail computed
+        prom._eager_detail = True
         return interface
 
     def close(self) -> None:

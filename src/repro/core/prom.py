@@ -36,11 +36,15 @@ blocks.  Either way the kernels read the bundle's
 
 from __future__ import annotations
 
+import copy
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
-from .blocks import SEGMENT_DIRECT_MIN_ROWS
+from .blocks import SEGMENT_DIRECT_MIN_ROWS, BlockColumn
 from .clustering import CalibrationClusterer
-from .committee import Decision, DecisionBatch, ExpertCommittee
+from .committee import Decision, DecisionBatch, DecisionDetail, ExpertCommittee
 from .exceptions import (
     CalibrationError,
     ConfigurationError,
@@ -52,9 +56,14 @@ from .nonconformity import (
     default_regression_scores,
 )
 from .pvalue import bin_subset_by_label, pvalues_from_binning
-from .scores import assess_batch
+from .scores import ExpertAssessmentBatch, assess_batch, verdict_batch
 from .segments import EvaluationView, SegmentBundle, SegmentedField
-from .weighting import AdaptiveWeighting, iter_squared_distance_chunks, squared_distance_matrix
+from .weighting import (
+    AdaptiveWeighting,
+    CalibrationSubsetBatch,
+    iter_squared_distance_chunks,
+    squared_distance_matrix,
+)
 
 #: soft bound on the number of float64 cells one evaluation chunk's
 #: largest temporary may hold (~16 MB).
@@ -151,8 +160,189 @@ def _check_classification_inputs(features, probabilities, labels, n_classes=None
     return features, probabilities, labels
 
 
+def _classifier_test_scores(functions, probabilities) -> list:
+    """Each expert's ``(n_test, n_labels)`` test-score matrix."""
+    return [function.score_all_labels(probabilities) for function in functions]
+
+
+def _regressor_test_scores(n_clusters, residual_scores) -> list:
+    """Each expert's residual score, standing in for every cluster.
+
+    The per-sample reference's ``np.full``, batched: one
+    ``(n_test, n_clusters)`` matrix per expert.
+    """
+    return [
+        np.repeat(np.asarray(scores, dtype=float)[:, None], n_clusters, axis=1)
+        for scores in residual_scores
+    ]
+
+
+@dataclass(frozen=True)
+class _DecisionParams:
+    """What a batch is decided with, frozen when ``evaluate`` starts.
+
+    ``weighting`` is a private copy of the detector's (its resolved tau
+    included) and ``test_scores`` maps a chunk's test payload to the
+    experts' test-score matrices over frozen copies of the scoring
+    functions, so a later change to the detector cannot reach a
+    deferred detail.
+    """
+
+    weighting: AdaptiveWeighting
+    test_scores: object
+    names: tuple
+    tails: tuple
+    n_labels: int
+    weight_mode: str
+    epsilon: float
+    gaussian_scale: float
+    credibility_threshold: float | None
+    confidence_threshold: float
+
+    def assess(self, labels, scores, subset, test_matrices, predicted) -> list:
+        """Full-label assessments: one p-value row per (row, label)."""
+        binning = bin_subset_by_label(subset, labels, self.n_labels)
+        return [
+            assess_batch(
+                pvalues_from_binning(
+                    column, binning, test, weight_mode=self.weight_mode, tail=tail
+                ),
+                predicted,
+                epsilon=self.epsilon,
+                gaussian_scale=self.gaussian_scale,
+                credibility_threshold=self.credibility_threshold,
+                confidence_threshold=self.confidence_threshold,
+                function_name=name,
+            )
+            for name, column, test, tail in zip(
+                self.names, scores, test_matrices, self.tails
+            )
+        ]
+
+    def verdicts(self, labels, scores, subset, test_matrices, predicted) -> list:
+        """Credibility and accept flags from the predicted-label kernel.
+
+        One verdict binning serves every expert; each expert's p-value
+        kernel then yields only its credibility column, bitwise equal
+        to the full matrix's predicted-label column.  Rows
+        :func:`~repro.core.scores.verdict_batch` leaves undecided (none
+        under the default thresholds) get full label rows from a
+        binning of their own selection rows, which are the full
+        kernel's rows bitwise.  The confidence and set-size fields stay
+        ``None``: they belong to the detail.
+        """
+        binning = bin_subset_by_label(subset, labels, self.n_labels, predicted)
+        rows = np.arange(len(predicted))
+        verdicts = []
+        undecided = np.zeros(len(predicted), dtype=bool)
+        for name, column, test, tail in zip(
+            self.names, scores, test_matrices, self.tails
+        ):
+            credibility = pvalues_from_binning(
+                column,
+                binning,
+                test[rows, predicted][:, None],
+                weight_mode=self.weight_mode,
+                tail=tail,
+            )[:, 0]
+            accept, open_rows = verdict_batch(
+                credibility,
+                self.epsilon,
+                gaussian_scale=self.gaussian_scale,
+                credibility_threshold=self.credibility_threshold,
+                confidence_threshold=self.confidence_threshold,
+            )
+            undecided |= open_rows
+            verdicts.append(
+                ExpertAssessmentBatch(
+                    function_name=name,
+                    credibility=credibility,
+                    confidence=None,
+                    prediction_set_size=None,
+                    accept=accept,
+                )
+            )
+        open_rows = np.flatnonzero(undecided)
+        if len(open_rows):
+            full = self.assess(
+                labels,
+                scores,
+                CalibrationSubsetBatch(
+                    indices=subset.indices[open_rows],
+                    weights=subset.weights[open_rows],
+                ),
+                [test[open_rows] for test in test_matrices],
+                predicted[open_rows],
+            )
+            for verdict, assessment in zip(verdicts, full):
+                verdict.accept[open_rows] = assessment.accept
+        return verdicts
+
+
+class _DeferredDetail:
+    """Recomputes one evaluate chunk's detail on first read.
+
+    Holds what the chunk was decided on and nothing else: copies of its
+    test inputs, the frozen :class:`_DecisionParams`, and the immutable
+    calibration blocks of the evaluated view (the segment tuples, never
+    the bundle, the view or their columns' panel, norm and gather
+    caches).  Selection, binning and p-values rerun over fresh columns
+    of the same blocks, so the arrays are the ones a full-label
+    evaluation at decision time would have produced, bitwise.
+    """
+
+    __slots__ = ("params", "features", "labels", "scores", "test_features", "test_payload", "predicted")
+
+    def __init__(self, params, state, test_features, test_payload, predicted):
+        self.params = params
+        self.features = state.features.segments
+        self.labels = state.labels.segments
+        self.scores = tuple(column.segments for column in state.scores)
+        self.test_features = np.array(test_features)
+        self.test_payload = copy.deepcopy(test_payload)
+        self.predicted = np.array(predicted)
+
+    def __len__(self) -> int:
+        return len(self.predicted)
+
+    def compute(self, cache) -> tuple:
+        """``(confidence, expert_confidence, expert_set_size)`` of the chunk.
+
+        ``cache`` maps block tuples to columns for the duration of one
+        detail read, so chunks decided on the same blocks build the
+        feature panels once.
+        """
+
+        def column(segments):
+            key = tuple(map(id, segments))
+            built = cache.get(key)
+            if built is None:
+                built = cache[key] = BlockColumn(segments)
+            return built
+
+        params = self.params
+        subset = params.weighting.select_batch(
+            column(self.features), self.test_features
+        )
+        assessments = params.assess(
+            column(self.labels),
+            [column(segments) for segments in self.scores],
+            subset,
+            params.test_scores(self.test_payload),
+            self.predicted,
+        )
+        return DecisionDetail.from_assessments(assessments).arrays()
+
+
 class _CalibrationState:
     """Calibration-state accessors shared by both detectors."""
+
+    #: whether evaluate computes the detail fields in the deciding
+    #: pass.  Set on detectors whose state the maintenance plane
+    #: replaces behind the caller (``detector_snapshot()`` clones and
+    #: process-pool workers); a detector that owns its state defers the
+    #: detail to its first read.
+    _eager_detail = False
 
     #: the detector's only calibration state (``None`` before
     #: ``calibrate()``): a one-segment bundle after a plain calibration,
@@ -187,6 +377,80 @@ class _CalibrationState:
             fields={name: SegmentedField([column]) for name, column in fields.items()},
             score_fields=[SegmentedField([expert]) for expert in scores],
             label_key=self._label_key,
+        )
+
+    def _evaluate(self, features, payload, chunk_size, eager, route_labels=None):
+        """Evaluate validated rows through the view, pruned when it applies."""
+        if chunk_size is None:
+            chunk_size = getattr(self, "_chunk_size", None)
+        view = _evaluation_view(self)
+        pruner = _active_pruner(self, view)
+        if pruner is not None:
+            pruned = pruner.evaluate(
+                self,
+                view,
+                features,
+                payload,
+                chunk_size,
+                route_labels=route_labels,
+                eager=eager,
+            )
+            if pruned is not None:
+                return pruned
+        return self._evaluate_rows(view, features, payload, chunk_size, eager)
+
+    def _evaluate_rows(self, state, features, payload, chunk_size, eager=False) -> DecisionBatch:
+        """Chunked committee evaluation against one evaluation state."""
+        params = self._decision_params(frozen=not eager)
+        chunk = _evaluation_chunk(len(state.features), chunk_size, params.n_labels)
+        chunks = [
+            self._evaluate_chunk(
+                params,
+                state,
+                features[start : start + chunk],
+                tuple(array[start : start + chunk] for array in payload),
+                eager,
+            )
+            for start in range(0, len(features), chunk)
+        ]
+        return DecisionBatch.concatenate(chunks, expert_names=params.names)
+
+    def _decide(self, params, state, features, test_payload, predicted, eager) -> DecisionBatch:
+        """One chunk's committee decision (DESIGN.md §2, "Verdict vs detail").
+
+        Eager: the full-label kernel, whose assessments carry the
+        detail.  Deferred: the predicted-label kernel decides, and a
+        :class:`_DeferredDetail` fills the detail on first read.
+        """
+        subset = params.weighting.select_batch(state.features, features)
+        test_matrices = params.test_scores(test_payload)
+        if eager:
+            return self.committee.decide_batch(
+                params.assess(state.labels, state.scores, subset, test_matrices, predicted)
+            )
+        source = _DeferredDetail(params, state, features, test_payload, predicted)
+        return self.committee.decide_batch(
+            params.verdicts(state.labels, state.scores, subset, test_matrices, predicted),
+            detail=DecisionDetail((source,)),
+        )
+
+    def _params(self, frozen, test_scores, names, tails, n_labels) -> _DecisionParams:
+        """This detector's :class:`_DecisionParams`.
+
+        ``frozen`` copies the weighting for a deferred detail; an eager
+        evaluation reads the detector's own objects.
+        """
+        return _DecisionParams(
+            weighting=copy.copy(self.weighting) if frozen else self.weighting,
+            test_scores=test_scores,
+            names=tuple(names),
+            tails=tuple(tails),
+            n_labels=int(n_labels),
+            weight_mode=self.weight_mode,
+            epsilon=self.epsilon,
+            gaussian_scale=self.gaussian_scale,
+            credibility_threshold=self.credibility_threshold,
+            confidence_threshold=self.confidence_threshold,
         )
 
 
@@ -258,6 +522,14 @@ class PromClassifier(_CalibrationState):
         features, probabilities, labels = _check_classification_inputs(
             features, probabilities, labels
         )
+        return self._calibrate_checked(features, probabilities, labels)
+
+    def _calibrate_checked(self, features, probabilities, labels) -> "PromClassifier":
+        """:meth:`calibrate` on inputs :func:`_check_classification_inputs` passed.
+
+        The streaming wrapper validates a batch once, before it stages
+        anything, and calibrates through here.
+        """
         scores = [function.score(probabilities, labels) for function in self.functions]
         self._n_classes = probabilities.shape[1]
         self.weighting.resolve_tau(features)
@@ -307,15 +579,17 @@ class PromClassifier(_CalibrationState):
 
         Thin compatibility wrapper over the batch engine: the sample is
         evaluated as a batch of one and the verdict materialized as a
-        scalar :class:`Decision`.
+        scalar :class:`Decision`.  Its votes carry confidences, so the
+        batch computes its detail in the deciding pass.
         """
         predicted = None if predicted_label is None else [int(predicted_label)]
-        batch = self.evaluate(
+        return self._evaluate_checked(
             np.asarray(feature, dtype=float).ravel().reshape(1, -1),
             np.asarray(probability_row, dtype=float).ravel().reshape(1, -1),
             predicted,
-        )
-        return batch[0]
+            None,
+            eager=True,
+        )[0]
 
     def evaluate(
         self, features, probabilities, predicted_labels=None, chunk_size=None
@@ -326,7 +600,10 @@ class PromClassifier(_CalibrationState):
         :class:`Decision` objects backed by flat arrays.  The batch is
         processed in memory-bounded chunks: each chunk costs one chunked
         distance matrix, one p-value kernel per expert, and one
-        committee vote, independent of the number of samples.
+        committee vote, independent of the number of samples.  The
+        p-value kernel scores only each row's predicted label; the
+        confidence fields are computed on their first read, against the
+        state the batch was decided on (DESIGN.md §2).
 
         When the detector's state is composed from per-shard blocks (a
         streaming detector or snapshot), the kernels read the blocks
@@ -337,77 +614,42 @@ class PromClassifier(_CalibrationState):
         default ``_chunk_size`` (when set) before the automatic
         memory-bounded choice.
         """
+        return self._evaluate_checked(
+            features, probabilities, predicted_labels, chunk_size, self._eager_detail
+        )
+
+    def _evaluate_checked(
+        self, features, probabilities, predicted_labels, chunk_size, eager
+    ) -> DecisionBatch:
         self._require_calibrated()
         features, probabilities, predicted_labels = self._check_evaluate_inputs(
             features, probabilities, predicted_labels
         )
-        if chunk_size is None:
-            chunk_size = getattr(self, "_chunk_size", None)
-        view = _evaluation_view(self)
-        pruner = _active_pruner(self, view)
-        if pruner is not None:
-            pruned = pruner.evaluate(
-                self,
-                view,
-                features,
-                (probabilities, predicted_labels),
-                chunk_size,
-                route_labels=predicted_labels,
-            )
-            if pruned is not None:
-                return pruned
-        return self._evaluate_rows(
-            view, features, (probabilities, predicted_labels), chunk_size
+        return self._evaluate(
+            features,
+            (probabilities, predicted_labels),
+            chunk_size,
+            eager,
+            route_labels=predicted_labels,
         )
 
-    def _evaluate_rows(self, state, features, payload, chunk_size) -> DecisionBatch:
-        """Chunked committee evaluation against one evaluation state."""
+    def _decision_params(self, frozen) -> _DecisionParams:
+        functions = tuple(
+            copy.copy(function) if frozen else function for function in self.functions
+        )
+        return self._params(
+            frozen,
+            functools.partial(_classifier_test_scores, functions),
+            (f.name for f in functions),
+            (f.tail for f in functions),
+            self._n_classes,
+        )
+
+    def _evaluate_chunk(self, params, state, features, payload, eager) -> DecisionBatch:
         probabilities, predicted_labels = payload
-        chunk = _evaluation_chunk(
-            len(state.features), chunk_size, self._n_classes
+        return self._decide(
+            params, state, features, probabilities, predicted_labels, eager
         )
-        chunks = [
-            self._evaluate_chunk(
-                features[start : start + chunk],
-                probabilities[start : start + chunk],
-                predicted_labels[start : start + chunk],
-                state,
-            )
-            for start in range(0, len(features), chunk)
-        ]
-        return DecisionBatch.concatenate(
-            chunks, expert_names=tuple(f.name for f in self.functions)
-        )
-
-    def _evaluate_chunk(
-        self, features, probabilities, predicted_labels, state
-    ) -> DecisionBatch:
-        subset = self.weighting.select_batch(state.features, features)
-        # Selection, weights and labels are expert-independent: bin them
-        # once and share across the committee.
-        binning = bin_subset_by_label(subset, state.labels, self._n_classes)
-        assessments = []
-        for function, scores in zip(self.functions, state.scores):
-            test_scores = function.score_all_labels(probabilities)
-            pvalues = pvalues_from_binning(
-                scores,
-                binning,
-                test_scores,
-                weight_mode=self.weight_mode,
-                tail=function.tail,
-            )
-            assessments.append(
-                assess_batch(
-                    pvalues,
-                    predicted_labels,
-                    epsilon=self.epsilon,
-                    gaussian_scale=self.gaussian_scale,
-                    credibility_threshold=self.credibility_threshold,
-                    confidence_threshold=self.confidence_threshold,
-                    function_name=function.name,
-                )
-            )
-        return self.committee.decide_batch(assessments)
 
     def prediction_region(self, feature, probability_row) -> np.ndarray:
         """Return the committee prediction region for one sample.
@@ -535,6 +777,10 @@ class PromRegressor(_CalibrationState):
         features, predictions, targets = _check_calibration_inputs(
             features, predictions, targets
         )
+        return self._calibrate_checked(features, predictions, targets)
+
+    def _calibrate_checked(self, features, predictions, targets) -> "PromRegressor":
+        """:meth:`calibrate` on inputs :func:`_check_calibration_inputs` passed."""
         predictions = predictions.astype(float).ravel()
         targets = np.asarray(targets, dtype=float).ravel()
         if self.calibration_residuals == "loo":
@@ -610,87 +856,55 @@ class PromRegressor(_CalibrationState):
         """Assess one regression prediction; returns the committee Decision.
 
         Thin compatibility wrapper over the batch engine (a batch of
-        one), mirroring :meth:`PromClassifier.evaluate_one`.
+        one, detail computed in the deciding pass), mirroring
+        :meth:`PromClassifier.evaluate_one`.
         """
-        batch = self.evaluate(
+        return self._evaluate_checked(
             np.asarray(feature, dtype=float).ravel().reshape(1, -1),
             np.asarray([prediction], dtype=float),
-        )
-        return batch[0]
+            None,
+            eager=True,
+        )[0]
 
     def evaluate(self, features, predictions, chunk_size=None) -> DecisionBatch:
         """Assess a batch of regression predictions with the batch engine.
 
         Mirrors :meth:`PromClassifier.evaluate`, including the
+        predicted-label kernel (the predicted label is the test row's
+        assigned cluster) with the detail on first read, the
         block-direct evaluation view, the optional ``_pruner`` shard
         restriction, and the ``_chunk_size`` default.
         """
+        return self._evaluate_checked(
+            features, predictions, chunk_size, self._eager_detail
+        )
+
+    def _evaluate_checked(self, features, predictions, chunk_size, eager) -> DecisionBatch:
         self._require_calibrated()
         features, predictions = self._check_evaluate_inputs(features, predictions)
-        if chunk_size is None:
-            chunk_size = getattr(self, "_chunk_size", None)
-        view = _evaluation_view(self)
-        pruner = _active_pruner(self, view)
-        if pruner is not None:
-            pruned = pruner.evaluate(
-                self, view, features, (predictions,), chunk_size
-            )
-            if pruned is not None:
-                return pruned
-        return self._evaluate_rows(view, features, (predictions,), chunk_size)
+        return self._evaluate(features, (predictions,), chunk_size, eager)
 
-    def _evaluate_rows(self, state, features, payload, chunk_size) -> DecisionBatch:
-        """Chunked committee evaluation against one evaluation state."""
-        (predictions,) = payload
-        chunk = _evaluation_chunk(
-            len(state.features), chunk_size, self.clusterer_.k_
-        )
-        chunks = [
-            self._evaluate_chunk(
-                features[start : start + chunk],
-                predictions[start : start + chunk],
-                state,
-            )
-            for start in range(0, len(features), chunk)
-        ]
-        return DecisionBatch.concatenate(
-            chunks, expert_names=tuple(f.name for f in self.score_functions)
-        )
-
-    def _evaluate_chunk(self, features, predictions, state) -> DecisionBatch:
-        approx_targets = self._approximate_targets(features, state)
-        subset = self.weighting.select_batch(state.features, features)
-        binning = bin_subset_by_label(subset, state.labels, self.clusterer_.k_)
-        assigned_clusters = np.asarray(
-            self.clusterer_.assign(features), dtype=int
-        )
+    def _decision_params(self, frozen) -> _DecisionParams:
         n_clusters = self.clusterer_.k_
-        assessments = []
-        for function, scores in zip(self.score_functions, state.scores):
-            test_scores = function.score(predictions, approx_targets)
-            # The same residual score stands in for every candidate
-            # cluster (the per-sample reference's np.full, batched).
-            test_matrix = np.repeat(
-                np.asarray(test_scores, dtype=float)[:, None], n_clusters, axis=1
-            )
-            pvalues = pvalues_from_binning(
-                scores,
-                binning,
-                test_matrix,
-                weight_mode=self.weight_mode,
-            )
-            assessments.append(
-                assess_batch(
-                    pvalues,
-                    assigned_clusters,
-                    epsilon=self.epsilon,
-                    gaussian_scale=self.gaussian_scale,
-                    credibility_threshold=self.credibility_threshold,
-                    confidence_threshold=self.confidence_threshold,
-                    function_name=function.name,
-                )
-            )
-        return self.committee.decide_batch(assessments)
+        return self._params(
+            frozen,
+            functools.partial(_regressor_test_scores, n_clusters),
+            (f.name for f in self.score_functions),
+            ("right",) * len(self.score_functions),
+            n_clusters,
+        )
+
+    def _evaluate_chunk(self, params, state, features, payload, eager) -> DecisionBatch:
+        (predictions,) = payload
+        approx_targets = self._approximate_targets(features, state)
+        assigned_clusters = np.asarray(self.clusterer_.assign(features), dtype=int)
+        residuals = tuple(
+            np.asarray(function.score(predictions, approx_targets), dtype=float)
+            for function in self.score_functions
+        )
+        return self._decide(
+            params, state, features, residuals, assigned_clusters, eager
+        )
 
 
 def drifting_indices(decisions) -> np.ndarray:

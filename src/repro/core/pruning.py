@@ -166,7 +166,7 @@ class CandidatePruner:
 
     # -- evaluation --------------------------------------------------------------
     def evaluate(
-        self, prom, view, features, payload, chunk_size, route_labels=None
+        self, prom, view, features, payload, chunk_size, route_labels=None, eager=False
     ) -> DecisionBatch | None:
         """Shard-pruned evaluation of a test batch against ``view``.
 
@@ -174,7 +174,10 @@ class CandidatePruner:
         the detector's unpruned machinery over the candidate-restricted
         block view, and reassembles the caller's row order.  Returns
         ``None`` when pruning does not apply (empty view or batch) —
-        the caller then runs the plain path.
+        the caller then runs the plain path.  ``eager`` is the
+        detector's choice between detail in the deciding pass and
+        detail on first read; a deferred detail keeps each group's
+        restricted blocks and follows the reassembly.
         """
         n_test = len(features)
         active = self._active_positions(view)
@@ -185,7 +188,7 @@ class CandidatePruner:
         if count >= len(active):
             # every shard is a candidate: the unpruned segment-direct
             # path
-            batch = prom._evaluate_rows(view, features, payload, chunk_size)
+            batch = prom._evaluate_rows(view, features, payload, chunk_size, eager)
             return replace(
                 batch,
                 n_candidates_scored=n_test * total_rows,
@@ -207,6 +210,7 @@ class CandidatePruner:
                     features[rows],
                     tuple(array[rows] for array in payload),
                     chunk_size,
+                    eager,
                 )
             )
             row_groups.append(rows)

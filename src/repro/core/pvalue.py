@@ -31,6 +31,15 @@ calibration order straight from the detector's score and label blocks
 (no per-label regrouping) — see DESIGN.md for the data layout and
 complexity bounds.  The per-sample reference it replaced lives in
 ``tests/core/serial_reference.py``.
+
+The same two kernels score the *verdict*: given each test row's
+predicted label, :func:`bin_subset_by_label` keeps only the selected
+terms whose calibration label is that label (one integer compare,
+shared by every expert) and bins them one bin per row.  The p-value of
+that binning is the credibility column, bitwise equal to the full
+matrix's predicted-label column, because ``bincount`` sums each bin's
+terms in input order and dropping other bins' terms leaves that order
+alone (DESIGN.md §2, "Verdict vs detail").
 """
 
 from __future__ import annotations
@@ -81,16 +90,23 @@ class SubsetBinning:
     built here: :func:`pvalues_from_binning` gets it for free from the
     same integer scatter-add that counts that mode's tails.
 
+    A *verdict* binning (``predicted_labels`` given to
+    :func:`bin_subset_by_label`) holds only the terms of each row's
+    predicted-label bin, flat and in selection order, with one bin per
+    row (``n_labels == 1``).
+
     Attributes:
         indices / weights: the selection, as in
-            :class:`~repro.core.weighting.CalibrationSubsetBatch`.
+            :class:`~repro.core.weighting.CalibrationSubsetBatch`
+            (``(n_test, k)``), or the kept terms' flat positions and
+            weights of a verdict binning.
         flat_bins: flattened scatter-add target bin of each selected
             sample (``row * n_labels + label``), which is also the
             position of its comparison threshold in the C-order
             ``(n_test, n_labels)`` test-score matrix.
         weight_sums: ``(n_test, n_labels)`` sum of selected weights per
             bin — the ``"count"``-mode denominator before its ``+1``.
-        n_labels: number of candidate labels.
+        n_labels: number of candidate labels (1 for a verdict binning).
     """
 
     indices: np.ndarray
@@ -104,17 +120,37 @@ def bin_subset_by_label(
     subset_batch: CalibrationSubsetBatch,
     calibration_labels: np.ndarray,
     n_labels: int,
+    predicted_labels=None,
 ) -> SubsetBinning:
     """Build the shared :class:`SubsetBinning` for one evaluation batch.
 
     ``calibration_labels`` is a
     :class:`~repro.core.blocks.BlockColumn` of label blocks (or an
     array); the selection gather reads its flat gather base.
+
+    With ``predicted_labels`` (one label per test row) the result is
+    the verdict binning: the terms whose calibration label equals the
+    row's predicted label, in selection order, one bin per row.  Every
+    bin holds exactly the terms, in the same order, of bin ``(row,
+    predicted)`` of the full binning.
     """
     indices = np.asarray(subset_batch.indices)
     weights = np.asarray(subset_batch.weights)
     n_test = len(indices)
-    flat_bins = _gather(calibration_labels, indices).astype(int, copy=False)
+    labels = _gather(calibration_labels, indices)
+    if predicted_labels is not None:
+        predicted = np.asarray(predicted_labels).reshape(-1, 1)
+        kept = np.flatnonzero(labels == predicted)
+        rows = kept // max(1, indices.shape[1])
+        weights = np.take(weights.ravel(), kept)
+        return SubsetBinning(
+            indices=np.take(indices.ravel(), kept),
+            weights=weights,
+            flat_bins=rows,
+            weight_sums=_label_binned_sums(rows, weights, n_test).reshape(n_test, 1),
+            n_labels=1,
+        )
+    flat_bins = labels.astype(int, copy=False)
     flat_bins += (np.arange(n_test) * n_labels)[:, None]
     flat_bins = flat_bins.ravel()
     return SubsetBinning(
@@ -128,7 +164,7 @@ def bin_subset_by_label(
     )
 
 
-def _two_sided_weighted_sums(flat_bins, weights, selected, thresholds, n_labels, k):
+def _two_sided_weighted_sums(flat_bins, weights, selected, thresholds, n_labels, n_test, k):
     """The ``"count"``-mode right (``>=``) and left (``<=``) tail sums.
 
     One scatter-add over two bands yields both tails: band 0
@@ -139,11 +175,12 @@ def _two_sided_weighted_sums(flat_bins, weights, selected, thresholds, n_labels,
     the left sum in every bin without a term where the two tails agree
     (``score == threshold``, in both; NaN, in neither).  Such terms are
     few (ties at the score extremes), so the test rows holding one —
-    row ``r`` owns terms ``[r k, (r + 1) k)`` and bins
-    ``[r L, (r + 1) L)`` — get their left sums again from their own
-    terms, in order, with the two-pass mask.
+    row ``r`` owns bins ``[r L, (r + 1) L)`` and the terms binned there,
+    which are terms ``[r k, (r + 1) k)`` of a full binning (``k`` per
+    row) — get their left sums again from their own terms, in order,
+    with the two-pass mask.  A verdict binning (``k=None``) bins term
+    by row.
     """
-    n_test = len(flat_bins) // k
     n_bins = n_test * n_labels
     at_least = selected >= thresholds
     at_most = selected <= thresholds
@@ -155,13 +192,14 @@ def _two_sided_weighted_sums(flat_bins, weights, selected, thresholds, n_labels,
     odd = np.flatnonzero(at_least == at_most)
     if len(odd):
         tied_rows = np.zeros(n_test, dtype=bool)
-        tied_rows[odd // k] = True
+        tied_rows[flat_bins[odd] // n_labels] = True
         rows = np.flatnonzero(tied_rows)
-        span = (
-            slice(None)  # every row (small batches): no gather needed
-            if len(rows) == n_test
-            else (rows[:, None] * k + np.arange(k)).ravel()
-        )
+        if len(rows) == n_test:
+            span = slice(None)  # every row (small batches): no gather needed
+        elif k is None:
+            span = tied_rows[flat_bins]
+        else:
+            span = (rows[:, None] * k + np.arange(k)).ravel()
         terms = weights[span] * at_most[span].astype(float)
         redone = _label_binned_sums(flat_bins[span], terms, n_bins)
         left.reshape(n_test, n_labels)[rows] = redone.reshape(n_test, n_labels)[rows]
@@ -195,7 +233,9 @@ def pvalues_from_binning(
     ``calibration_scores`` is one expert's score column, a
     :class:`~repro.core.blocks.BlockColumn` (the evaluation view's) or
     an array; the score gather reads its flat gather base.  The label
-    count comes from ``binning``.
+    count comes from ``binning``: a verdict binning takes the ``(n_test,
+    1)`` column of predicted-label test scores and returns the
+    credibility column.
     """
     if weight_mode not in WEIGHT_MODES:
         raise ConfigurationError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
@@ -207,7 +247,7 @@ def pvalues_from_binning(
         raise ValidationError(
             f"test_scores must be (n_test, {n_labels}), got {test_scores.shape}"
         )
-    n_test, k = binning.indices.shape
+    n_test = len(binning.weight_sums)
     if test_scores.shape[0] != n_test:
         raise ValidationError(
             f"test_scores has {test_scores.shape[0]} rows, the binning {n_test}"
@@ -229,7 +269,13 @@ def pvalues_from_binning(
             numerators = _label_binned_sums(flat_bins, terms, n_bins)
         else:
             right, left = _two_sided_weighted_sums(
-                flat_bins, weights, selected, thresholds, n_labels, k
+                flat_bins,
+                weights,
+                selected,
+                thresholds,
+                n_labels,
+                n_test,
+                binning.indices.shape[1] if binning.indices.ndim == 2 else None,
             )
             numerators = 2.0 * np.minimum(right, left)
         denominators = binning.weight_sums.ravel()

@@ -9,14 +9,21 @@
   (ambiguity) both lower confidence.
 
 Position in the evaluation pipeline (see README architecture map): the
-p-value kernels of :mod:`repro.core.pvalue` reduce each test batch to a
-``(n_test, n_labels)`` p-value matrix per expert — computed against the
-calibration state the detector holds (flat arrays, or the per-shard
-segment bundle of :mod:`repro.core.segments`);
-:func:`assess_batch` turns each matrix into per-expert verdicts, which
-:mod:`repro.core.committee` then votes into decisions.  This module is
-deliberately state-free: it only ever sees p-values, so it is identical
-across the batch, streaming, sharded and async-serving paths.
+p-value kernels of :mod:`repro.core.pvalue` reduce each test batch to
+p-values per expert, computed against the calibration state the
+detector holds (the segment bundle of :mod:`repro.core.segments`).
+Two readers turn them into verdicts, which :mod:`repro.core.committee`
+then votes into decisions:
+
+* :func:`verdict_batch` reads only the credibility column.  It decides
+  every row whose accept flag does not depend on the rest of the label
+  row (under the default thresholds, every row) and names the others;
+* :func:`assess_batch` reads the full ``(n_test, n_labels)`` matrix and
+  also yields confidence and set sizes, the detail fields.
+
+This module is deliberately state-free: it only ever sees p-values, so
+it is identical across the batch, streaming, sharded and async-serving
+paths.
 """
 
 from __future__ import annotations
@@ -39,6 +46,11 @@ def confidence_from_set_size(set_size: int, gaussian_scale: float = 1.0) -> floa
     if gaussian_scale <= 0:
         raise ConfigurationError("gaussian_scale must be positive")
     return float(np.exp(-((set_size - 1.0) ** 2) / (2.0 * gaussian_scale**2)))
+
+
+def _confidence(effective_sizes, gaussian_scale: float) -> np.ndarray:
+    """The confidence Gaussian over an array of effective set sizes."""
+    return np.exp(-((effective_sizes - 1.0) ** 2) / (2.0 * gaussian_scale**2))
 
 
 @dataclass(frozen=True)
@@ -108,9 +120,7 @@ def assess_batch(
     effective_sizes = set_sizes
     if require_predicted_in_set:
         effective_sizes = np.where(in_region[rows, predicted_labels], set_sizes, 0)
-    confidence = np.exp(
-        -((effective_sizes - 1.0) ** 2) / (2.0 * gaussian_scale**2)
-    )
+    confidence = _confidence(effective_sizes, gaussian_scale)
     reject = (credibility < credibility_threshold) & (confidence < confidence_threshold)
     return ExpertAssessmentBatch(
         function_name=function_name,
@@ -119,3 +129,37 @@ def assess_batch(
         prediction_set_size=set_sizes,
         accept=~reject,
     )
+
+
+def verdict_batch(
+    credibility: np.ndarray,
+    epsilon: float,
+    gaussian_scale: float = 1.0,
+    credibility_threshold: float | None = None,
+    confidence_threshold: float = 0.9,
+) -> tuple:
+    """One expert's accept flags from its credibility column alone.
+
+    Returns ``(accept, undecided)``: ``accept`` equals
+    :func:`assess_batch`'s flag (with ``require_predicted_in_set``) on
+    every row outside the boolean mask ``undecided``.  A row at or
+    above ``credibility_threshold`` is accepted.  Below it, a row whose
+    credibility is at most ``epsilon`` has its predicted label outside
+    the prediction set, so its effective set size is 0 and its
+    confidence is the Gaussian at 0, whatever the other labels' p-values
+    are.  Only a row with ``epsilon < credibility < credibility_threshold``
+    (possible only when that threshold exceeds epsilon) needs the full
+    label row; it is left undecided.
+    """
+    if gaussian_scale <= 0:
+        raise ConfigurationError("gaussian_scale must be positive")
+    if credibility_threshold is None:
+        credibility_threshold = epsilon
+    below = credibility < credibility_threshold
+    undecided = below & (credibility > epsilon)
+    outside = _confidence(np.zeros(1, dtype=int), gaussian_scale)[0]
+    if outside < confidence_threshold:
+        accept = ~below | undecided
+    else:
+        accept = np.ones(len(credibility), dtype=bool)
+    return accept, undecided

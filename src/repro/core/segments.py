@@ -178,7 +178,15 @@ class SegmentBundle:
     structural sharing between consecutive snapshots.
     """
 
-    __slots__ = ("fields", "score_fields", "label_key", "router", "_view", "_inherit_view")
+    __slots__ = (
+        "fields",
+        "score_fields",
+        "label_key",
+        "router",
+        "_view",
+        "_inherit_view",
+        "__weakref__",
+    )
 
     def __init__(self, fields, score_fields, label_key, router=None):
         self.fields = dict(fields)

@@ -34,7 +34,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..ml.cluster import KMeans
+from ..ml.cluster import KMeans, nearest_center
 from .calibration_store import CalibrationStore, StoreUpdate, check_batch_columns
 from .exceptions import (
     CalibrationError,
@@ -233,7 +233,9 @@ class ClusterShardRouter(ShardRouter):
     Fit once on the first calibration batch; afterwards every sample is
     assigned its nearest fitted center.  Drifting samples that share a
     feature region then churn the same shard, leaving the others'
-    calibration state untouched.
+    calibration state untouched.  The router keeps only the fitted
+    centers (not the K-means model and its per-row labels), so it
+    pickles in ``O(n_shards * d)`` bytes.
     """
 
     name = "cluster"
@@ -242,12 +244,12 @@ class ClusterShardRouter(ShardRouter):
         super().__init__(n_shards)
         self.seed = seed
         self.max_iter = max_iter
-        self._kmeans = None
+        self._centers = None
 
     @property
     def is_fitted(self) -> bool:
         """Whether K-means centers have been fit (required to route)."""
-        return self._kmeans is not None
+        return self._centers is not None
 
     @property
     def centers(self) -> np.ndarray | None:
@@ -258,7 +260,7 @@ class ClusterShardRouter(ShardRouter):
         (:mod:`repro.core.pruning`) uses these as shard centroids for
         spill-neighbor ordering instead of re-deriving block means.
         """
-        return None if self._kmeans is None else self._kmeans.cluster_centers_
+        return self._centers
 
     def fit(self, features, labels=None) -> "ClusterShardRouter":
         """Fit K-means centers on a calibration batch.
@@ -277,9 +279,14 @@ class ClusterShardRouter(ShardRouter):
         # Cannot place more centers than samples; spare shards stay empty
         # until a larger refit.
         k = min(self.n_shards, len(features))
-        self._kmeans = KMeans(
+        self._centers = KMeans(
             n_clusters=k, max_iter=self.max_iter, seed=self.seed
-        ).fit(features)
+        ).fit(features).cluster_centers_
+        return self
+
+    def load_centers(self, centers) -> "ClusterShardRouter":
+        """Install previously fitted centers (checkpoint restore)."""
+        self._centers = np.asarray(centers, dtype=float)
         return self
 
     def clone_unfitted(self) -> "ClusterShardRouter":
@@ -298,10 +305,7 @@ class ClusterShardRouter(ShardRouter):
             raise CalibrationError(
                 "ClusterShardRouter must be fit before routing"
             )
-        features = np.asarray(features, dtype=float)
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
-        return self._check_routes(self._kmeans.predict(features))
+        return self._check_routes(nearest_center(features, self._centers))
 
 
 # write-once registry: populated at import time, read-only afterwards

@@ -302,10 +302,16 @@ class _ShardMixin:
         store views, so shared blocks can never change under a
         published snapshot.  The copy carries the live detector's
         ``_segment_bundle``, its only calibration state.
+
+        The maintenance plane replaces a snapshot's state behind its
+        readers, so a snapshot computes every batch's detail fields in
+        the deciding pass instead of keeping the blocks alive for a
+        later read (DESIGN.md §2, "Verdict vs detail").
         """
         self.prom._require_calibrated()
         prom = copy.copy(self.prom)
         prom.weighting = copy.copy(self.prom.weighting)
+        prom._eager_detail = True
         return prom
 
     @property
@@ -471,9 +477,9 @@ class StreamingPromClassifier(_ShardMixin):
         features, probabilities, labels = _check_classification_inputs(
             features, probabilities, labels
         )
-        # Build the new store aside and swap it in only once the
-        # detector accepted the batch — a validation failure inside
-        # prom.calibrate must not leave store and detector desynced.
+        # Validated once above; build the new store aside and swap it
+        # in only once the detector calibrated on it, so a failure
+        # leaves store and detector as they were.
         staged = self.store.clone_empty()
         staged.add(
             priority=priority,
@@ -482,7 +488,7 @@ class StreamingPromClassifier(_ShardMixin):
             label=labels,
             **_as_columns(extra),
         )
-        self.prom.calibrate(
+        self.prom._calibrate_checked(
             staged.column("features"),
             staged.column("probabilities"),
             staged.column("label"),
@@ -579,9 +585,11 @@ class StreamingPromClassifier(_ShardMixin):
         """Full recalibration from the current store contents.
 
         The batch-path reference the incremental path must match; also
-        the escape hatch after ``retune_tau=False`` updates.
+        the escape hatch after ``retune_tau=False`` updates.  Every
+        stored row was validated on its way in, so the columns are not
+        checked again.
         """
-        self.prom.calibrate(
+        self.prom._calibrate_checked(
             self.store.column("features"),
             self.store.column("probabilities"),
             self.store.column("label"),
@@ -702,8 +710,8 @@ class StreamingPromRegressor(_ShardMixin):
         features, predictions, targets = _check_calibration_inputs(
             features, predictions, targets
         )
-        # Staged swap, as in the classifier: a calibration failure must
-        # not leave store and detector desynced.
+        # Validated once above; staged swap, as in the classifier: a
+        # calibration failure must not leave store and detector desynced.
         staged = self.store.clone_empty()
         staged.add(
             priority=priority,
@@ -712,7 +720,7 @@ class StreamingPromRegressor(_ShardMixin):
             target=np.asarray(targets, dtype=float).ravel(),
             **_as_columns(extra),
         )
-        self.prom.calibrate(
+        self.prom._calibrate_checked(
             staged.column("features"),
             staged.column("prediction"),
             staged.column("target"),
@@ -723,8 +731,11 @@ class StreamingPromRegressor(_ShardMixin):
         return self
 
     def _full_calibrate(self):
-        """Recalibrate from the store (fits clusters) and rebuild state."""
-        self.prom.calibrate(
+        """Recalibrate from the store (fits clusters) and rebuild state.
+
+        Stored rows were validated on their way in.
+        """
+        self.prom._calibrate_checked(
             self.store.column("features"),
             self.store.column("prediction"),
             self.store.column("target"),

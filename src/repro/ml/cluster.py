@@ -74,12 +74,19 @@ class KMeans(Estimator):
     def predict(self, X) -> np.ndarray:
         """Assign each sample to its nearest fitted center."""
         self._check_fitted("cluster_centers_")
-        X = check_2d(X)
-        distances = _distances_to_centers(X, self.cluster_centers_)
-        return np.argmin(distances, axis=1)
+        return nearest_center(X, self.cluster_centers_)
 
     def fit_predict(self, X) -> np.ndarray:
         return self.fit(X).labels_
+
+
+def nearest_center(X, centers: np.ndarray) -> np.ndarray:
+    """Index of each sample's nearest center (K-means assignment).
+
+    The rule :meth:`KMeans.predict` applies, for callers that keep only
+    fitted centers.
+    """
+    return np.argmin(_distances_to_centers(check_2d(X), centers), axis=1)
 
 
 def _distances_to_centers(X: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -155,23 +155,48 @@ def test_single_store_roundtrip_bit_identical(tmp_path):
     _assert_identical_classifier(live, restored, seed=12)
 
 
+def test_cluster_router_checkpoint_bytes(tmp_path):
+    """The router's centers round-trip: same routes, same checkpoint files."""
+    live = _classifier(router="cluster")
+    live.extend_calibration(*make_blobs(60, seed=5))
+    CheckpointWriter(tmp_path / "a").checkpoint(live.streaming)
+    restored = _classifier(router="cluster", seed=1)
+    restore_checkpoint(restored.streaming, tmp_path / "a")
+    probe, _ = make_blobs(80, seed=13)
+    assert np.array_equal(
+        restored.streaming.store.router.route(probe),
+        live.streaming.store.router.route(probe),
+    )
+    CheckpointWriter(tmp_path / "b").checkpoint(restored.streaming)
+    files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
+    files_b = sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert files_a == files_b
+    for name in files_a:
+        if name.endswith(".npz"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
+
+
 def test_restore_requires_no_recalibration(tmp_path):
     """Restoring must rebuild state, not recompute it."""
     live = _classifier()
     CheckpointWriter(tmp_path).checkpoint(live.streaming)
     restored = _classifier()
     calls = {"n": 0}
-    original = type(restored.streaming.prom).calibrate
+    # every calibration, public or the streaming wrapper's validated
+    # one, runs through _calibrate_checked
+    original = type(restored.streaming.prom)._calibrate_checked
 
     def counting(self, *args, **kwargs):
         calls["n"] += 1
         return original(self, *args, **kwargs)
 
-    type(restored.streaming.prom).calibrate = counting
+    type(restored.streaming.prom)._calibrate_checked = counting
     try:
         restore_checkpoint(restored.streaming, tmp_path)
     finally:
-        type(restored.streaming.prom).calibrate = original
+        type(restored.streaming.prom)._calibrate_checked = original
     assert calls["n"] == 0
     _assert_identical_classifier(live, restored)
 

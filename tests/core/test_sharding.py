@@ -94,6 +94,26 @@ class TestShardRouters:
         fresh = router.clone_unfitted()
         assert not fresh.is_fitted
 
+    def test_cluster_router_keeps_only_centers(self):
+        """Routes are the fitted K-means assignment, from the centers alone."""
+        import pickle
+
+        from repro.ml.cluster import KMeans
+
+        g = np.random.default_rng(3)
+        features = g.normal(size=(3000, 48))
+        router = ClusterShardRouter(16, seed=4).fit(features)
+        kmeans = KMeans(n_clusters=16, max_iter=50, seed=4).fit(features)
+        assert np.array_equal(router.centers, kmeans.cluster_centers_)
+        probe = np.concatenate([features[:500], g.normal(size=(300, 48)) * 3.0])
+        assert np.array_equal(router.route(probe), kmeans.predict(probe))
+        assert np.array_equal(router.route(probe[7]), kmeans.predict(probe[7:8]))
+        # nothing per fitting row survives the fit
+        assert len(pickle.dumps(router)) < router.centers.nbytes + 1024
+        restored = ClusterShardRouter(16, seed=4).load_centers(router.centers.copy())
+        assert restored.is_fitted
+        assert np.array_equal(restored.route(probe), router.route(probe))
+
     def test_resolver(self):
         assert isinstance(resolve_shard_router("hash", 4), HashShardRouter)
         assert isinstance(resolve_shard_router("label", 2), LabelShardRouter)

@@ -335,3 +335,62 @@ class TestCalibrationLabelValidation:
         assert streaming.epoch == epoch
         assert streaming.calibration_size == len(streaming.store) == 300
         _assert_decision_identical(streaming.evaluate(test[0], test[1]), before)
+
+
+class TestValidateOnce:
+    """A (re)calibration checks its batch once, before anything mutates."""
+
+    def _count(self, monkeypatch, name):
+        import repro.core.prom as prom_module
+        import repro.core.streaming as streaming_module
+
+        calls = []
+        original = getattr(prom_module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(prom_module, name, counting)
+        monkeypatch.setattr(streaming_module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_classifier(self, monkeypatch, n_shards):
+        streaming = StreamingPromClassifier(capacity=400, n_shards=n_shards, seed=0)
+        calls = self._count(monkeypatch, "_check_classification_inputs")
+        streaming.calibrate(*_classification_batch(300, seed=1))
+        assert len(calls) == 1
+        streaming.replace_outputs(
+            streaming.store.column("features") + 0.5,
+            streaming.store.column("probabilities"),
+            streaming.store.column("label"),
+        )
+        assert len(calls) == 2
+        streaming.refresh()
+        assert len(calls) == 2
+        # the one check still raises the taxonomy error, before any state
+        # changes
+        test = _classification_batch(20, seed=7)
+        before = streaming.evaluate(test[0], test[1])
+        epoch = streaming.epoch
+        features, probabilities, labels = _classification_batch(50, seed=3)
+        features[4, 2] = np.nan
+        with pytest.raises(CalibrationError, match="finite"):
+            streaming.calibrate(features, probabilities, labels)
+        assert streaming.epoch == epoch
+        assert streaming.calibration_size == len(streaming.store) == 300
+        _assert_decision_identical(streaming.evaluate(test[0], test[1]), before)
+
+    def test_regressor(self, monkeypatch):
+        streaming = StreamingPromRegressor(capacity=300, n_shards=2, seed=0)
+        calls = self._count(monkeypatch, "_check_calibration_inputs")
+        streaming.calibrate(*_regression_batch(200, seed=1))
+        assert len(calls) == 1
+        streaming.refresh()
+        assert len(calls) == 1
+        features, predictions, targets = _regression_batch(40, seed=2)
+        predictions[5] = np.inf
+        with pytest.raises(CalibrationError, match="finite"):
+            streaming.calibrate(features, predictions, targets)
+        assert streaming.calibration_size == 200
