@@ -199,14 +199,21 @@ class _DecisionParams:
     credibility_threshold: float | None
     confidence_threshold: float
 
-    def assess(self, labels, scores, subset, test_matrices, predicted) -> list:
-        """Full-label assessments: one p-value row per (row, label)."""
+    def pvalues(self, labels, scores, subset, test_matrices) -> list:
+        """Each expert's ``(n_test, n_labels)`` p-values: the full kernel."""
         binning = bin_subset_by_label(subset, labels, self.n_labels)
         return [
+            pvalues_from_binning(
+                column, binning, test, weight_mode=self.weight_mode, tail=tail
+            )
+            for column, test, tail in zip(scores, test_matrices, self.tails)
+        ]
+
+    def assess(self, labels, scores, subset, test_matrices, predicted) -> list:
+        """Full-label assessments: one p-value row per (row, label)."""
+        return [
             assess_batch(
-                pvalues_from_binning(
-                    column, binning, test, weight_mode=self.weight_mode, tail=tail
-                ),
+                pvalues,
                 predicted,
                 epsilon=self.epsilon,
                 gaussian_scale=self.gaussian_scale,
@@ -214,8 +221,8 @@ class _DecisionParams:
                 confidence_threshold=self.confidence_threshold,
                 function_name=name,
             )
-            for name, column, test, tail in zip(
-                self.names, scores, test_matrices, self.tails
+            for name, pvalues in zip(
+                self.names, self.pvalues(labels, scores, subset, test_matrices)
             )
         ]
 
@@ -677,26 +684,21 @@ class PromClassifier(_CalibrationState):
             features, probabilities, None
         )
         state = _evaluation_view(self)
-        chunk = _evaluation_chunk(
-            len(state.features), chunk_size, self._n_classes
-        )
-        membership = np.empty((len(features), self._n_classes), dtype=bool)
+        params = self._decision_params(frozen=False)
+        chunk = _evaluation_chunk(len(state.features), chunk_size, params.n_labels)
+        membership = np.empty((len(features), params.n_labels), dtype=bool)
         for start in range(0, len(features), chunk):
             stop = min(len(features), start + chunk)
-            subset = self.weighting.select_batch(
+            subset = params.weighting.select_batch(
                 state.features, features[start:stop]
             )
-            binning = bin_subset_by_label(subset, state.labels, self._n_classes)
-            inclusion_votes = np.zeros((stop - start, self._n_classes))
-            for function, scores in zip(self.functions, state.scores):
-                test_scores = function.score_all_labels(probabilities[start:stop])
-                pvalues = pvalues_from_binning(
-                    scores,
-                    binning,
-                    test_scores,
-                    weight_mode=self.weight_mode,
-                    tail=function.tail,
-                )
+            inclusion_votes = np.zeros((stop - start, params.n_labels))
+            for pvalues in params.pvalues(
+                state.labels,
+                state.scores,
+                subset,
+                params.test_scores(probabilities[start:stop]),
+            ):
                 inclusion_votes += (pvalues > self.epsilon).astype(float)
             membership[start:stop] = inclusion_votes > 0.5 * len(self.functions)
         return membership
