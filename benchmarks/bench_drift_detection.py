@@ -1,52 +1,60 @@
-"""Drift-trigger options, end to end: does any beat the default stack?
+"""Drift-trigger options, end to end: the default stack and its record.
 
 Every deployment runs the same feedback loop: when the trigger fires,
 the loop relabels the batch's flagged samples and updates the model.
-A trigger option can only pay for itself through that loop, so this
-bench runs each option of :class:`~repro.core.config.TriggerConfig`
-through ``repro.deploy`` (the synchronous loop) and compares it with
-the default stack (credibility detector, static threshold, warmup) on
-the same seed and warmup.
+A trigger option can only pay for itself through that loop.
 
-Streams, each at seeds 1-10:
+``out/BENCH_drift_detection.json`` holds, under ``matrix``, every
+option :class:`~repro.core.config.TriggerConfig` used to offer
+(detectors, decision policies, ensembles, step windows, per-shard
+stacks, the cost-aware budget ceiling), each run through ``repro.deploy``
+(the synchronous loop) and paired with the default stack at the same
+seed and warmup.  The matrix records the commit it ran at
+(``matrix.git_sha``); that commit's version of this script produces
+it.
+
+**Keep rule.**  An option was kept only if, on some stream, it won at
+least 9 of 10 paired seeds: a higher ``tail_accuracy`` at no higher
+``relabel_fraction``, or a lower ``relabel_fraction`` at no lower
+``tail_accuracy``.  A label-spending option (``budget_ceiling``) was
+paired with the default at the smallest ``budget_fraction`` whose
+median spend was at least the option's.  Firing earlier keeps nothing
+by itself: the loop acts on a fire only through a model update.  No
+option won on any stream, so the library keeps only the default stack.
+
+This script runs that default stack — credibility flags over a
+100-sample window, threshold 0.3, warmup — on the same streams, seeds
+1-10:
 
 * ``scan_b256`` / ``online_b2`` — perfbench's ``make_inputs`` at the
   two workload shapes (12k calibration rows, 16 hash shards, a
-  covariate shift a quarter of the way in), run synchronously;
+  covariate shift a quarter of the way in), run synchronously with
+  perfbench's warmup of 100;
 * ``blobs`` — the tests' two-half Gaussian-blob stream
   (``tests/core/test_triggers._drift_stream``, a trained MLP, 3 hash
-  shards).
+  shards);
+* ``credibility_segments`` — trigger-only: the two-segment synthetic
+  credibility stream, fed straight to the stack.
 
-Per episode it records the fire steps, the detection delay (steps from
+Per seed it records the fire steps, the detection delay (steps from
 the first drifted step to the first fire at or after it), pre-shift
 fires, ``tail_accuracy`` (accuracy over the last fifth of the stream,
 as perfbench scores it) and ``relabel_fraction`` (relabelled samples
-per stream sample).
-
-**Keep rule.**  An option is kept only if, on some stream, it wins at
-least 9 of the 10 paired seeds: a higher ``tail_accuracy`` at no higher
-``relabel_fraction``, or a lower ``relabel_fraction`` at no lower
-``tail_accuracy``.  An option that spends more labels
-(``budget_ceiling``) is paired with the default at the smallest
-``budget_fraction`` whose median spend is at least the option's.
-Firing earlier keeps nothing by itself: the loop acts on a fire only
-through a model update.
-
-``credibility_segments`` adds trigger-only rows on the two-segment
-synthetic credibility stream of ``bench_triggers.py``: delay after each
-segment onset and fires on clean steps.
-
-Results go to ``out/BENCH_drift_detection.json``; ``--smoke`` runs one
-seed with nothing written to ``out/``.
+per stream sample).  The full run asserts that every per-seed record
+equals the default rows of the recorded matrix, so the deletion left
+the default's decisions unchanged, and writes ``default_stack``.
+``--smoke`` runs seed 1 of the blob and segment streams, with no
+assertions and nothing written to ``out/``.
 """
 
 import argparse
 import json
+import os
 import statistics
 import sys
 
 # conftest first: it pins BLAS threads before NumPy loads
-from conftest import REPO_ROOT, git_sha, update_bench_json
+from conftest import OUT_DIR, REPO_ROOT, git_sha, update_bench_json
 
 import numpy as np
 
@@ -61,35 +69,7 @@ from tests.core.test_triggers import _drift_stream, _trained_interface  # noqa: 
 
 SEEDS = tuple(range(1, 11))
 
-#: an option must win this many paired seeds on one stream to stay
-KEEP_WINS = 9
-
-ALL_DETECTORS = ("credibility", "p_value", "accuracy_proxy")
-
-#: option name -> TriggerConfig overrides; ``"warmup"`` overrides the
-#: stream's own warmup, and the option is then paired with the default
-#: at that warmup
-OPTIONS = {
-    "detector=p_value": dict(detectors=("p_value",)),
-    "detector=accuracy_proxy": dict(detectors=("accuracy_proxy",)),
-    "policy=quantile": dict(policy="quantile"),
-    "policy=ewma": dict(policy="ewma"),
-    "policy=hysteresis": dict(policy="hysteresis"),
-    "p_value+quantile": dict(detectors=("p_value",), policy="quantile"),
-    "ensemble=any": dict(detectors=ALL_DETECTORS, ensemble="any"),
-    "ensemble=all": dict(detectors=ALL_DETECTORS, ensemble="all"),
-    "ensemble=majority": dict(detectors=ALL_DETECTORS, ensemble="majority"),
-    "window_mode=steps": dict(window_mode="steps"),
-    "per_shard": dict(per_shard=True),
-    "per_shard@warmup10": dict(per_shard=True, warmup=10),
-    "budget_ceiling=0.25": dict(budget_ceiling=0.25),
-}
-
-#: options that raise the relabel budget: paired along the ladder
-LABEL_SPENDING = ("budget_ceiling=0.25",)
-
-#: budget fractions the default runs at, for the label-spending pairing
-BUDGET_LADDER = (0.05, 0.06, 0.07, 0.08, 0.1, 0.125, 0.15, 0.2, 0.25)
+ARTIFACT = "BENCH_drift_detection.json"
 
 
 class Stream:
@@ -124,18 +104,8 @@ STREAMS = (
 )
 
 
-def trigger_config(stream, overrides):
-    """The TriggerConfig of one option on one stream."""
-    overrides = dict(overrides)
-    overrides.setdefault("warmup", stream.warmup)
-    if overrides.get("window_mode") == "steps":
-        # the default window's span in samples, counted in steps
-        overrides["window"] = max(1, round(100 / stream.batch_size))
-    return TriggerConfig(**overrides)
-
-
-def run_episode(stream, seed, overrides=(), budget_fraction=None):
-    """One deploy of one stream seed under one trigger option."""
+def run_episode(stream, seed):
+    """One deploy of one stream seed under the default stack."""
     interface, X, y, onset = stream.setup(seed)
     served = []
     predict = interface.predict
@@ -148,11 +118,9 @@ def run_episode(stream, seed, overrides=(), budget_fraction=None):
     interface.predict = recording_predict
     loop = LoopConfig(
         batch_size=stream.batch_size,
-        budget_fraction=(
-            stream.budget_fraction if budget_fraction is None else budget_fraction
-        ),
+        budget_fraction=stream.budget_fraction,
         epochs=stream.epochs,
-        triggers=trigger_config(stream, dict(overrides)),
+        triggers=TriggerConfig(warmup=stream.warmup),
     )
     result = deploy(interface, X, y, loop=loop, serving=ServingConfig(asynchronous=False))
     predictions = np.concatenate(served)
@@ -175,96 +143,20 @@ def _median(values):
     return statistics.median(values) if values else None
 
 
-def summarize(runs):
-    """Medians of one configuration's per-seed runs."""
+def stream_row(stream, seeds):
+    """Per-seed records of the default stack on one stream, with medians."""
+    runs = [run_episode(stream, seed) for seed in seeds]
     return {
         "median_delay_steps": _median(r["delay_steps"] for r in runs),
         "never_fired_after_onset": sum(1 for r in runs if r["delay_steps"] is None),
         "median_pre_shift_fires": _median(r["pre_shift_fires"] for r in runs),
         "median_tail_accuracy": _median(r["tail_accuracy"] for r in runs),
         "median_relabel_fraction": _median(r["relabel_fraction"] for r in runs),
+        "per_seed": runs,
     }
 
 
-def compare(option_runs, default_runs):
-    """Paired-seed verdict of an option against the default."""
-    rule_wins = accuracy_wins = accuracy_losses = identical = 0
-    for o, d in zip(option_runs, default_runs):
-        acc_o, acc_d = o["tail_accuracy"], d["tail_accuracy"]
-        rel_o, rel_d = o["relabel_fraction"], d["relabel_fraction"]
-        if (acc_o > acc_d and rel_o <= rel_d) or (rel_o < rel_d and acc_o >= acc_d):
-            rule_wins += 1
-        accuracy_wins += acc_o > acc_d
-        accuracy_losses += acc_o < acc_d
-        identical += acc_o == acc_d and rel_o == rel_d
-    return {
-        "rule_wins": rule_wins,
-        "tail_accuracy_wins": accuracy_wins,
-        "tail_accuracy_losses": accuracy_losses,
-        "identical_seeds": identical,
-        "wins_rule": rule_wins >= KEEP_WINS,
-    }
-
-
-def run_stream(stream, seeds, options):
-    """Every option on one stream, paired with the default per seed."""
-    def runs_of(overrides=(), budget_fraction=None):
-        return [run_episode(stream, s, overrides, budget_fraction) for s in seeds]
-
-    defaults = {stream.warmup: runs_of()}
-    ladder = {
-        fraction: runs_of(budget_fraction=fraction)
-        for fraction in BUDGET_LADDER
-        if fraction > stream.budget_fraction
-    }
-    ladder[stream.budget_fraction] = defaults[stream.warmup]
-    rows = {"default": {"config": {}, **summarize(defaults[stream.warmup])}}
-    rows["default"]["per_seed"] = defaults[stream.warmup]
-    for name, overrides in options.items():
-        warmup = overrides.get("warmup", stream.warmup)
-        if warmup not in defaults:
-            defaults[warmup] = runs_of({"warmup": warmup})
-            rows[f"default@warmup{warmup}"] = {
-                "config": {"warmup": warmup},
-                **summarize(defaults[warmup]),
-                "per_seed": defaults[warmup],
-            }
-        runs = runs_of(overrides)
-        paired_with = {"warmup": warmup, "budget_fraction": stream.budget_fraction}
-        baseline = defaults[warmup]
-        if name in LABEL_SPENDING:
-            spend = _median(r["relabel_fraction"] for r in runs)
-            fractions = sorted(ladder)
-            matched = next(
-                (
-                    f
-                    for f in fractions
-                    if _median(r["relabel_fraction"] for r in ladder[f]) >= spend
-                ),
-                fractions[-1],
-            )
-            baseline = ladder[matched]
-            paired_with["budget_fraction"] = matched
-        rows[name] = {
-            "config": {k: list(v) if isinstance(v, tuple) else v for k, v in overrides.items()},
-            **summarize(runs),
-            "paired_with": paired_with,
-            "vs_default": compare(runs, baseline),
-            "per_seed": runs,
-        }
-    budget_rows = {
-        f"{fraction:g}": summarize(runs) for fraction, runs in sorted(ladder.items())
-    }
-    return {
-        "batch_size": stream.batch_size,
-        "budget_fraction": stream.budget_fraction,
-        "warmup": stream.warmup,
-        "rows": rows,
-        "default_budget_ladder": budget_rows,
-    }
-
-
-# -- trigger-only rows: bench_triggers' two-segment credibility stream ------------
+# -- trigger-only rows: the two-segment credibility stream -------------------------
 
 SEGMENT_STREAM = dict(n_steps=240, step=20, segments=((80, 120), (180, 220)))
 
@@ -290,13 +182,13 @@ def credibility_batches(seed):
     return batches, truth
 
 
-def trigger_only_row(overrides, seeds):
-    """Fires, per-onset delay and clean-step fires of one option."""
+def segment_row(seeds):
+    """Fires, per-onset delay and clean-step fires of the default stack."""
     segments = SEGMENT_STREAM["segments"]
     per_seed = []
     for seed in seeds:
         batches, truth = credibility_batches(seed)
-        stack = build_trigger_stack(TriggerConfig(**overrides))
+        stack = build_trigger_stack(TriggerConfig())
         fires = [bool(stack.observe_batch(batch)) for batch in batches]
         delays = []
         for a, b in segments:
@@ -308,7 +200,6 @@ def trigger_only_row(overrides, seeds):
             "delays_steps": delays,
         })
     return {
-        "config": {k: list(v) if isinstance(v, tuple) else v for k, v in overrides.items()},
         "median_fires": _median(r["fires"] for r in per_seed),
         "median_false_fires": _median(r["false_fires"] for r in per_seed),
         "median_delay_steps": [
@@ -318,53 +209,33 @@ def trigger_only_row(overrides, seeds):
     }
 
 
-def credibility_segment_rows(seeds):
-    """Trigger-only rows for every option that changes when a stack fires."""
-    rows = {"default": trigger_only_row({}, seeds)}
-    for name, overrides in OPTIONS.items():
-        # per-shard stacks need a router; the budget ceiling never moves a fire
-        if "per_shard" in overrides or name in LABEL_SPENDING:
-            continue
-        overrides = dict(overrides)
-        if overrides.get("window_mode") == "steps":
-            overrides["window"] = max(1, round(100 / SEGMENT_STREAM["step"]))
-        rows[name] = trigger_only_row(overrides, seeds)
-    return rows
-
-
-def measure(seeds, streams=STREAMS, options=OPTIONS):
-    """The whole option matrix over ``streams`` and the segment stream."""
-    results = {stream.name: run_stream(stream, seeds, options) for stream in streams}
-    kept = sorted(
-        name
-        for name in options
-        if any(results[s.name]["rows"][name]["vs_default"]["wins_rule"] for s in streams)
-    )
+def measure(seeds, streams=STREAMS):
+    """The default stack over ``streams`` and the segment stream."""
     return {
         "git_sha": git_sha(),
         "seeds": list(seeds),
-        "keep_wins": KEEP_WINS,
-        "streams": results,
-        "credibility_segments": credibility_segment_rows(seeds),
-        "kept_options": kept,
+        "streams": {stream.name: stream_row(stream, seeds) for stream in streams},
+        "credibility_segments": segment_row(seeds),
     }
 
 
-def _strip_per_seed(outcome):
-    """The summary rows only (the smoke print)."""
-    return {
-        name: {
-            row: {k: v for k, v in fields.items() if k != "per_seed"}
-            for row, fields in stream["rows"].items()
-        }
-        for name, stream in outcome["streams"].items()
-    } | {"kept_options": outcome["kept_options"]}
+def assert_matches_recorded_matrix(outcome):
+    """Every per-seed record equals the matrix's default row."""
+    with open(os.path.join(OUT_DIR, ARTIFACT)) as handle:
+        matrix = json.load(handle)["matrix"]
+    assert matrix["kept_options"] == [], matrix["kept_options"]
+    for name, row in outcome["streams"].items():
+        recorded = matrix["streams"][name]["rows"]["default"]["per_seed"]
+        assert row["per_seed"] == recorded, f"default stack moved on {name}"
+    recorded = matrix["credibility_segments"]["default"]["per_seed"]
+    assert outcome["credibility_segments"]["per_seed"] == recorded
 
 
-def test_drift_detection_matrix():
-    """Record the option matrix and which options the keep rule keeps."""
+def test_default_stack_matches_matrix():
+    """The default stack reproduces its recorded matrix rows exactly."""
     outcome = measure(SEEDS)
-    update_bench_json("BENCH_drift_detection.json", {"matrix": outcome})
+    assert_matches_recorded_matrix(outcome)
+    update_bench_json(ARTIFACT, {"default_stack": outcome})
 
 
 def main():
@@ -372,15 +243,15 @@ def main():
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="one seed, the blob stream only, nothing written to out/",
+        help="seed 1 of the blob and segment streams, nothing written to out/",
     )
     args = parser.parse_args()
     if args.smoke:
         blobs = [s for s in STREAMS if s.name == "blobs"]
-        print(json.dumps(_strip_per_seed(measure((1,), blobs)), indent=2, sort_keys=True))
+        print(json.dumps(measure((1,), blobs), indent=2, sort_keys=True))
         return
-    test_drift_detection_matrix()
-    print("BENCH_drift_detection.json updated")
+    test_default_stack_matches_matrix()
+    print(f"{ARTIFACT} updated")
 
 
 if __name__ == "__main__":

@@ -1,25 +1,17 @@
-"""Trigger-layer benches: oversensitivity study + observe overhead (ISSUE 10).
+"""Trigger observe overhead.
 
-Two figures for the pluggable drift-trigger layer:
+**observe_overhead** — the drift trigger's ``observe_batch`` on a
+decision batch, as a fraction of the serving step that produced it
+(model forward + conformal evaluate).  Asserts the trigger costs
+**< 5%** of the step latency floor — drift monitoring must ride along
+for free.
 
-* **oversensitivity** — the finding the policy layer exists to fix: on
-  a synthetic credibility stream with two sustained drift segments, a
-  raw hypothesis-testing trigger (KS p-value against a static
-  significance cut) fires **>= 3x** more often than the same detector
-  behind a dynamic rolling-quantile threshold, at equal (perfect)
-  recall of the true segments.  Every surplus fire lands on clean
-  traffic.  Fixed seeds; the direction is regression-locked here and in
-  ``tests/core/test_triggers.py``.
-* **observe_overhead** — the default trigger stack's ``observe_batch``
-  on a decision batch, as a fraction of the serving step that produced
-  it (model forward + conformal evaluate).  Asserts the trigger layer
-  costs **< 5%** of the step latency floor — drift monitoring must ride
-  along for free.
+Whether any other trigger option earns its keep is measured end to end
+by ``bench_drift_detection.py``.
 
 Results go to ``out/BENCH_triggers.json``; ``--smoke`` runs a
 seconds-long pass for CI with no perf assertions and nothing written
-to ``out/`` (the oversensitivity direction is deterministic at any
-scale, so that tripwire still applies in smoke).
+to ``out/``.
 """
 
 import argparse
@@ -31,24 +23,9 @@ from conftest import update_bench_json
 
 import numpy as np
 
-from repro.core import (
-    DetectionWindows,
-    DriftTrigger,
-    ModelInterface,
-    ObservationBatch,
-    PValueDetector,
-    QuantileThresholdPolicy,
-    StaticThresholdPolicy,
-    TriggerConfig,
-    WarmupPolicy,
-    build_trigger_stack,
-)
+from repro.core import ModelInterface, TriggerConfig, build_trigger_stack
 
-#: acceptance floor (ISSUE 10): raw significance-cut fires vs the
-#: dynamic-threshold fires on the same stream at equal recall
-OVERSENSITIVITY_FLOOR = 3.0
-
-#: acceptance ceiling (ISSUE 10): trigger observe cost as a fraction of
+#: acceptance ceiling: trigger observe cost as a fraction of
 #: the serving step (forward + evaluate) that produced the decisions
 OVERHEAD_CEILING = 0.05
 
@@ -67,77 +44,6 @@ SMOKE_SCALE = dict(
     step_batch=64,
     rounds=5,
 )
-
-#: the oversensitivity stream (fixed: shared with the regression test)
-STREAM = dict(n_steps=240, step=20, segments=((80, 120), (180, 220)), seed=5)
-
-
-def synthetic_credibility_stream(n_steps, step, segments, seed):
-    """Credibility batches with sustained uniform-[0, 0.25] drift segments."""
-    rng = np.random.default_rng(seed)
-    batches, truth = [], []
-    for t in range(n_steps):
-        drifted = any(a <= t < b for a, b in segments)
-        cred = rng.uniform(0.0, 0.25 if drifted else 1.0, size=step)
-        batches.append(
-            ObservationBatch(
-                flags=tuple(bool(c < 0.3) for c in cred),
-                credibility=tuple(float(c) for c in cred),
-                disagreement=tuple(0.0 for _ in cred),
-            )
-        )
-        truth.append(drifted)
-    return batches, truth
-
-
-def _run_trigger(policy, batches):
-    trigger = DriftTrigger(
-        PValueDetector(DetectionWindows(size=60, reference_size=256, seed=0)),
-        policy,
-        warmup=WarmupPolicy(20),
-    )
-    return [trigger.observe_batch(obs).fired for obs in batches]
-
-
-def measure_oversensitivity() -> dict:
-    """Raw significance cut vs dynamic quantile, same KS detector."""
-    batches, truth = synthetic_credibility_stream(**STREAM)
-    segments = STREAM["segments"]
-    raw = _run_trigger(StaticThresholdPolicy(0.95), batches)
-    dynamic = _run_trigger(QuantileThresholdPolicy(0.95, history=32), batches)
-
-    def summary(fires):
-        recall = sum(any(fires[a:b]) for a, b in segments) / len(segments)
-        false = sum(f for f, t in zip(fires, truth) if not t)
-        return dict(fires=int(sum(fires)), recall=recall, false_fires=false)
-
-    raw_summary, dyn_summary = summary(raw), summary(dynamic)
-    return {
-        "n_steps": STREAM["n_steps"],
-        "step": STREAM["step"],
-        "drift_segments": [list(s) for s in segments],
-        "seed": STREAM["seed"],
-        "raw_static_cut": raw_summary,
-        "dynamic_quantile": dyn_summary,
-        "fire_ratio": round(
-            raw_summary["fires"] / max(1, dyn_summary["fires"]), 2
-        ),
-    }
-
-
-def assert_oversensitivity(outcome: dict) -> None:
-    """Deterministic tripwire: direction must hold at equal recall."""
-    raw, dynamic = outcome["raw_static_cut"], outcome["dynamic_quantile"]
-    assert raw["recall"] == dynamic["recall"] == 1.0, (
-        f"recall diverged (raw {raw['recall']}, dynamic "
-        f"{dynamic['recall']}) — the fire-count comparison is void"
-    )
-    assert outcome["fire_ratio"] >= OVERSENSITIVITY_FLOOR, (
-        f"raw hypothesis-testing trigger fired only "
-        f"{outcome['fire_ratio']:.2f}x more than the dynamic threshold "
-        f"(floor {OVERSENSITIVITY_FLOOR}x) — the oversensitivity study "
-        f"no longer reproduces"
-    )
 
 
 class _ProjectionModel:
@@ -174,9 +80,8 @@ def measure_observe_overhead(scale, seed=0) -> dict:
     The step latency floor is ``interface.predict`` — model forward
     plus the conformal evaluate — on a warm interface.  The trigger
     cost is ``observe_batch`` on the decisions that step returned.
-    Medians over rounds, observing through a *fresh-enough* stack each
-    round is unnecessary: the stack is a fixed-size deque + window
-    push, so steady state is the honest regime.
+    Medians over rounds on one stack: it is a fixed-size deque, so
+    steady state is the honest regime.
     """
     generator = np.random.default_rng(seed)
     model = _ProjectionModel(scale["n_features"], scale["n_classes"], seed=seed)
@@ -214,15 +119,8 @@ def measure_observe_overhead(scale, seed=0) -> dict:
     }
 
 
-def test_oversensitivity():
-    """ISSUE 10 acceptance: raw cut fires >= 3x the dynamic threshold."""
-    outcome = measure_oversensitivity()
-    update_bench_json("BENCH_triggers.json", {"oversensitivity": outcome})
-    assert_oversensitivity(outcome)
-
-
 def test_observe_overhead():
-    """ISSUE 10 acceptance: trigger observe < 5% of the step floor."""
+    """Trigger observe costs < 5% of the step floor."""
     outcome = measure_observe_overhead(FULL_SCALE)
     update_bench_json("BENCH_triggers.json", {"observe_overhead": outcome})
     assert outcome["overhead_fraction"] < OVERHEAD_CEILING, (
@@ -242,18 +140,12 @@ def main():
     )
     args = parser.parse_args()
     if args.smoke:
-        oversensitivity = measure_oversensitivity()
         summary = {
             "smoke": True,
-            "oversensitivity": oversensitivity,
             "observe_overhead": measure_observe_overhead(SMOKE_SCALE),
         }
-        # the fire-ratio direction is seed-deterministic, not a perf
-        # figure: the smoke pass keeps the tripwire
-        assert_oversensitivity(oversensitivity)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return
-    test_oversensitivity()
     test_observe_overhead()
     print("BENCH_triggers.json updated")
 

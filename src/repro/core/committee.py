@@ -171,7 +171,7 @@ class DecisionDetail:
         self._arrays = arrays
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DecisionBatch(Sequence):
     """Committee verdicts for a whole batch in struct-of-arrays form.
 
@@ -210,6 +210,9 @@ class DecisionBatch(Sequence):
             slicing (a subset is no longer the whole batch).
         detail: the :class:`DecisionDetail` behind ``confidence``,
             ``expert_confidence`` and ``expert_set_size``.
+
+    Equality and hashing are by identity: compare two batches' arrays
+    with ``np.array_equal``.
     """
 
     accepted: np.ndarray

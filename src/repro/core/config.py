@@ -13,9 +13,8 @@ grouped by the plane that consumes them:
   retention, cadence, warm restart, retry policy);
 * :class:`PruningConfig` — the evaluate kernels (router-aware shard
   pruning, spill, chunk width);
-* :class:`TriggerConfig` — the drift-trigger plane (detection
-  windows, detectors, decision policy, warmup, ensembles, per-shard
-  triggers, cost-aware relabel budget; DESIGN.md §11).
+* :class:`TriggerConfig` — the drift trigger (window, threshold,
+  warmup; DESIGN.md §11).
 
 All are frozen and validated at construction
 (:class:`~repro.core.exceptions.ConfigurationError`, which IS-A
@@ -32,18 +31,6 @@ from .exceptions import ConfigurationError
 
 #: serving-queue policies accepted by ServingConfig.backpressure
 BACKPRESSURE_CHOICES = ("coalesce", "drop", "block")
-
-#: detection-window modes accepted by TriggerConfig.window_mode
-TRIGGER_WINDOW_CHOICES = ("amount", "steps")
-
-#: drift detectors accepted in TriggerConfig.detectors
-TRIGGER_DETECTOR_CHOICES = ("credibility", "p_value", "accuracy_proxy")
-
-#: decision policies accepted by TriggerConfig.policy
-TRIGGER_POLICY_CHOICES = ("static", "quantile", "ewma", "hysteresis")
-
-#: vote-combination modes accepted by TriggerConfig.ensemble
-TRIGGER_ENSEMBLE_CHOICES = ("any", "all", "majority")
 
 
 @dataclass(frozen=True)
@@ -222,135 +209,35 @@ class PruningConfig:
 
 @dataclass(frozen=True)
 class TriggerConfig:
-    """The drift-trigger plane (DESIGN.md §11).
+    """The drift trigger (DESIGN.md §11).
 
-    Describes the trigger stack
+    Describes the :class:`~repro.core.triggers.TriggerStack`
     :func:`~repro.core.triggers.build_trigger_stack` assembles per
-    deployment run: detection windows, one trigger per named detector
-    (all sharing the same decision-policy settings), an ensemble rule,
-    optional per-shard instantiation and an optional cost-aware relabel
-    budget.  The all-defaults config builds the stack that is
-    property-tested decision-identical to the historical rolling-window
-    monitor (``tests/core/test_triggers.py``).
+    deployment run.  The all-defaults config is property-tested
+    decision-identical to the historical rolling-window monitor
+    (``tests/core/test_triggers.py``).
 
     Args:
-        window: current detection-window span (samples or steps).
-        window_mode: ``"amount"`` (last ``window`` samples) or
-            ``"steps"`` (samples of the last ``window`` observe steps —
-            the deterministic logical-time window).
-        reference: reservoir capacity of the reference window.
-        warmup: minimum current-window fill before a trigger may fire;
-            ``None`` uses the legacy ``min(10, window)``.
-        detectors: detector names, from ``"credibility"`` (windowed
-            rejection rate, the legacy metric), ``"p_value"``
-            (two-sample KS on the credibility distribution) and
-            ``"accuracy_proxy"`` (expert-disagreement rate).
-        policy: decision policy — ``"static"``, ``"quantile"``,
-            ``"ewma"`` or ``"hysteresis"``.
-        threshold: static/hysteresis-enter threshold, in (0, 1].
-        quantile: rolling-history quantile (``"quantile"`` policy).
-        history: metric history span (``"quantile"`` policy).
-        ewma_alpha: EWMA smoothing factor (``"ewma"`` policy).
-        ewma_widen: EWMA band width in std deviations.
-        hysteresis_exit: disarm threshold (``"hysteresis"`` policy);
-            ``None`` uses ``threshold / 2``.
-        ensemble: multi-detector vote combination — ``"any"``,
-            ``"all"`` or ``"majority"``.
-        per_shard: instantiate one stack per calibration shard, keyed
-            off the deployment's :class:`~repro.core.sharding.ShardRouter`.
-        seed: base seed for the reference reservoirs (per-shard and
-            per-detector seeds derive from it deterministically).
-        budget_ceiling: when set, attach a
-            :class:`~repro.core.triggers.CostAwareBudgetPolicy` that
-            raises the relabel budget toward this ceiling on fires;
-            its coverage cost model reads the deployment's effective
-            prune spill (:class:`PruningConfig`).
+        window: span of the flag window, in samples.
+        threshold: windowed rejection rate that fires, in (0, 1].
+        warmup: minimum window fill before the trigger may fire;
+            ``None`` uses the historical ``min(10, window)``.
     """
 
     window: int = 100
-    window_mode: str = "amount"
-    reference: int = 256
-    warmup: int | None = None
-    detectors: tuple = ("credibility",)
-    policy: str = "static"
     threshold: float = 0.3
-    quantile: float = 0.95
-    history: int = 32
-    ewma_alpha: float = 0.3
-    ewma_widen: float = 2.0
-    hysteresis_exit: float | None = None
-    ensemble: str = "any"
-    per_shard: bool = False
-    seed: int = 0
-    budget_ceiling: float | None = None
+    warmup: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "detectors", tuple(self.detectors))
         if self.window < 1:
             raise ConfigurationError(
                 f"window must be >= 1, got {self.window}"
-            )
-        if self.window_mode not in TRIGGER_WINDOW_CHOICES:
-            raise ConfigurationError(
-                f"window_mode must be one of {TRIGGER_WINDOW_CHOICES}, "
-                f"got {self.window_mode!r}"
-            )
-        if self.reference < 1:
-            raise ConfigurationError(
-                f"reference must be >= 1, got {self.reference}"
-            )
-        if self.warmup is not None and self.warmup < 0:
-            raise ConfigurationError(
-                f"warmup must be >= 0 or None, got {self.warmup}"
-            )
-        if not self.detectors:
-            raise ConfigurationError("detectors must name at least one detector")
-        for name in self.detectors:
-            if name not in TRIGGER_DETECTOR_CHOICES:
-                raise ConfigurationError(
-                    f"detectors must be from {TRIGGER_DETECTOR_CHOICES}, "
-                    f"got {name!r}"
-                )
-        if self.policy not in TRIGGER_POLICY_CHOICES:
-            raise ConfigurationError(
-                f"policy must be one of {TRIGGER_POLICY_CHOICES}, "
-                f"got {self.policy!r}"
             )
         if not 0.0 < self.threshold <= 1.0:
             raise ConfigurationError(
                 f"threshold must be in (0, 1], got {self.threshold}"
             )
-        if not 0.0 < self.quantile < 1.0:
+        if self.warmup is not None and self.warmup < 0:
             raise ConfigurationError(
-                f"quantile must be in (0, 1), got {self.quantile}"
-            )
-        if self.history < 2:
-            raise ConfigurationError(
-                f"history must be >= 2, got {self.history}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigurationError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.ewma_widen < 0.0:
-            raise ConfigurationError(
-                f"ewma_widen must be >= 0, got {self.ewma_widen}"
-            )
-        if self.hysteresis_exit is not None and not (
-            0.0 <= self.hysteresis_exit <= self.threshold
-        ):
-            raise ConfigurationError(
-                f"hysteresis_exit must be in [0, threshold], "
-                f"got {self.hysteresis_exit}"
-            )
-        if self.ensemble not in TRIGGER_ENSEMBLE_CHOICES:
-            raise ConfigurationError(
-                f"ensemble must be one of {TRIGGER_ENSEMBLE_CHOICES}, "
-                f"got {self.ensemble!r}"
-            )
-        if self.budget_ceiling is not None and not (
-            0.0 < self.budget_ceiling <= 1.0
-        ):
-            raise ConfigurationError(
-                f"budget_ceiling must be in (0, 1], got {self.budget_ceiling}"
+                f"warmup must be >= 0 or None, got {self.warmup}"
             )

@@ -107,7 +107,7 @@ class RestoreReport:
     recovered from the manifest (DESIGN.md §11).  ``False`` when no
     trigger target was passed, when the manifest predates the trigger
     layer, or when the recorded state no longer matches the configured
-    stack — in the latter two cases the stack is deterministically
+    stack (another window or state version) — in the latter two cases the stack is deterministically
     re-warmed instead (``reset(lifetime=True)``), never left holding
     stale pre-restore observations.
     """

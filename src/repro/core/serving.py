@@ -196,7 +196,7 @@ class ServingStats:
     ``trigger_observations`` / ``trigger_fires`` account the drift
     triggers when a trigger stack is attached to the loop
     (DESIGN.md §11): decisions fed to the stack, and served batches on
-    which the trigger ensemble fired.  Both stay 0 without one.
+    which the trigger fired.  Both stay 0 without one.
     """
 
     jobs_submitted: int = 0
@@ -339,17 +339,14 @@ class AsyncServingLoop:
             (DESIGN.md §10).  The pool is externally owned — the loop
             publishes to it but never closes it — and its counters are
             re-homed onto this loop's ``stats``.
-        triggers: optional drift-trigger stack
-            (:class:`~repro.core.triggers.TriggerStack` or
-            :class:`~repro.core.triggers.PerShardTriggerStack`).  Every
+        triggers: optional drift trigger
+            (:class:`~repro.core.triggers.TriggerStack`).  Every
             served decision batch is fed to it after counting, so
             direct :meth:`predict`/:meth:`evaluate` callers get trigger
             observability (``stats.trigger_observations`` /
             ``stats.trigger_fires``) without a deployment loop.  The
             stack's own leaf lock serializes observation, so concurrent
-            serving threads are safe; routing for per-shard stacks
-            reads the router snapshot, never the mutating shards
-            (DESIGN.md §11).
+            serving threads are safe (DESIGN.md §11).
 
     The evaluate path (:meth:`predict` / :meth:`evaluate`) never takes
     a lock: it reads the current :class:`ComposeSnapshot` and runs
@@ -471,7 +468,7 @@ class AsyncServingLoop:
         self._count_served(
             len(np.asarray(predictions)), during_maintenance, decisions
         )
-        self._observe_triggers(decisions, raw=X, labels=predictions)
+        self._observe_triggers(decisions)
         return predictions, decisions
 
     def evaluate(self, *args, **kwargs):
@@ -483,16 +480,14 @@ class AsyncServingLoop:
         self._observe_triggers(decisions)
         return decisions
 
-    def _observe_triggers(self, decisions, raw=None, labels=None) -> None:
+    def _observe_triggers(self, decisions) -> None:
         # the trigger stack's internal lock is a leaf: it is taken here
         # with no loop lock held, and _stats_lock is taken only after
         # observation returns, so no ordering edge ever forms between
         # the two (the lock-order sanitizer stays quiet under stress)
         if self.triggers is None:
             return
-        fired = observe_decisions(
-            self.triggers, decisions, raw=raw, labels=labels
-        )
+        fired = observe_decisions(self.triggers, decisions)
         with self._stats_lock:
             self.stats.trigger_observations += len(decisions)
             if fired:

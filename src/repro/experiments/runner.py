@@ -431,14 +431,11 @@ class StreamStep:
     segment-direct with a :class:`~repro.core.pruning.CandidatePruner`
     installed (``pruning=PruningConfig(enabled=True)``).
 
-    ``trigger_metric`` / ``trigger_threshold`` / ``trigger_detector``
-    expose the trigger plane per step (DESIGN.md §11): the primary
-    detector's drift metric for this batch, the effective threshold it
-    was compared against (dynamic policies move it every step;
-    ``threshold`` is 0 while the policy is still warming), and the
-    detector's name.  ``effective_budget_fraction`` is the relabel
-    budget actually used — equal to the loop's ``budget_fraction``
-    unless a cost-aware budget policy raised it on a fire.
+    ``alert`` is the drift trigger's verdict for this batch and
+    ``rejection_rate`` the windowed rate it compared against
+    ``TriggerConfig.threshold`` (DESIGN.md §11).
+    ``effective_budget_fraction`` is the relabel budget the step used:
+    the loop's ``budget_fraction``.
     """
 
     start: int
@@ -463,9 +460,6 @@ class StreamStep:
     last_checkpoint_ms: float = 0.0
     n_candidates_scored: int = 0
     n_shards_pruned: int = 0
-    trigger_metric: float = 0.0
-    trigger_threshold: float = 0.0
-    trigger_detector: str = ""
     effective_budget_fraction: float = 0.0
     decisions: object = field(repr=False, compare=False, default=None)
 
@@ -497,10 +491,9 @@ class StreamResult:
     ``n_shards_pruned`` total the per-step pruning counters (0 unless
     pruned segment-direct evaluation was in effect).
 
-    ``monitor`` is the run's drift-trigger stack, built from
-    ``LoopConfig.triggers`` (a :class:`~repro.core.triggers.TriggerStack`
-    or :class:`~repro.core.triggers.PerShardTriggerStack`);
-    ``n_trigger_fires`` counts the steps whose trigger ensemble fired, and
+    ``monitor`` is the run's :class:`~repro.core.triggers.TriggerStack`,
+    built from ``LoopConfig.triggers``;
+    ``n_trigger_fires`` counts the steps whose trigger fired, and
     ``trigger_restored`` reports whether a warm restart recovered the
     trigger window state from the checkpoint (``False`` on cold starts
     and on restores from pre-trigger-era manifests, which re-warm
@@ -551,13 +544,12 @@ def stream_deployment(
     variant).  Per micro-batch:
 
     1. ``interface.predict`` — batch-engine decisions for the window;
-    2. the drift-trigger stack ingests the verdicts (a
+    2. the drift trigger ingests the verdicts (a
        :class:`~repro.core.triggers.TriggerStack` built from
-       ``loop.triggers``; the default is decision-identical to the
-       historical rolling-window monitor);
+       ``loop.triggers``, decision-identical to the historical
+       rolling-window monitor);
     3. :func:`~repro.core.incremental.select_relabel_budget` picks the
-       lowest-credibility flagged samples, which the oracle relabels
-       (a cost-aware budget policy may raise the budget on fires);
+       lowest-credibility flagged samples, which the oracle relabels;
     4. the relabelled samples flow back in: a **model update**
        (``incremental_update``) when the trigger stack alerts — full
        model + calibration rebuild, then the window resets — otherwise an
@@ -637,14 +629,7 @@ def stream_deployment(
     oracle_labels = np.asarray(oracle_labels)
     if len(X_stream) != len(oracle_labels):
         raise ValidationError("X_stream and oracle_labels must align")
-    streaming = getattr(interface, "streaming", None)
-    monitor = build_trigger_stack(
-        loop_config.triggers or TriggerConfig(),
-        router=getattr(getattr(streaming, "store", None), "router", None),
-        n_shards=getattr(streaming, "n_shards", 1),
-        featurizer=getattr(interface, "feature_extraction", None),
-        spill=prune_spill if prune else 1.0,
-    )
+    monitor = build_trigger_stack(loop_config.triggers or TriggerConfig())
     writer = None
     restore_errors = []
     restored_generation = None
@@ -773,19 +758,10 @@ def stream_deployment(
             step_pruned = getattr(decisions, "n_shards_pruned", None) or 0
             scored_total += step_scored
             pruned_total += step_pruned
-            # raw inputs + predicted labels carry the routing context
-            # per-shard trigger stacks key on (ignored by global stacks)
-            alert = observe_decisions(
-                monitor,
-                decisions,
-                raw=X_stream[start:stop],
-                labels=predictions,
-            )
+            alert = observe_decisions(monitor, decisions)
             # captured before any post-update reset clears the window
             window_rate = monitor.rejection_rate
-            trigger_decision = monitor.last_decision
-            effective_budget = monitor.relabel_budget(budget_fraction)
-            chosen = select_relabel_budget(decisions, effective_budget)
+            chosen = select_relabel_budget(decisions, budget_fraction)
             updating_model = alert or not update_on_alert
             # In-place model updates keep their class head, and
             # calibration-only extensions score against the current head,
@@ -892,23 +868,7 @@ def stream_deployment(
                     last_checkpoint_ms=step_checkpoint_ms,
                     n_candidates_scored=step_scored,
                     n_shards_pruned=step_pruned,
-                    trigger_metric=(
-                        trigger_decision.metric
-                        if trigger_decision is not None
-                        else 0.0
-                    ),
-                    trigger_threshold=(
-                        trigger_decision.threshold
-                        if trigger_decision is not None
-                        and np.isfinite(trigger_decision.threshold)
-                        else 0.0
-                    ),
-                    trigger_detector=(
-                        trigger_decision.detector
-                        if trigger_decision is not None
-                        else ""
-                    ),
-                    effective_budget_fraction=effective_budget,
+                    effective_budget_fraction=budget_fraction,
                     decisions=decisions if record_decisions else None,
                 )
             )

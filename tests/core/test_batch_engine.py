@@ -426,6 +426,19 @@ class TestDecisionBatchSequence:
         with pytest.raises(IndexError):
             batch[len(batch)]
 
+    def test_equality_and_hash_are_identity(self):
+        prom, test_features, test_probabilities = _classification_setup(seed=13)
+        first = prom.evaluate(test_features, test_probabilities)
+        second = prom.evaluate(test_features, test_probabilities)
+        # array fields never reach a truth-value test
+        assert first == first
+        assert first != second
+        assert hash(first) == hash(first)
+        assert len({first, second}) == 2
+        assert np.array_equal(first.accepted, second.accepted)
+        # a single Decision keeps its value equality
+        assert first[0] == second[0]
+
     def test_index_helpers_fast_path(self, batch_and_list):
         batch, decisions = batch_and_list
         np.testing.assert_array_equal(
