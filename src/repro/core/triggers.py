@@ -11,11 +11,10 @@ the historical deque-based monitor — bit-identical ``alert`` and
 ``rejection_rate`` sequences under any interleaving of observes and
 resets (``tests/core/test_triggers.py``).
 
-Detectors, decision policies, ensembles, per-shard stacks and a
-cost-aware budget used to sit behind the same config.  None of them
-beat this stack on tail accuracy or relabel spend through the
-deployment loop (``benchmarks/out/BENCH_drift_detection.json``), so
-they were removed.
+It is the only trigger because no other detector, decision policy,
+ensemble, per-shard stack or budget policy beat it on tail accuracy or
+relabel spend through the deployment loop (DESIGN.md §11,
+``benchmarks/out/BENCH_drift_detection.json``).
 """
 
 from __future__ import annotations
