@@ -5,12 +5,17 @@ The acceptance property: the default ``TriggerConfig`` stack is
 copy of which lives here as the oracle — under any interleaving of
 observes and resets (hypothesis property test), and across every shard
 router × eviction policy in the deployment loop, sync and async.  On
-top of that: the trigger-state durability round-trip (including a
+top of that: the stack's own contract (window truncation, the inclusive
+threshold, warmup, lifetime counters, ``state_dict`` round trip and
+rejection), the trigger-state durability round-trip (including a
 checkpoint of the previous state version) and observation from
 concurrent serving threads under async maintenance.
 """
 
+import json
+import threading
 from collections import deque
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -29,7 +34,9 @@ from repro.core import (
     TriggerConfig,
     TriggerDecision,
     TriggerStack,
+    ValidationError,
     build_trigger_stack,
+    observe_decisions,
     restore_checkpoint,
 )
 from repro.experiments import runner, stream_deployment
@@ -360,6 +367,231 @@ class TestTriggerConfig:
                 TriggerConfig(**{removed: None})
 
 
+# -- the stack itself: window, threshold, warmup, counters, state ----------------
+
+
+def _observe_flags(stack, flags):
+    return stack.observe_batch([_decision(f) for f in flags])
+
+
+class TestTriggerStack:
+    def test_amount_window_truncates_to_size(self):
+        stack = _stack(window=5)
+        _observe_flags(stack, (True, True, True))
+        _observe_flags(stack, (False, False, True, False))
+        # the window holds the last five verdicts
+        assert stack.state_dict()["flags"] == [1, 0, 0, 1, 0]
+        assert stack.rejection_rate == 0.4
+        assert stack.last_decision.window_fill == 5
+        assert stack.state_dict()["total_seen"] == 7
+
+    def test_credibility_metric_is_windowed_rejection_rate(self):
+        stack = _stack(window=4)
+        stack.observe_batch(_decision_batch([True, False]))
+        assert stack.rejection_rate == 0.5
+        stack.observe_batch(_decision_batch([True, True]))
+        assert stack.rejection_rate == 0.75
+        # the first two verdicts slide out
+        stack.observe_batch(_decision_batch([False, False]))
+        assert stack.rejection_rate == 0.5
+        assert stack.last_decision.rejection_rate == 0.5
+
+    @pytest.mark.parametrize("threshold", (0.25, 0.5, 1.0))
+    def test_static_threshold(self, threshold):
+        stack = TriggerStack(window=4, threshold=threshold, warmup=4)
+        n_at = int(round(threshold * 4))
+        assert not _observe_flags(stack, [True] * (n_at - 1) + [False] * (5 - n_at))
+        assert stack.last_decision.rejection_rate < threshold
+        stack.reset()
+        # a rate equal to the threshold fires
+        assert _observe_flags(stack, [True] * n_at + [False] * (4 - n_at))
+        assert stack.last_decision.rejection_rate == threshold
+
+    @pytest.mark.parametrize("window, warmup", ((3, 3), (10, 10), (50, 10)))
+    def test_default_warmup_is_min_of_10_and_window(self, window, warmup):
+        stack = _stack(window=window)
+        assert stack.warmup == warmup
+        assert not _observe_flags(stack, [True] * (warmup - 1))
+        assert stack.observe(_decision(True))
+
+    def test_warmup_holds_fire_until_window_fill(self):
+        stack = TriggerStack(window=20, threshold=0.3, warmup=6)
+        for fill in range(1, 6):
+            assert not stack.observe(_decision(True))
+            assert stack.last_decision == TriggerDecision(
+                fired=False, rejection_rate=1.0, window_fill=fill, warmed=False
+            )
+        assert stack.observe(_decision(True))
+        assert stack.last_decision.warmed
+
+    def test_zero_warmup_fires_on_first_flag(self):
+        assert TriggerStack(window=10, threshold=0.5, warmup=0).observe(
+            _decision(True)
+        )
+
+    def test_reset_restarts_warmup(self):
+        stack = TriggerStack(window=10, threshold=0.3, warmup=3)
+        assert _observe_flags(stack, [True] * 3)
+        stack.reset()
+        assert not stack.alert
+        assert not stack.observe(_decision(True))
+        assert stack.last_decision.window_fill == 1
+
+    def test_alert_follows_the_latest_step(self):
+        stack = TriggerStack(window=4, threshold=0.5, warmup=1)
+        assert _observe_flags(stack, [True, True])
+        assert stack.alert
+        # window [T, F, F, F]: 0.25 < 0.5
+        assert not _observe_flags(stack, [False] * 3)
+        assert not stack.alert
+
+    @pytest.mark.parametrize("kind", ("list", "decision_batch"))
+    def test_empty_observe_keeps_the_last_step(self, kind):
+        stack = TriggerStack(window=4, threshold=0.5, warmup=1)
+        stack.observe(_decision(True))
+        last = stack.last_decision
+        empty = [] if kind == "list" else _decision_batch([])
+        assert stack.observe_batch(empty)
+        assert stack.last_decision is last
+        assert stack.state_dict()["total_seen"] == 1
+
+    def test_decision_batch_and_decisions_observe_alike(self):
+        flags = [True, False, True, True, False, False, True]
+        batch_stack, list_stack = _stack(window=5), _stack(window=5)
+        assert batch_stack.observe_batch(_decision_batch(flags)) == _observe_flags(
+            list_stack, flags
+        )
+        assert batch_stack.state_dict() == list_stack.state_dict()
+        assert batch_stack.last_decision == list_stack.last_decision
+
+    def test_reset_keeps_lifetime_counters_unless_lifetime(self):
+        stack = _stack(window=4)
+        _observe_flags(stack, (True, True, False, True, False, False))
+        stack.reset()
+        assert stack.rejection_rate == 0.0
+        assert stack.state_dict()["flags"] == []
+        assert stack.lifetime_rejection_rate == 0.5
+        _observe_flags(stack, (True, True))
+        assert stack.lifetime_rejection_rate == 5 / 8
+        stack.reset(lifetime=True)
+        assert stack.lifetime_rejection_rate == 0.0
+        assert stack.state_dict() == _stack(window=4).state_dict()
+
+    def test_rates_are_zero_before_any_observation(self):
+        stack = _stack()
+        assert stack.rejection_rate == 0.0
+        assert stack.lifetime_rejection_rate == 0.0
+        assert not stack.alert
+        assert stack.last_decision is None
+
+    def test_trigger_decision_is_frozen(self):
+        stack = _stack(window=4)
+        stack.observe(_decision(True))
+        with pytest.raises(FrozenInstanceError):
+            stack.last_decision.fired = False
+
+    def test_state_roundtrip_continues_identically(self):
+        rng = np.random.default_rng(5)
+        source = TriggerStack(window=12, threshold=0.4, warmup=5)
+        for _ in range(6):
+            source.observe_batch(_decision_batch(rng.random(7) < 0.3))
+        target = TriggerStack(window=12, threshold=0.4, warmup=5)
+        target.load_state_dict(json.loads(json.dumps(source.state_dict())))
+        assert target.state_dict() == source.state_dict()
+        assert target.rejection_rate == source.rejection_rate
+        assert target.lifetime_rejection_rate == source.lifetime_rejection_rate
+        for _ in range(6):
+            batch = _decision_batch(rng.random(7) < 0.5)
+            assert source.observe_batch(batch) == target.observe_batch(batch)
+            assert source.last_decision == target.last_decision
+        assert target.state_dict() == source.state_dict()
+
+    def test_load_state_clears_the_last_step(self):
+        source = TriggerStack(window=4, threshold=0.5, warmup=1)
+        _observe_flags(source, [True] * 4)
+        target = TriggerStack(window=4, threshold=0.5, warmup=1)
+        assert _observe_flags(target, [True] * 4)
+        target.load_state_dict(source.state_dict())
+        assert target.last_decision is None
+        assert not target.alert
+        assert target.rejection_rate == 1.0
+
+    def test_load_keeps_the_target_settings(self):
+        # threshold and warmup are configuration, not state
+        source = TriggerStack(window=10, threshold=0.3, warmup=2)
+        _observe_flags(source, [True, False, False, False])
+        strict = TriggerStack(window=10, threshold=0.9, warmup=2)
+        strict.load_state_dict(source.state_dict())
+        assert source.observe(_decision(True))
+        assert not strict.observe(_decision(True))
+        assert strict.threshold == 0.9
+        assert strict.state_dict() == source.state_dict()
+
+    def test_mismatched_state_rejected(self):
+        state = _stack(window=6).state_dict()
+        with pytest.raises(ValidationError):
+            _stack(window=7).load_state_dict(state)
+
+    @pytest.mark.parametrize("version", (None, 1, 3, "2"))
+    def test_other_state_versions_rejected(self, version):
+        source = _stack(window=4)
+        _observe_flags(source, [True] * 3)
+        state = source.state_dict()
+        if version is None:
+            del state["version"]
+        else:
+            state["version"] = version
+        target = _stack(window=4)
+        target.observe(_decision(False))
+        before = target.state_dict()
+        with pytest.raises(ValidationError):
+            target.load_state_dict(state)
+        # a rejected payload changes nothing
+        assert target.state_dict() == before
+
+    def test_recorded_v1_payload_rejected(self):
+        with pytest.raises(ValidationError, match="v1"):
+            _stack(window=4).load_state_dict(V1_DEFAULT_STACK_STATE)
+
+    @pytest.mark.parametrize(
+        "config, warmup",
+        (
+            (TriggerConfig(), 10),
+            (TriggerConfig(window=1), 1),
+            (TriggerConfig(window=7, threshold=1.0, warmup=0), 0),
+            (TriggerConfig(window=30, threshold=0.05, warmup=30), 30),
+        ),
+    )
+    def test_build_trigger_stack_carries_config(self, config, warmup):
+        stack = build_trigger_stack(config)
+        assert (stack.window, stack.threshold, stack.warmup) == (
+            config.window,
+            config.threshold,
+            warmup,
+        )
+
+    def test_observe_decisions_returns_the_stack_verdict(self):
+        stack = TriggerStack(window=4, threshold=0.5, warmup=2)
+        assert observe_decisions(stack, _decision_batch([True])) is False
+        assert observe_decisions(stack, _decision_batch([True])) is True
+        assert stack.state_dict()["total_seen"] == 2
+
+    def test_runner_observes_through_module_level_lookup(self, monkeypatch):
+        # tracing tools patch runner.observe_decisions; the loop must see it
+        observed = []
+        original = runner.observe_decisions
+
+        def traced(monitor, decisions):
+            observed.append(len(decisions))
+            return original(monitor, decisions)
+
+        monkeypatch.setattr(runner, "observe_decisions", traced)
+        run = _stream_run("hash", "fifo", asynchronous=False)
+        assert len(observed) == len(run.steps)
+        assert sum(observed) == 400
+        assert run.monitor.state_dict()["total_seen"] == 400
+
+
 # -- durability: trigger-state round-trip ------------------------------------------
 
 
@@ -539,8 +771,6 @@ class TestTriggerDurability:
 class TestPerShardConcurrency:
     def test_per_shard_triggers_survive_async_maintenance(self):
         """Two serving threads observe one stack while folds churn 4 shards."""
-        import threading
-
         interface = _trained_interface(
             n_shards=4, router="cluster", eviction="reservoir"
         )
@@ -583,6 +813,38 @@ class TestPerShardConcurrency:
         # the leaf lock lost no observation from either thread
         assert stack.state_dict()["total_seen"] == loop.stats.trigger_observations
         assert 0.0 <= stack.lifetime_rejection_rate <= 1.0
+
+    def test_threads_observing_one_stack_lose_no_verdict(self):
+        stack = _stack(window=50)
+        rng = np.random.default_rng(3)
+        batches = [
+            [_decision_batch(rng.random(5) < 0.3) for _ in range(200)]
+            for _ in range(4)
+        ]
+
+        def observe(own):
+            for batch in own:
+                stack.observe_batch(batch)
+
+        threads = [threading.Thread(target=observe, args=(b,)) for b in batches]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        state = stack.state_dict()
+        assert state["total_seen"] == 4 * 200 * 5
+        assert state["total_rejected"] == sum(
+            int(np.sum(batch.drifting)) for own in batches for batch in own
+        )
+        assert len(state["flags"]) == 50
+
+    def test_loop_without_triggers_counts_nothing(self):
+        loop = AsyncServingLoop(_trained_interface())
+        X_drifted, _ = make_blobs(80, shift=4.0, seed=11)
+        loop.predict(X_drifted)
+        loop.close()
+        assert loop.stats.trigger_observations == 0
+        assert loop.stats.trigger_fires == 0
 
     def test_loop_counts_trigger_fires(self):
         interface = _trained_interface()
