@@ -73,10 +73,11 @@ _EVALUATE_CELL_BUDGET = 2_000_000
 def _evaluation_chunk(n_calibration: int, chunk_size: int | None, n_labels: int = 1) -> int:
     """Test rows per chunk so per-chunk temporaries stay bounded.
 
-    The widest temporaries are the ``(chunk, k)`` selection/binning
-    matrices (``k <= n_calibration``) and the ``(chunk, n_labels,
-    n_labels)`` broadcast inside the closed-form ``score_all_labels``
-    kernels, so both dimensions cap the chunk.
+    The widest temporaries are the ``(chunk, n_calibration)`` distance
+    block and its ``argpartition`` output — the selection keeps the
+    block until the binning has weighed the terms it reads — and the
+    ``(chunk, n_labels, n_labels)`` broadcast inside the closed-form
+    ``score_all_labels`` kernels, so both dimensions cap the chunk.
     """
     if chunk_size is not None:
         if chunk_size < 1:

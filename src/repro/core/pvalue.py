@@ -132,24 +132,26 @@ def bin_subset_by_label(
     the verdict binning: the terms whose calibration label equals the
     row's predicted label, in selection order, one bin per row.  Every
     bin holds exactly the terms, in the same order, of bin ``(row,
-    predicted)`` of the full binning.
+    predicted)`` of the full binning.  Only those terms are weighed
+    (:meth:`~repro.core.weighting.CalibrationSubsetBatch.terms`); the
+    full binning reads the whole weight matrix.
     """
     indices = np.asarray(subset_batch.indices)
-    weights = np.asarray(subset_batch.weights)
     n_test = len(indices)
     labels = _gather(calibration_labels, indices)
     if predicted_labels is not None:
         predicted = np.asarray(predicted_labels).reshape(-1, 1)
-        kept = np.flatnonzero(labels == predicted)
-        rows = kept // max(1, indices.shape[1])
-        weights = np.take(weights.ravel(), kept)
+        rows, kept_indices, weights = subset_batch.terms(
+            np.flatnonzero(labels == predicted)
+        )
         return SubsetBinning(
-            indices=np.take(indices.ravel(), kept),
+            indices=kept_indices,
             weights=weights,
             flat_bins=rows,
             weight_sums=_label_binned_sums(rows, weights, n_test).reshape(n_test, 1),
             n_labels=1,
         )
+    weights = np.asarray(subset_batch.weights)
     flat_bins = labels.astype(int, copy=False)
     flat_bins += (np.arange(n_test) * n_labels)[:, None]
     flat_bins = flat_bins.ravel()

@@ -10,7 +10,6 @@ weight ``w_i = exp(-||v_i - v_test||^2 / tau)``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from .blocks import as_column, panel_bounds, panel_product
@@ -192,25 +191,101 @@ def _selection_operands(calibration_features, test_features):
     return features, test
 
 
-@dataclass(frozen=True)
 class CalibrationSubsetBatch:
-    """Per-test-sample calibration views for a whole batch at once.
+    """Per-test-sample calibration selections for a whole batch at once.
 
     Every test sample selects the same number ``k`` of calibration
     samples (all of them below ``min_samples``, the nearest fraction
-    above), so the selection is two rectangular ``(n_test, k)`` arrays
-    instead of ``n_test`` ragged objects.
+    above), so the selection is one rectangular ``(n_test, k)`` index
+    matrix instead of ``n_test`` ragged objects.
 
-    Attributes:
-        indices: selected calibration positions, one row per test sample.
-        weights: exponential distance weights aligned with ``indices``.
+    :meth:`AdaptiveWeighting.select_batch` keeps no weight matrix.  It
+    hands over the squared-distance blocks the selection was cut from,
+    with tau and the weight floor, and a selected term is weighed where
+    it is read: :meth:`terms` weighs only the terms a caller keeps (the
+    verdict binning keeps each row's predicted-label terms), and
+    :attr:`weights` materialises the whole matrix on first read and then
+    drops the blocks.  Both run the same take / divide / ``exp`` / floor
+    elementwise, so a term's weight has the same bits either way
+    (DESIGN.md §2, "Verdict vs detail").
+
+    Args:
+        indices: selected calibration positions, one row per test
+            sample.
+        weights: an explicit ``(n_test, k)`` weight matrix aligned with
+            ``indices``; when given, nothing else is needed.
+        blocks: ``(start, block)`` pairs covering the test rows in
+            order, each ``block`` the C-contiguous squared distances of
+            test rows ``start:start + len(block)`` to every calibration
+            row.
+        tau / floor: the weight's temperature and lower bound.
     """
 
-    indices: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("indices", "_weights", "_blocks", "_tau", "_floor")
+
+    def __init__(self, indices, weights=None, blocks=(), tau=1.0, floor=0.0):
+        self.indices = indices
+        self._weights = weights
+        self._blocks = tuple(blocks)
+        self._tau = tau
+        self._floor = floor
 
     def __len__(self) -> int:
         return len(self.indices)
+
+    def _weigh(self, squared: np.ndarray) -> np.ndarray:
+        """``max(exp(-squared / tau), floor)``, elementwise, in place."""
+        np.divide(squared, -self._tau, out=squared)
+        np.exp(squared, out=squared)
+        np.maximum(squared, self._floor, out=squared)
+        return squared
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Exponential distance weights aligned with ``indices``.
+
+        Computed on first read from the distance blocks, which are then
+        released.
+        """
+        if self._weights is None:
+            squared = np.empty(self.indices.shape)
+            for start, block in self._blocks:
+                stop = start + len(block)
+                # the block is C-contiguous, so row r's column c sits at
+                # flat position r * n + c: one 1-D take instead of a 2-D
+                # fancy index.  The positions are in range by
+                # construction; a non-"raise" mode lets take write
+                # straight into ``out``.
+                positions = self.indices[start:stop] + np.arange(
+                    0, block.size, block.shape[1]
+                )[:, None]
+                np.take(block.ravel(), positions, out=squared[start:stop], mode="clip")
+            self._weights = self._weigh(squared)
+            self._blocks = ()
+        return self._weights
+
+    def terms(self, kept: np.ndarray) -> tuple:
+        """``(rows, indices, weights)`` of the selected terms at ``kept``.
+
+        ``kept`` holds flat positions into the ``(n_test, k)`` selection,
+        in increasing order.  Each term's test row, calibration position
+        and weight come back aligned; the weights are gathered straight
+        from the distance blocks (``row * n + index``) and only these
+        terms are weighed.
+        """
+        rows = kept // max(1, self.indices.shape[1])
+        indices = np.take(self.indices.ravel(), kept)
+        if self._weights is not None:
+            return rows, indices, np.take(self._weights.ravel(), kept)
+        squared = np.empty(len(kept))
+        starts = [start for start, _ in self._blocks] + [len(self.indices)]
+        bounds = np.searchsorted(rows, starts)
+        for (start, block), lo, hi in zip(self._blocks, bounds, bounds[1:]):
+            positions = rows[lo:hi] - start
+            positions *= block.shape[1]
+            positions += indices[lo:hi]
+            np.take(block.ravel(), positions, out=squared[lo:hi], mode="clip")
+        return rows, indices, self._weigh(squared)
 
 
 class AdaptiveWeighting:
@@ -303,9 +378,10 @@ class AdaptiveWeighting:
 
         The test-vs-calibration distance matrix is computed in
         memory-bounded chunks via the dot-product identity; selection
-        and weighting are then a per-row ``argpartition`` plus one
-        vectorized ``exp``, so the whole batch costs a handful of NumPy
-        kernels instead of ``n_test`` Python iterations.
+        is then a per-row ``argpartition``, so the whole batch costs a
+        handful of NumPy kernels instead of ``n_test`` Python
+        iterations.  The result keeps the distance chunks and weighs a
+        term only when it is read (:class:`CalibrationSubsetBatch`).
 
         ``calibration_features`` is a
         :class:`~repro.core.blocks.BlockColumn` or an array (read as a
@@ -320,26 +396,21 @@ class AdaptiveWeighting:
             tau = self.resolve_tau(calibration_features)
 
         indices = np.empty((n_test, keep), dtype=int)
-        squared = np.empty((n_test, keep))
+        blocks = []
         for start, stop, block in iter_squared_distance_chunks(
             test, features, chunk_size
         ):
             if keep == n:
                 indices[start:stop] = np.arange(n)
-                squared[start:stop] = block
-                continue
-            block_indices = np.argpartition(block, keep - 1, axis=1)[:, :keep]
-            indices[start:stop] = block_indices
-            # the block is C-contiguous, so row r's column c sits at flat
-            # position r * n + c: one 1-D take instead of a 2-D fancy
-            # index.  The positions are in range by construction; a
-            # non-"raise" mode lets take write straight into ``out``.
-            block_indices = block_indices + np.arange(0, block.size, n)[:, None]
-            np.take(block.ravel(), block_indices, out=squared[start:stop], mode="clip")
-        weights = squared / -tau
-        np.exp(weights, out=weights)
-        np.maximum(weights, self.weight_floor, out=weights)
-        return CalibrationSubsetBatch(indices=indices, weights=weights)
+            else:
+                # the (n, k) slice of the partition is strided; copied
+                # once into the contiguous matrix, every later gather
+                # and ravel reads it without a copy
+                indices[start:stop] = np.argpartition(block, keep - 1, axis=1)[:, :keep]
+            blocks.append((start, block))
+        return CalibrationSubsetBatch(
+            indices, blocks=blocks, tau=tau, floor=self.weight_floor
+        )
 
 
 class UniformWeighting(AdaptiveWeighting):

@@ -232,3 +232,91 @@ class TestDetector:
             assert np.array_equal(getattr(deferred, name), getattr(eager, name)), name
         for name in ("confidence", "expert_confidence", "expert_set_size"):
             assert np.array_equal(getattr(deferred, name), getattr(eager, name)), name
+
+
+class TestKeptTermWeights:
+    """The verdict binning weighs only the terms it keeps.
+
+    ``select_batch`` hands back the distance blocks, not a weight
+    matrix; the verdict binning weighs each row's predicted-label terms
+    straight from them.  Those weights and their per-row sums must be
+    the materialised matrix's, bitwise, at the kept positions.
+    """
+
+    @pytest.mark.parametrize("chunk_size", [None, 7])
+    @pytest.mark.parametrize("keep", ["all", "half", "uniform"])
+    def test_kept_weights_are_the_materialised_weights(self, chunk_size, keep):
+        features, _, labels = _calibration(n=300)
+        test_features, test_probabilities = _test_batch(n=45)
+        predicted = np.argmax(test_probabilities, axis=1)
+        selector = {
+            "all": AdaptiveWeighting(fraction=0.5, min_samples=1000),
+            "half": AdaptiveWeighting(fraction=0.5, min_samples=50),
+            "uniform": UniformWeighting(),
+        }[keep]
+        selector.resolve_tau(features)
+
+        def select():
+            return selector.select_batch(features, test_features, chunk_size=chunk_size)
+
+        materialised = select()
+        weights = materialised.weights
+        k = 150 if keep == "half" else 300
+        assert weights.shape == (45, k)
+        full = bin_subset_by_label(materialised, labels, 6)
+        kept_subset = select()
+        verdict = bin_subset_by_label(kept_subset, labels, 6, predicted)
+
+        kept = np.flatnonzero(labels[materialised.indices] == predicted[:, None])
+        assert np.array_equal(verdict.flat_bins, kept // k)
+        assert np.array_equal(verdict.indices, materialised.indices.ravel()[kept])
+        assert np.array_equal(verdict.weights, weights.ravel()[kept])
+        rows = np.arange(45)
+        assert np.array_equal(verdict.weight_sums[:, 0], full.weight_sums[rows, predicted])
+        # the kept-term read leaves the blocks: the full matrix still
+        # materialises afterwards, with the same bits
+        assert np.array_equal(kept_subset.weights, weights)
+
+    def test_weights_materialise_once(self):
+        features, _, _ = _calibration(n=300)
+        test_features, _ = _test_batch(n=20)
+        selector = AdaptiveWeighting(fraction=0.5, min_samples=50)
+        subset = selector.select_batch(features, test_features, chunk_size=6)
+        assert subset.weights is subset.weights
+
+    @pytest.mark.parametrize("chunk_size", [None, 9])
+    def test_open_rows(self, chunk_size):
+        """Undecided rows re-bin a materialised slice of the selection."""
+        prom = PromClassifier(
+            functions=_functions(),
+            min_calibration=100,
+            **REGIMES["credibility_above_epsilon"],
+        ).calibrate(*_calibration())
+        test_features, test_probabilities = _test_batch(n=80)
+        deferred = prom.evaluate(test_features, test_probabilities, chunk_size=chunk_size)
+        eager = _eager_copy(prom).evaluate(
+            test_features, test_probabilities, chunk_size=chunk_size
+        )
+        credibility = deferred.expert_credibility
+        assert ((credibility > prom.epsilon) & (credibility < 0.45)).any()
+        for name in ("accepted", "credibility", "expert_credibility", "expert_accept"):
+            assert np.array_equal(getattr(deferred, name), getattr(eager, name)), name
+
+    def test_verdict_evaluate_does_not_materialise_weights(self, monkeypatch):
+        from repro.core.weighting import CalibrationSubsetBatch
+
+        materialised = []
+        weights = CalibrationSubsetBatch.weights
+
+        def counting(subset):
+            materialised.append(subset.indices.shape)
+            return weights.fget(subset)
+
+        monkeypatch.setattr(CalibrationSubsetBatch, "weights", property(counting))
+        prom = PromClassifier(min_calibration=100).calibrate(*_calibration())
+        test_features, test_probabilities = _test_batch(n=60)
+        batch = prom.evaluate(test_features, test_probabilities, chunk_size=25)
+        assert materialised == []
+        # the detail is the full-label kernel: it reads the whole matrix
+        batch.confidence
+        assert materialised == [(25, 200), (25, 200), (10, 200)]
