@@ -416,6 +416,26 @@ class CalibrationStore:
         if lifetime:
             self._seen = 0
 
+    def restart_stream(self) -> None:
+        """Restart the stream in place, keeping every row where it is.
+
+        Leaves the state ``clone_empty()`` followed by one ``add()`` of
+        the stored rows would: arrival counters renumbered ``0..n-1`` in
+        exposed order, :attr:`n_seen` equal to ``n`` and the generator
+        re-seeded from :attr:`seed`; rows, priorities and their order
+        stay.  An empty store drops its column schema, as a fresh clone
+        has none.
+        """
+        n = len(self)
+        if n:
+            arrival = self._private(_ARRIVAL, self._arrival_buffer)
+            arrival[self._head : self._tail] = np.arange(n)
+            self._arrival_buffer = arrival
+        else:
+            self.clear()
+        self._seen = n
+        self._rng = np.random.default_rng(self.seed)
+
     def clone_empty(self) -> "CalibrationStore":
         """A fresh, empty store with the same capacity/policy/seed."""
         return CalibrationStore(self.capacity, self.policy, seed=self.seed)

@@ -167,6 +167,15 @@ class ShardRouter(abc.ABC):
     def route(self, features, labels=None) -> np.ndarray:
         """Return the shard id of every sample, shape ``(n,)``."""
 
+    def route_keys(self, feature_column, label_column) -> tuple | None:
+        """The store columns this router's routes are a pure function of.
+
+        ``None`` (the default) when re-routing may move rows whatever
+        the columns hold: a fitted router refits on the rows it routes,
+        not on the ones it was fit on.
+        """
+        return None
+
     def _check_routes(self, shard_ids: np.ndarray) -> np.ndarray:
         shard_ids = np.asarray(shard_ids, dtype=int)
         if len(shard_ids) and (
@@ -200,6 +209,10 @@ class HashShardRouter(ShardRouter):
             [zlib.crc32(row.tobytes()) % self.n_shards for row in features]
         )
 
+    def route_keys(self, feature_column, label_column) -> tuple:
+        """The feature bytes alone decide a route."""
+        return (feature_column,)
+
 
 class LabelShardRouter(ShardRouter):
     """Route by true label: ``shard = label % n_shards``.
@@ -225,6 +238,10 @@ class LabelShardRouter(ShardRouter):
                 "'hash' or 'cluster' router for label-free (regression) stores"
             )
         return self._check_routes(np.asarray(labels, dtype=int) % self.n_shards)
+
+    def route_keys(self, feature_column, label_column) -> tuple:
+        """The label alone decides a route."""
+        return (label_column,)
 
 
 class ClusterShardRouter(ShardRouter):
@@ -979,7 +996,11 @@ class ShardedCalibrationStore:
                 f"store holds {len(self)}"
             )
         with self._structural_mutation(f"replace column {name!r}"):
-            self._invalidate_columns()
+            # only this column's buffers change: every other column's
+            # cached views stay valid
+            self._column_cache.pop(name, None)
+            for cache in self._segment_cache:
+                cache.pop(name, None)
             start = 0
             for shard in self.shards:
                 stop = start + len(shard)
@@ -990,6 +1011,61 @@ class ShardedCalibrationStore:
                     shard.replace_column(name, values[start:stop])
                 start = stop
             self._tag_mutation()
+
+    def keeps_routes(self, unchanged) -> bool:
+        """Whether re-routing would leave every row in its shard.
+
+        ``unchanged`` names the columns whose stored values a caller
+        found bitwise equal to their replacements.  A one-shard store
+        never moves a row; otherwise the router must key only on
+        unchanged columns (:meth:`ShardRouter.route_keys`), so every row
+        routes back to the shard the router put it in (rows placed by an
+        explicit ``add(shard_ids=...)`` are taken to be where they
+        belong).
+        """
+        if self.n_shards == 1:
+            return True
+        keys = self.router.route_keys(self.feature_column, self.label_column)
+        return keys is not None and set(keys) <= set(unchanged)
+
+    def replace_outputs(self, unchanged, **columns) -> None:
+        """A model update's column swap and rebalance, when no row moves.
+
+        The in-place form of :meth:`replace_column` for every column of
+        the update followed by :meth:`rebalance`, for an update
+        :meth:`keeps_routes` accepts: ``columns`` are rewritten, and the
+        columns named in ``unchanged`` keep their buffers and cached
+        views, so blocks (and feature panels) built on them carry over.
+        Each shard's stream then restarts in place exactly as a
+        rebalance restarts it (:meth:`CalibrationStore.restart_stream`);
+        a one-shard store keeps its counters, as there.  The epochs
+        advance as on that path, one per column and rebalance's two, so
+        a checkpoint does not show which path ran.
+
+        Raises:
+            CalibrationError: when re-routing could move a row.
+            ServingError: when another thread holds any shard write
+                lock (see :meth:`rebalance`).
+        """
+        if not self.keeps_routes(unchanged):
+            raise CalibrationError(
+                f"{self.router!r} may move rows when {sorted(columns)} change; "
+                f"replace the columns and rebalance() instead"
+            )
+        with self._structural_mutation("replace the store's outputs"):
+            for name, values in columns.items():
+                self.replace_column(name, values)
+            for _ in unchanged:
+                self._tag_mutation()
+            if self.n_shards == 1 or len(self) == 0:
+                return
+            self._tag_mutation()
+            self._column_cache.pop("__arrival__", None)
+            for shard in self.shards:
+                shard.restart_stream()
+            self._tag_mutation(
+                [s for s, shard in enumerate(self.shards) if len(shard)]
+            )
 
     def rebalance(self, refit_router: bool = True) -> ShardedStoreUpdate | None:
         """Re-route every stored sample through the (re)fit router.

@@ -97,6 +97,20 @@ def _check_eviction(store, positions) -> None:
         raise CalibrationError("eviction would empty the calibration store")
 
 
+def _same_bits(new, stored) -> bool:
+    """Whether two arrays hold the same dtype, shape and bytes.
+
+    Value equality is not enough: ``-0.0 == 0.0``, but the hash router
+    keys on the bytes.
+    """
+    if new.dtype != stored.dtype:
+        return False
+    # validated columns are numeric (float64 features, integer labels):
+    # an unsigned view of the same item size compares their bytes
+    unsigned = np.dtype(f"u{new.itemsize}")
+    return np.array_equal(new.view(unsigned), stored.view(unsigned))
+
+
 def _shard_tau(weighting, features) -> float:
     """One shard's tau: the fixed tau when set, else the bounded kernel."""
     if weighting.tau is not None:
@@ -602,21 +616,44 @@ class StreamingPromClassifier(_ShardMixin):
         """Swap the derived columns after a model update, then recalibrate.
 
         Membership is unchanged — same samples, same store order — but
-        the deployed model changed, so every stored feature vector and
-        probability row is stale.  Incremental maintenance cannot help
-        here (all scores change); this is the designed full-rebuild
-        path.  The store also re-fits its router and re-routes every
-        sample (the feature space the router keyed on moved too), which
-        may trigger per-shard evictions when the new routing overloads
-        a shard; a one-shard store keeps its rows where they are.
+        the deployed model changed, so every stored probability row (and
+        possibly every feature vector) is stale and every score changes.
+
+        When the features come back bitwise unchanged (a static feature
+        extractor) and no row would change shard
+        (:meth:`~repro.core.sharding.ShardedCalibrationStore.keeps_routes`:
+        hash routing, label routing with unchanged labels, or one
+        shard), only the outputs are rescored: the store rewrites the
+        changed columns and restarts its per-shard streams in place, and
+        :meth:`recalibrate_shards` rescores every shard, while tau, the
+        feature blocks and their panels carry over.  Otherwise the store
+        re-fits its router and re-routes every sample (the feature space
+        the router keyed on moved too), which may trigger per-shard
+        evictions when the new routing overloads a shard, and the
+        detector is rebuilt by :meth:`refresh`.  Both paths leave the
+        same state, bitwise.
         """
         features, probabilities, labels = _check_classification_inputs(
             features, probabilities, labels
         )
-        self.store.replace_column("features", features)
-        self.store.replace_column("probabilities", probabilities)
-        self.store.replace_column("label", labels)
-        self.store.rebalance(refit_router=True)
+        store = self.store
+        columns = {"features": features, "probabilities": probabilities, "label": labels}
+        unchanged = tuple(
+            name
+            for name in ("features", "label")
+            if _same_bits(columns[name], store.column(name))
+        )
+        if "features" in unchanged and store.keeps_routes(unchanged):
+            store.replace_outputs(
+                unchanged,
+                **{name: values for name, values in columns.items() if name not in unchanged},
+            )
+            self.prom._n_classes = probabilities.shape[1]
+            self.recalibrate_shards()
+            return
+        for name, values in columns.items():
+            store.replace_column(name, values)
+        store.rebalance(refit_router=True)
         self.refresh()
 
     # -- deployment (delegation) --------------------------------------------------
