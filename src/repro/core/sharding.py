@@ -1055,6 +1055,7 @@ class ShardedCalibrationStore:
         with self._structural_mutation("replace the store's outputs"):
             for name, values in columns.items():
                 self.replace_column(name, values)
+            # the full path rewrites the unchanged columns too
             for _ in unchanged:
                 self._tag_mutation()
             if self.n_shards == 1 or len(self) == 0:
