@@ -16,7 +16,12 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import CheckpointWriter, ShardedCalibrationStore, StreamingPromClassifier
+from repro.core import (
+    CalibrationError,
+    CheckpointWriter,
+    ShardedCalibrationStore,
+    StreamingPromClassifier,
+)
 
 ROUTERS = ("hash", "label", "cluster")
 POLICIES = ("fifo", "reservoir", "lowest_weight")
@@ -214,3 +219,5 @@ def test_cluster_refit_moves_rows():
         for old, new in zip(before, after)
     )
     assert not store.keeps_routes(("features", "label"))
+    with pytest.raises(CalibrationError, match="may move rows"):
+        store.replace_outputs(("features", "label"), probabilities=store.column("probabilities"))
