@@ -441,13 +441,36 @@ class CalibrationStore:
         return CalibrationStore(self.capacity, self.policy, seed=self.seed)
 
     # -- internal storage ---------------------------------------------------------
-    def _set_from_arrays(self, columns: dict, arrival, priority) -> None:
-        """Adopt exact (owned, unexposed) arrays as the live window (head 0)."""
-        self._buffers = dict(columns)
-        self._arrival_buffer = arrival
-        self._priority_buffer = priority
+    def _set_from_arrays(self, columns: dict, arrival, priority, rows=None) -> None:
+        """Adopt rows as the live window (head 0) of fresh buffers.
+
+        Each array is copied once, its ``rows`` positions (all rows by
+        default) gathered into a buffer with the headroom :meth:`_reserve`
+        gives on growth, ``max(2n, 16)`` rows.  The store owns what it
+        adopts, so a caller mutating the sources afterwards cannot
+        corrupt the views :meth:`column` hands out, and the appends
+        after a ``calibrate``, an :meth:`evict` or a checkpoint restore
+        write in place: a view taken before them stays a view of the
+        live buffer instead of pinning one the first append regrew.
+        """
+        n = len(arrival) if rows is None else len(rows)
+        size = max(2 * n, 16)
+
+        def adopt(values):
+            buffer = np.empty((size,) + values.shape[1:], dtype=values.dtype)
+            if rows is None:
+                buffer[:n] = values
+            else:
+                # mode="clip" skips take's buffered bounds check, which
+                # would gather into a temporary first; rows are in range
+                np.take(values, rows, axis=0, out=buffer[:n], mode="clip")
+            return buffer
+
+        self._buffers = {name: adopt(values) for name, values in columns.items()}
+        self._arrival_buffer = adopt(arrival)
+        self._priority_buffer = adopt(priority)
         self._head = 0
-        self._tail = len(arrival)
+        self._tail = n
         self._exposed = set()
 
     def _reserve(self, columns: dict, n_extra: int) -> None:
@@ -556,14 +579,7 @@ class CalibrationStore:
             if self._buffers:
                 self._append(arrays, new_arrival, new_priority)
             else:
-                # Copy on adoption: the store must own its buffers so a
-                # caller mutating the input arrays afterwards cannot
-                # corrupt the views column() hands out.
-                self._set_from_arrays(
-                    {name: np.array(values) for name, values in arrays.items()},
-                    new_arrival,
-                    np.array(new_priority),
-                )
+                self._set_from_arrays(arrays, new_arrival, new_priority)
         else:
             # Slot-reuse (free-list) eviction: existing victims free
             # their slots in place and surviving new rows overwrite
@@ -599,11 +615,7 @@ class CalibrationStore:
             else:
                 # First-ever add already overflowing: no existing slots
                 # to reuse, adopt the surviving new rows directly.
-                self._set_from_arrays(
-                    {name: np.array(values[tail]) for name, values in arrays.items()},
-                    new_arrival[tail],
-                    np.array(new_priority[tail]),
-                )
+                self._set_from_arrays(arrays, new_arrival, new_priority, rows=tail)
             slot_map = np.arange(n_before, dtype=np.int64)
             slot_map[freed] = n_before + fill
             order = np.concatenate([slot_map, n_before + tail])
@@ -625,11 +637,11 @@ class CalibrationStore:
         keep_mask = np.ones(n, dtype=bool)
         keep_mask[positions] = False
         live = slice(self._head, self._tail)
-        # boolean gathers copy: the compacted arrays are fresh buffers
         self._set_from_arrays(
-            {name: b[live][keep_mask] for name, b in self._buffers.items()},
-            self._arrival_buffer[live][keep_mask],
-            self._priority_buffer[live][keep_mask],
+            {name: b[live] for name, b in self._buffers.items()},
+            self._arrival_buffer[live],
+            self._priority_buffer[live],
+            rows=np.flatnonzero(keep_mask),
         )
         return StoreUpdate(
             n_before=n,

@@ -322,23 +322,20 @@ class ModelInterface(abc.ABC):
             self._y_train = y_all
         # Fold the new batch into the capped store first, then rebuild
         # the whole calibration state once: the model moved, so every
-        # stored feature vector and probability row is stale anyway.
-        # With several shards the feature and label columns carry real
-        # values (the shard router keys on them); probabilities stay a
+        # stored probability row is stale anyway.  The feature and label
+        # columns carry real values: a shard router keys on them, and
+        # when the recomputed features come back equal replace_outputs
+        # rescores only the outputs (at any shard count).  A zero
+        # placeholder stands in only for features whose shape changed,
+        # which replace_outputs rewrites in full.  Probabilities stay a
         # zero placeholder sized to the stored schema because a refit
         # may have grown the class head — replace_outputs handles the
         # trailing-shape change when it recomputes every surviving row.
         store = self.streaming.store
-        new_features = None
-        if store.n_shards > 1:
-            # worth a model forward pass only when a router consumes it
-            new_features = np.asarray(self.feature_extraction(X_new), dtype=float)
-            if new_features.shape[1:] != store.column("features").shape[1:]:
-                new_features = None
-        if new_features is None:
-            new_features = np.zeros(
-                (len(X_new),) + store.column("features").shape[1:]
-            )
+        stored_shape = store.column("features").shape[1:]
+        new_features = np.asarray(self.feature_extraction(X_new), dtype=float)
+        if new_features.shape[1:] != stored_shape:
+            new_features = np.zeros((len(X_new),) + stored_shape)
         store.add(
             features=new_features,
             probabilities=np.zeros(
@@ -531,10 +528,13 @@ class RegressionModelInterface(abc.ABC):
         # the whole calibration state once against the updated model.
         # (Unlike the classifier there is no output-width hazard, and a
         # single rebuild avoids paying the "loo" mode's clustering and
-        # leave-one-out costs twice per round.)  With several shards the
-        # feature column carries real values so the router can key on
-        # them; the prediction column stays a zero placeholder because
-        # replace_outputs recomputes it for every surviving row anyway.
+        # leave-one-out costs twice per round.)  The regressor's
+        # replace_outputs always takes the full path: it refits the
+        # clusterer, re-routes every row and rewrites every column, so
+        # no placeholder below outlives it.  With several shards the
+        # feature column still carries real values: the store routes the
+        # new rows on them, and that routing decides which rows each
+        # shard's eviction keeps.  At one shard nothing reads them.
         store = self.streaming.store
         new_features = None
         if store.n_shards > 1:

@@ -346,10 +346,10 @@ class _CalibrationState:
     """Calibration-state accessors shared by both detectors."""
 
     #: whether evaluate computes the detail fields in the deciding
-    #: pass.  Set on detectors whose state the maintenance plane
-    #: replaces behind the caller (``detector_snapshot()`` clones and
-    #: process-pool workers); a detector that owns its state defers the
-    #: detail to its first read.
+    #: pass.  Set only on process-pool workers, whose results leave
+    #: pickled (pickling reads the detail anyway) and whose blocks a
+    #: table swap unmaps; every in-process detector, snapshots included,
+    #: defers the detail to its first read.
     _eager_detail = False
 
     #: the detector's only calibration state (``None`` before

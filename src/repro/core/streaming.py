@@ -317,15 +317,17 @@ class _ShardMixin:
         published snapshot.  The copy carries the live detector's
         ``_segment_bundle``, its only calibration state.
 
-        The maintenance plane replaces a snapshot's state behind its
-        readers, so a snapshot computes every batch's detail fields in
-        the deciding pass instead of keeping the blocks alive for a
-        later read (DESIGN.md §2, "Verdict vs detail").
+        A snapshot decides like the live detector: the predicted-label
+        kernel, with each batch's detail fields computed on their first
+        read against the immutable blocks the batch was decided on
+        (DESIGN.md §2, "Verdict vs detail").  A held batch keeps only
+        those blocks alive; the store adopts rows with append headroom,
+        so folds after a calibrate keep writing the buffers such
+        blocks view instead of regrowing them.
         """
         self.prom._require_calibrated()
         prom = copy.copy(self.prom)
         prom.weighting = copy.copy(self.prom.weighting)
-        prom._eager_detail = True
         return prom
 
     @property

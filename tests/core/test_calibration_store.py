@@ -10,6 +10,7 @@ from repro.core import (
     FIFOEviction,
     LowestWeightEviction,
     ReservoirEviction,
+    StreamingPromClassifier,
     resolve_eviction_policy,
 )
 
@@ -351,6 +352,66 @@ class TestImmutableViews:
         # the head advanced and the tail grew in the same buffer
         assert np.shares_memory(before, after)
         assert np.array_equal(before[3:], after[:5])
+
+    @pytest.mark.parametrize("first", ["add", "overflowing_add", "evict"])
+    def test_first_fifo_fold_after_adoption_appends_in_place(self, first):
+        store = CalibrationStore(12)
+        if first == "add":
+            _add(store, 12, seed=0)
+        elif first == "overflowing_add":
+            _add(store, 20, seed=0)
+        else:
+            _add(store, 12, seed=0)
+            store.evict([0, 5, 6])
+        n = len(store)
+        assert len(store._arrival_buffer) == max(2 * n, 16)
+        before = {
+            "features": store.column("features"),
+            "label": store.column("label"),
+            "arrival": store.arrival,
+            "priority": store.priority,
+        }
+        _add(store, 3, seed=2)
+        after = {
+            "features": store.column("features"),
+            "label": store.column("label"),
+            "arrival": store.arrival,
+            "priority": store.priority,
+        }
+        for name, view in before.items():
+            assert np.shares_memory(view, after[name]), name
+            kept = min(n, store.capacity - 3)
+            assert np.array_equal(view[n - kept :], after[name][:kept]), name
+
+    @pytest.mark.parametrize("first", ["calibrate", "evict"])
+    def test_first_fold_into_each_shard_appends_in_place(self, first):
+        g = np.random.default_rng(4)
+
+        def batch(n):
+            raw = g.random((n, 3)) + 0.05
+            return (
+                g.normal(size=(n, 4)),
+                raw / raw.sum(axis=1, keepdims=True),
+                g.integers(0, 3, n),
+            )
+
+        streaming = StreamingPromClassifier(capacity=120, seed=1, n_shards=3)
+        streaming.calibrate(*batch(120))
+        if first == "evict":
+            streaming.evict(np.arange(0, len(streaming.store), 7))
+        store = streaming.store
+        before = [
+            store.column_segments(name) for name in ("features", "label")
+        ]
+        touched = set()
+        while len(touched) < store.n_shards:
+            touched.update(streaming.update(*batch(2)).touched)
+        after = [
+            store.column_segments(name) for name in ("features", "label")
+        ]
+        for old, new in zip(before, after):
+            for shard_id in range(store.n_shards):
+                assert np.shares_memory(old[shard_id], new[shard_id])
 
     def test_replace_column_keeps_earlier_views(self):
         store = CalibrationStore(10, "reservoir", seed=1)

@@ -12,10 +12,18 @@ their first read.  The contract checked here:
   and pickling;
 * it holds the calibration blocks only: the detector's bundle and
   evaluation view die once the detector moves on while the batch is
-  still held;
-* snapshots and process-pool workers compute the detail eagerly.
+  still held, and a snapshot batch held across FIFO folds keeps no
+  feature or label buffer the live store dropped;
+* snapshots defer like the live detector, and their detail read after
+  folds, evictions, rescoring, model updates or async publishes equals
+  the eager one;
+* process-pool workers and ``evaluate_one`` compute the detail eagerly.
+
+The eager reference is a snapshot clone with ``_eager_detail`` set,
+which decides with the full-label kernel at decision time.
 """
 
+import copy
 import dataclasses
 import gc
 import pickle
@@ -25,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    AsyncServingLoop,
     DecisionBatch,
     ModelInterface,
     ProcessServingPool,
@@ -76,20 +85,29 @@ def _streaming(router="hash", policy="fifo"):
     return streaming
 
 
+def _eager(streaming):
+    """A snapshot clone that decides with the full-label kernel."""
+    eager = streaming.detector_snapshot()
+    eager._eager_detail = True
+    return eager
+
+
 def _decide_both(streaming, features, probabilities, chunk_size=None):
-    """The same batch decided by the live detector and by a snapshot."""
+    """The same batch decided by the live detector and by an eager clone."""
     deferred = streaming.evaluate(features, probabilities, chunk_size=chunk_size)
-    eager = streaming.detector_snapshot().evaluate(
-        features, probabilities, chunk_size=chunk_size
-    )
+    eager = _eager(streaming).evaluate(features, probabilities, chunk_size=chunk_size)
     assert not deferred.detail.is_computed
     assert eager.detail.is_computed
     return deferred, eager
 
 
-def _move_on(streaming, how):
+def _move_on(streaming, how, seed=7):
     if how == "update":
-        streaming.update(*_classification_batch(25, seed=7, shift=0.8))
+        streaming.update(*_classification_batch(25, seed=seed, shift=0.8))
+    elif how == "evict":
+        streaming.evict(np.arange(0, len(streaming.store), 9))
+    elif how == "recalibrate_shards":
+        streaming.recalibrate_shards()
     elif how == "replace_outputs":
         features, probabilities, labels = (
             streaming.store.column("features") + 0.3,
@@ -133,10 +151,101 @@ class TestDeferredEqualsEager:
         streaming.calibrate(*_regression_batch(140, seed=0))
         test_f, test_y, _ = _regression_batch(20, seed=4, shift=0.5)
         deferred = streaming.evaluate(test_f, test_y)
-        eager = streaming.detector_snapshot().evaluate(test_f, test_y)
+        eager = _eager(streaming).evaluate(test_f, test_y)
         assert not deferred.detail.is_computed
         streaming.update(*_regression_batch(30, seed=8, shift=1.0))
         _assert_same(deferred, eager)
+
+
+def _held(streaming, *inputs):
+    """A batch a fresh snapshot decided, with its eager reference."""
+    snapshot = streaming.detector_snapshot()
+    return snapshot.evaluate(*inputs), _eager(streaming).evaluate(*inputs)
+
+
+def _root(array):
+    """The buffer that owns ``array``'s memory."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def _assert_held(held):
+    for batch, eager in held:
+        assert not batch.detail.is_computed
+        _assert_same(batch, eager)
+
+
+class TestSnapshotDetail:
+    """Snapshot batches defer; read after the live wrapper moved on, the
+    detail equals the one computed eagerly at decision time."""
+
+    @pytest.mark.parametrize("router", ROUTERS)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_classifier(self, router, policy):
+        streaming = _streaming(router, policy)
+        test_f, test_p, _ = _classification_batch(30, seed=81, shift=0.4)
+        held = []
+        moves = ("update", "evict", "update", "recalibrate_shards", "replace_outputs")
+        for seed, how in enumerate(moves):
+            held.append(_held(streaming, test_f, test_p))
+            _move_on(streaming, how, seed=seed)
+        _assert_held(held)
+
+    @pytest.mark.parametrize("router", ("hash", "cluster"))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_regressor(self, router, policy):
+        streaming = StreamingPromRegressor(
+            capacity=150, eviction=policy, seed=2, n_shards=3, router=router
+        )
+        streaming.calibrate(*_regression_batch(140, seed=0))
+        test_f, test_y, _ = _regression_batch(20, seed=4, shift=0.5)
+        held = []
+        for step in range(5):
+            held.append(_held(streaming, test_f, test_y))
+            if step == 1:
+                streaming.evict(np.arange(0, len(streaming.store), 9))
+            elif step == 3:
+                streaming.recalibrate_shards()
+            elif step == 4:
+                store = streaming.store
+                streaming.replace_outputs(
+                    store.column("features") + 0.3,
+                    store.column("prediction") * 1.1,
+                    store.column("target"),
+                )
+            else:
+                streaming.update(*_regression_batch(25, seed=8 + step, shift=1.0))
+        _assert_held(held)
+
+    @pytest.mark.concurrency
+    @pytest.mark.parametrize("router", ROUTERS)
+    def test_async_publishes(self, router):
+        interface = BlobInterface(
+            MLPClassifier(epochs=5, seed=0),
+            max_calibration=120,
+            n_shards=3,
+            router=router,
+        )
+        interface.train(*make_blobs(300, seed=0))
+        X_test, _ = make_blobs(20, seed=9, shift=1.5)
+        loop = AsyncServingLoop(interface)
+        held = []
+        try:
+            for step in range(4):
+                eager = copy.copy(loop.snapshot.interface)
+                eager.prom = copy.copy(eager.prom)
+                eager.prom._eager_detail = True
+                held.append((loop.predict(X_test)[1], eager.predict(X_test)[1]))
+                loop.submit_fold(*make_blobs(30, seed=20 + step, shift=1.0))
+                if step == 2:
+                    loop.submit_model_update(*make_blobs(60, seed=40), epochs=2)
+                loop.drain()
+            assert loop.stats.snapshots_published >= 4
+        finally:
+            loop.close()
+        assert not loop.errors
+        _assert_held(held)
 
 
 class TestTransformsKeepDetail:
@@ -207,7 +316,7 @@ class TestRetention:
         bundle = streaming.prom._segment_bundle
         view = bundle.evaluation_view()
         batch = streaming.evaluate(test_f, test_p)
-        eager = streaming.detector_snapshot().evaluate(test_f, test_p)
+        eager = _eager(streaming).evaluate(test_f, test_p)
         bundle_ref, view_ref = weakref.ref(bundle), weakref.ref(view)
         del bundle, view
         streaming.update(*_classification_batch(20, seed=32, shift=0.5))
@@ -217,6 +326,33 @@ class TestRetention:
         gc.collect()
         assert bundle_ref() is None
         assert view_ref() is None
+        assert not batch.detail.is_computed
+        _assert_same(batch, eager)
+
+    @pytest.mark.parametrize("router", ROUTERS)
+    def test_held_snapshot_batch_pins_no_dropped_store_buffer(self, router):
+        streaming = _streaming(router, "fifo")
+        test_f, test_p, _ = _classification_batch(12, seed=33)
+        batch, eager = _held(streaming, test_f, test_p)
+        (source,) = batch.detail._parts
+        refs = [
+            weakref.ref(_root(segment))
+            for segments in (source.features, source.labels)
+            for segment in segments
+        ]
+        evicted = 0
+        for seed in range(12):
+            update = streaming.update(*_classification_batch(3, seed=100 + seed))
+            evicted += len(update.evicted)
+        assert evicted > 0  # the folds ran FIFO evictions
+        gc.collect()
+        live = [
+            shard._buffers[name]
+            for shard in streaming.store.shards
+            for name in ("features", "label")
+        ]
+        for ref in refs:
+            assert ref() is None or any(ref() is buffer for buffer in live)
         assert not batch.detail.is_computed
         _assert_same(batch, eager)
 
@@ -232,7 +368,7 @@ class TestRetention:
         streaming = _streaming()
         test_f, test_p, _ = _classification_batch(9, seed=51)
         test_f, test_p = test_f.copy(), test_p.copy()
-        eager = streaming.detector_snapshot().evaluate(test_f, test_p)
+        eager = _eager(streaming).evaluate(test_f, test_p)
         batch = streaming.evaluate(test_f, test_p)
         test_f[:] = 0.0
         test_p[:] = 1.0 / test_p.shape[1]
@@ -244,15 +380,17 @@ class TestEagerDetectors:
         streaming = _streaming()
         test_f, test_p, _ = _classification_batch(1, seed=61)
         decision = streaming.evaluate_one(test_f[0], test_p[0])
-        batch = streaming.detector_snapshot().evaluate(test_f, test_p)
+        batch = _eager(streaming).evaluate(test_f, test_p)
         assert decision == batch[0]
 
-    def test_snapshot_batches_are_eager(self):
+    def test_snapshot_batches_defer(self):
         streaming = _streaming("label", "lowest_weight")
         snapshot = streaming.detector_snapshot()
         test_f, test_p, _ = _classification_batch(10, seed=71)
-        assert snapshot.evaluate(test_f, test_p).detail.is_computed
+        batch = snapshot.evaluate(test_f, test_p)
+        assert not batch.detail.is_computed
         assert not streaming.evaluate(test_f, test_p).detail.is_computed
+        _assert_same(batch, _eager(streaming).evaluate(test_f, test_p))
 
     @pytest.mark.concurrency
     def test_pool_workers_are_eager(self):

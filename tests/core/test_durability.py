@@ -201,6 +201,25 @@ def test_restore_requires_no_recalibration(tmp_path):
     _assert_identical_classifier(live, restored)
 
 
+def test_first_fold_after_restore_appends_in_place(tmp_path):
+    """Restored shards keep append headroom: the first fold writes in place,
+    so a view taken before it stays a view of the live buffer."""
+    live = _classifier()
+    CheckpointWriter(tmp_path).checkpoint(live.streaming)
+    restored = _classifier()
+    restore_checkpoint(restored.streaming, tmp_path)
+    store = restored.streaming.store
+    before = [store.column_segments(name) for name in ("features", "label")]
+    update = restored.extend_calibration(*make_blobs(15, seed=5))
+    assert update.touched == tuple(range(store.n_shards))
+    after = [store.column_segments(name) for name in ("features", "label")]
+    for old, new in zip(before, after):
+        for shard_id in range(store.n_shards):
+            assert np.shares_memory(old[shard_id], new[shard_id])
+    live.extend_calibration(*make_blobs(15, seed=5))
+    _assert_identical_classifier(live, restored)
+
+
 # -- incremental reuse ---------------------------------------------------------
 def test_untouched_shards_are_reused(tmp_path):
     live = _classifier(n_shards=4)

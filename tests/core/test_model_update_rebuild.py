@@ -19,9 +19,13 @@ import pytest
 from repro.core import (
     CalibrationError,
     CheckpointWriter,
+    ModelInterface,
     ShardedCalibrationStore,
     StreamingPromClassifier,
 )
+from repro.ml import MLPClassifier
+
+from ..conftest import make_blobs
 
 ROUTERS = ("hash", "label", "cluster")
 POLICIES = ("fifo", "reservoir", "lowest_weight")
@@ -98,6 +102,11 @@ def _count_rebalances(monkeypatch):
 
     monkeypatch.setattr(ShardedCalibrationStore, "rebalance", counting)
     return calls
+
+
+class BlobInterface(ModelInterface):
+    def feature_extraction(self, X):
+        return np.asarray(X, dtype=float)
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])
@@ -221,3 +230,41 @@ def test_cluster_refit_moves_rows():
     assert not store.keeps_routes(("features", "label"))
     with pytest.raises(CalibrationError, match="may move rows"):
         store.replace_outputs(("features", "label"), probabilities=store.column("probabilities"))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_one_shard_model_update_takes_the_shortcut(policy, tmp_path, monkeypatch):
+    """A one-shard interface stores the new rows' real features, so a
+    static extractor's update rescores only the outputs."""
+    interface = BlobInterface(
+        MLPClassifier(epochs=5, seed=0), max_calibration=90, eviction=policy, seed=3
+    )
+    interface.train(*make_blobs(400, seed=0))
+    for seed in (1, 2):
+        interface.extend_calibration(*make_blobs(30, seed=seed, shift=0.5))
+    reference = copy.deepcopy(interface)
+    # the full path: every column replaced, rebalance, refresh
+    monkeypatch.setattr(reference.streaming.store, "keeps_routes", lambda unchanged: False)
+
+    calls = _count_rebalances(monkeypatch)
+    refreshes = []
+    refresh = StreamingPromClassifier.refresh
+
+    def counting_refresh(streaming):
+        refreshes.append(streaming)
+        return refresh(streaming)
+
+    monkeypatch.setattr(StreamingPromClassifier, "refresh", counting_refresh)
+    X_new, y_new = make_blobs(40, seed=5, shift=1.0)
+    interface.incremental_update(X_new, y_new, epochs=3)
+    assert calls == [] and refreshes == []
+    reference.incremental_update(X_new, y_new, epochs=3)
+    assert calls == [reference.streaming.store]
+    assert refreshes == [reference.streaming]
+    _assert_same_state(interface.streaming, reference.streaming, tmp_path, n_classes=3)
+
+    for seed in (6, 7):
+        batch = make_blobs(35, seed=seed, shift=0.8)
+        interface.extend_calibration(*batch)
+        reference.extend_calibration(*batch)
+        _assert_same_state(interface.streaming, reference.streaming, tmp_path, n_classes=3)
