@@ -36,22 +36,40 @@ copy at 12k rows x 16 shards.  The first decision after a publish
 (which repairs nothing the worker's prewarm did not) is recorded
 alongside for honesty.
 
+The ``held_batches`` section counts the memory that held batches pin.
+A snapshot decides its batches like the live detector: the detail
+fields wait for their first read, holding the calibration blocks the
+batch was decided on.  It runs one perfbench ``online_b2`` episode,
+which keeps every served batch, and counts the bytes those blocks keep
+alive beyond the live state: store buffers the live store dropped
+(asserted to be none) and score blocks later folds replaced.
+
 Results go to ``out/BENCH_async_serving.json``; ``--smoke`` runs a
 seconds-long, assertion-free pass for CI.
 """
 
 import argparse
 import json
+import sys
 import time
 
 # conftest first: it pins BLAS threads before NumPy loads
-from conftest import update_bench_json
+from conftest import REPO_ROOT, update_bench_json
 
 import numpy as np
 
-from repro.core import AsyncServingLoop, LoopConfig, ModelInterface, ServingConfig
-from repro.experiments import stream_deployment
-from repro.ml import MLPClassifier
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench's workloads)
+
+from repro.core import (  # noqa: E402
+    AsyncServingLoop,
+    LoopConfig,
+    ModelInterface,
+    ServingConfig,
+)
+from repro.experiments import stream_deployment  # noqa: E402
+from repro.ml import MLPClassifier  # noqa: E402
 
 #: acceptance floor: p99 decision latency during shard recalibration,
 #: synchronous loop vs async serving loop
@@ -455,6 +473,66 @@ class _BlobInterface(ModelInterface):
         return np.asarray(X)
 
 
+def _root(array):
+    """The array that owns ``array``'s memory."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def measure_held_batches(seed=1) -> dict:
+    """Bytes the batches of one ``online_b2`` episode pin, per fold.
+
+    ``workloads.run_episode`` keeps every served batch.  Each buffer a
+    still-deferred detail reaches (feature and label blocks are store
+    views, score blocks the per-shard state) counts once, unless the
+    live store or the live bundle still holds it at the episode's end.
+    """
+    workload = workloads.WORKLOADS["online_b2"]
+    episode = workloads.run_episode(workload, workloads.make_inputs(workload, seed))
+    interface = episode.interface
+    bundle = interface.prom._segment_bundle
+    live = {
+        id(_root(buffer))
+        for shard in interface.streaming.store.shards
+        for buffer in shard._buffers.values()
+    }
+    live.update(
+        id(_root(segment))
+        for field in (*bundle.fields.values(), *bundle.score_fields)
+        for segment in field.segments
+    )
+    pinned = {"store": {}, "scores": {}}
+    deferred = 0
+    for _, batch in interface.served:
+        for source in batch.detail._parts:
+            deferred += 1
+            blocks = {
+                "store": source.features + source.labels,
+                "scores": sum(source.scores, ()),
+            }
+            for kind, segments in blocks.items():
+                for segment in segments:
+                    root = _root(segment)
+                    if id(root) not in live:
+                        pinned[kind][id(root)] = root.nbytes
+    steps = episode.result.steps
+    n_folds = sum(step.n_relabelled > 0 and not step.model_updated for step in steps)
+    store_bytes = sum(pinned["store"].values())
+    score_bytes = sum(pinned["scores"].values())
+    return {
+        "workload": workload.name,
+        "seed": seed,
+        "batches_held": len(interface.served),
+        "deferred_details": deferred,
+        "folds": n_folds,
+        "model_updates": sum(step.model_updated for step in steps),
+        "pinned_store_buffer_bytes": store_bytes,
+        "pinned_score_block_bytes": score_bytes,
+        "pinned_bytes_per_fold": round((store_bytes + score_bytes) / max(n_folds, 1)),
+    }
+
+
 def test_p99_latency_during_recalibration():
     """The ISSUE 4 acceptance measurement: >= 5x p99 improvement."""
     outcome = measure_recalibration_latency(FULL_SCALE)
@@ -535,6 +613,15 @@ def test_stream_deployment_end_to_end():
     )
 
 
+def test_held_batches_pin_no_dropped_store_buffer():
+    """Held snapshot batches pin replaced score blocks, never a store
+    buffer the live store dropped."""
+    outcome = measure_held_batches()
+    update_bench_json("BENCH_async_serving.json", {"held_batches": outcome})
+    assert outcome["deferred_details"] == outcome["batches_held"]
+    assert outcome["pinned_store_buffer_bytes"] == 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -556,6 +643,7 @@ def main():
             "stream_deployment": measure_stream_deployment(
                 n_stream=300, epochs=5
             ),
+            "held_batches": measure_held_batches(),
         }
         print(json.dumps(summary, indent=2, sort_keys=True))
         return
@@ -563,6 +651,7 @@ def main():
     test_segment_snapshot_publish()
     test_steady_state_throughput_parity()
     test_stream_deployment_end_to_end()
+    test_held_batches_pin_no_dropped_store_buffer()
     print("BENCH_async_serving.json updated")
 
 

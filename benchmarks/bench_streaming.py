@@ -16,7 +16,8 @@ This bench asserts, at a production-ish scale (12k calibration samples,
   decision-identical to it; and
 * the end-to-end serving loop (``stream_deployment``: evaluate ->
   monitor -> relabel -> recalibrate) sustains a floor throughput in
-  decisions/sec.
+  decisions/sec, the median of repeated passes on fresh interfaces
+  (recorded with its quartiles).
 
 The ``fold_job`` section times the maintenance job that follows every
 one-row relabel in a sharded deployment: ``update`` (fold), snapshot
@@ -34,6 +35,7 @@ Results are appended to ``out/BENCH_streaming.json`` alongside
 
 import argparse
 import contextlib
+import copy
 import json
 import time
 
@@ -62,6 +64,11 @@ SPEEDUP_FLOOR = 5.0
 #: conservative floor for the end-to-end serving loop (decisions/sec);
 #: measured throughput is one to two orders of magnitude above this.
 THROUGHPUT_FLOOR = 1000.0
+
+#: fresh-interface deploys behind the end-to-end figure: one pass takes
+#: about 30 ms, and single passes read 35k-80k decisions/s on a shared
+#: 2-core box, so the median and quartiles are recorded
+STREAM_REPEATS = 15
 
 
 def _classification_batch(n, n_classes, n_features, seed=0):
@@ -148,27 +155,44 @@ def _make_blobs(n, n_classes=3, n_features=6, shift=0.0, seed=0):
 
 
 def test_stream_deployment_throughput():
-    """End-to-end serving loop throughput over a drifting stream."""
+    """End-to-end serving loop throughput over a drifting stream.
+
+    The deploy is repeated on fresh copies of one trained interface;
+    every pass must make the same decisions, and the median rate must
+    clear the floor.
+    """
     X_train, y_train = _make_blobs(600, seed=0)
-    interface = _BlobInterface(
+    trained = _BlobInterface(
         MLPClassifier(epochs=30, seed=0), max_calibration=200, seed=0
     )
-    interface.train(X_train, y_train)
+    trained.train(X_train, y_train)
 
     X_a, y_a = _make_blobs(1000, seed=1)
     X_b, y_b = _make_blobs(1000, shift=3.0, seed=2)
     X_stream = np.concatenate([X_a, X_b])
     y_stream = np.concatenate([y_a, y_b])
 
-    result = stream_deployment(
-        interface,
-        X_stream,
-        y_stream,
-        loop=LoopConfig(batch_size=100, budget_fraction=0.1, epochs=10),
-    )
+    results = [
+        stream_deployment(
+            copy.deepcopy(trained),
+            X_stream,
+            y_stream,
+            loop=LoopConfig(batch_size=100, budget_fraction=0.1, epochs=10),
+        )
+        for _ in range(STREAM_REPEATS)
+    ]
+    result = results[0]
     assert result.final_calibration_size <= 200
     assert all(step.calibration_size <= 200 for step in result.steps)
     assert result.n_flagged > 0
+    for other in results[1:]:
+        assert (other.n_flagged, other.n_relabelled) == (
+            result.n_flagged,
+            result.n_relabelled,
+        )
+    q1, median, q3 = np.percentile(
+        [run.decisions_per_second for run in results], [25, 50, 75]
+    )
 
     update_bench_json(
         "BENCH_streaming.json",
@@ -176,7 +200,10 @@ def test_stream_deployment_throughput():
             "stream_deployment": {
                 "n_samples": result.n_samples,
                 "batch_size": 100,
-                "decisions_per_second": round(result.decisions_per_second, 1),
+                "repeats": STREAM_REPEATS,
+                "decisions_per_second": round(median, 1),
+                "decisions_per_second_q1": round(q1, 1),
+                "decisions_per_second_q3": round(q3, 1),
                 "n_flagged": result.n_flagged,
                 "n_relabelled": result.n_relabelled,
                 "n_model_updates": result.n_model_updates,
@@ -187,8 +214,8 @@ def test_stream_deployment_throughput():
             }
         },
     )
-    assert result.decisions_per_second >= THROUGHPUT_FLOOR, (
-        f"serving loop sustained only {result.decisions_per_second:.0f} "
+    assert median >= THROUGHPUT_FLOOR, (
+        f"serving loop sustained a median {median:.0f} "
         f"decisions/sec (floor {THROUGHPUT_FLOOR:.0f})"
     )
 
