@@ -365,22 +365,21 @@ class TestImmutableViews:
             store.evict([0, 5, 6])
         n = len(store)
         assert len(store._arrival_buffer) == max(2 * n, 16)
-        before = {
-            "features": store.column("features"),
-            "label": store.column("label"),
-            "arrival": store.arrival,
-            "priority": store.priority,
-        }
+
+        def views():
+            return {
+                "features": store.column("features"),
+                "label": store.column("label"),
+                "arrival": store.arrival,
+                "priority": store.priority,
+            }
+
+        before = views()
         _add(store, 3, seed=2)
-        after = {
-            "features": store.column("features"),
-            "label": store.column("label"),
-            "arrival": store.arrival,
-            "priority": store.priority,
-        }
+        after = views()
+        kept = min(n, store.capacity - 3)
         for name, view in before.items():
             assert np.shares_memory(view, after[name]), name
-            kept = min(n, store.capacity - 3)
             assert np.array_equal(view[n - kept :], after[name][:kept]), name
 
     @pytest.mark.parametrize("first", ["calibrate", "evict"])
