@@ -287,6 +287,9 @@ class CalibrationStore:
     every column.  (A FIFO store stays arrival-ordered: appends arrive
     in order, prefix eviction and explicit-``evict`` compaction
     preserve relative order, so FIFO victims are always a prefix.)
+    Adopting rows — the first add into an empty store, an ``evict``
+    compaction, a checkpoint restore — leaves the same headroom growth
+    does, so the appends after it write in place too.
     Non-prefix evictions use the slot-reuse fast path: victims free
     their slots in place and surviving incoming rows overwrite them, so
     reservoir / lowest-weight mutations are also ``O(batch)`` writes —
